@@ -3,18 +3,19 @@
 The within-response covariance is V^(1/2) Omega(tau) V^(1/2) (plus diag(mu)
 for the count kind); responses are coupled through a correlation matrix by
 sandwiching the per-response Cholesky factors around the Kronecker-expanded
-correlation. Derivatives with respect to the dispersion parameters feed the
-Pearson estimating function.
+correlation. The dispersion derivatives, which feed the Pearson estimating
+function and the sandwich, are closed form; the tau derivatives go through
+the derivative of a Cholesky factor (Murray 2016, "Differentiation of the
+Cholesky decomposition", arXiv:1602.07527).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .errors import NotPositiveDefinite
 from .families import variance_eval
-
-_FD_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -83,12 +84,17 @@ def build_omega(tau_r, z_list):
     return omega
 
 
-def build_sigma_r(mu, var, omega, ntrial=None):
-    """Per-response covariance V^(1/2) Omega V^(1/2) (+ diag(mu) for counts)."""
+def sqrt_variance(mu, var, ntrial=None):
+    """V^(1/2) as a vector, the variance function divided by trial counts."""
     v = variance_eval(var, mu)
     if ntrial is not None:
         v = v / ntrial
-    s = np.sqrt(v)
+    return np.sqrt(v)
+
+
+def build_sigma_r(mu, var, omega, ntrial=None):
+    """Per-response covariance V^(1/2) Omega V^(1/2) (+ diag(mu) for counts)."""
+    s = sqrt_variance(mu, var, ntrial)
     sigma = s[:, None] * omega * s[None, :]
     if var.kind == "poisson_tweedie":
         sigma = sigma + np.diag(np.asarray(mu, dtype=float))
@@ -163,10 +169,6 @@ class CovarianceModel:
     def n_responses(self):
         return len(self.mus)
 
-    @property
-    def tau_lengths(self):
-        return tuple(len(z) for z in self.z_lists)
-
     def sigma(self, r, tau_r):
         omega = build_omega(tau_r, self.z_lists[r])
         return build_sigma_r(self.mus[r], self.variances[r], omega, self.ntrials[r])
@@ -178,67 +180,46 @@ class CovarianceModel:
     def derivatives(self, disp, joint=None):
         """dC/dlambda_i for every free dispersion parameter, in flat order.
 
-        Correlation derivatives are exact (the correlation enters linearly
-        through the Kronecker structure). For a single response the tau
-        derivatives are the exact V^(1/2) Z_d V^(1/2); with several
-        responses the tau derivatives go through the Cholesky factors, for
-        which no closed form is used; they are central finite differences
-        of the full C builder.
+        Closed form; given ``joint``, nothing is rebuilt. rho_rs enters
+        linearly: L_r L_s^T in block (r, s), its transpose in (s, r). For
+        tau_rd, block (r, r) is dSigma_r = V^(1/2) Z_d V^(1/2) (diag(mu)
+        does not move with tau) and block (r, s) is Sigma_b[r, s] dL_r L_s^T,
+        dL_r from Murray 2016; no block outside row and column r moves.
         """
         if joint is None:
             joint = self.build(disp)
         n_resp = self.n_responses
         n = len(self.mus[0])
-        out = []
+        rows = [slice(r * n, (r + 1) * n) for r in range(n_resp)]
         chols = joint.sigma_chols
+        out = []
         for r, s in rho_pairs(n_resp):
             d = np.zeros_like(joint.C)
             block = chols[r] @ chols[s].T
-            d[r * n : (r + 1) * n, s * n : (s + 1) * n] = block
-            d[s * n : (s + 1) * n, r * n : (r + 1) * n] = block.T
+            d[rows[r], rows[s]] = block
+            d[rows[s], rows[r]] = block.T
             out.append(d)
-        if n_resp == 1:
-            v = variance_eval(self.variances[0], self.mus[0])
-            if self.ntrials[0] is not None:
-                v = v / self.ntrials[0]
-            sqrt_v = np.sqrt(v)
-            for z in self.z_lists[0]:
-                out.append(sqrt_v[:, None] * z * sqrt_v[None, :])
-            return out
-        flat = disp.flatten()
-        offset = len(disp.rho)
         for r in range(n_resp):
-            for _ in range(len(disp.tau[r])):
-                pos = offset
-                offset += 1
-                h = _FD_STEP * max(1.0, abs(flat[pos]))
-                out.append(self._tau_difference(disp, joint, flat, pos, h))
+            sqrt_v = sqrt_variance(self.mus[r], self.variances[r], self.ntrials[r])
+            for z in self.z_lists[r]:
+                d = np.zeros_like(joint.C)
+                d_sigma = sqrt_v[:, None] * z * sqrt_v[None, :]
+                d[rows[r], rows[r]] = d_sigma
+                if n_resp > 1:
+                    d_chol = _cholesky_derivative(chols[r], d_sigma)
+                    for s in range(n_resp):
+                        if s != r:
+                            block = joint.sigma_b[r, s] * (d_chol @ chols[s].T)
+                            d[rows[r], rows[s]] = block
+                            d[rows[s], rows[r]] = block.T
+                out.append(d)
         return out
 
-    def _tau_difference(self, disp, joint, flat, pos, h):
-        # One-sided fallback keeps boundary dispersion points usable.
-        plus = flat.copy()
-        plus[pos] += h
-        minus = flat.copy()
-        minus[pos] -= h
-        c_plus = c_minus = None
-        try:
-            c_plus = self.build(disp.replace_flat(plus)).C
-        except NotPositiveDefinite:
-            pass
-        try:
-            c_minus = self.build(disp.replace_flat(minus)).C
-        except NotPositiveDefinite:
-            pass
-        if c_plus is not None and c_minus is not None:
-            deriv = (c_plus - c_minus) / (2.0 * h)
-        elif c_plus is not None:
-            deriv = (c_plus - joint.C) / h
-        elif c_minus is not None:
-            deriv = (joint.C - c_minus) / h
-        else:
-            raise NotPositiveDefinite(
-                "covariance is not differentiable here; both dispersion "
-                "perturbations left the positive-definite region"
-            )
-        return 0.5 * (deriv + deriv.T)
+
+def _cholesky_derivative(chol, d_sigma):
+    """dL = L Phi(L^-1 dSigma L^-T); Phi keeps the lower triangle, diagonal halved."""
+    x = solve_triangular(chol, d_sigma, lower=True)
+    x = solve_triangular(chol, x.T, lower=True)
+    phi = np.tril(x)
+    phi[np.diag_indices_from(phi)] *= 0.5
+    return chol @ phi

@@ -46,7 +46,7 @@ class DegenerateFactor(CovglmError):
 
 
 class RankError(CovglmError):
-    """A design or hypothesis matrix does not have full rank."""
+    """A design, hypothesis or fitting-system matrix does not have full rank."""
 
     origin = "estimator"
 

@@ -4,8 +4,9 @@ Regression coefficients solve the quasi-score equation, dispersion
 parameters solve the Pearson (trace-matching) equation; the two are
 alternated with Newton-type steps until the parameter vector settles. The
 asymptotic covariance is the inverse Godambe information
-S^-1 V S^-T assembled from the block sensitivity/variability matrices,
-with the cross blocks obtained numerically at the solution.
+S^-1 V S^-T assembled from the block sensitivity/variability matrices at
+the solution. Every block is closed form (dC/dlambda as in ``covariance``,
+after Murray 2016) except S_lambda_beta, a central finite difference.
 """
 
 import logging
@@ -195,15 +196,6 @@ def pearson_fn(bound, beta, disp, empirical_cumulants=True):
     return psi, sens, var
 
 
-def _pearson_value(bound, beta, disp):
-    state = _evaluate(bound, beta, disp)
-    derivs = state.covmodel.derivatives(state.disp, state.joint)
-    u = cho_solve(state.cho, state.resid)
-    c_inv = cho_solve(state.cho, np.eye(state.joint.dim))
-    psi = np.empty(len(derivs))
-    for i, b_mat in enumerate(derivs):
-        psi[i] = u @ b_mat @ u - float(np.sum(c_inv * b_mat))
-    return psi
 
 
 def _stacked_residual(bound, beta):
@@ -224,9 +216,8 @@ def _covariance_is_mean_free(bound):
     return all(resp.variance.kind == "constant" for resp in bound.spec.responses)
 
 
-def _fixed_covariance_pearson(bound, state):
-    """ψ_lambda as a function of beta alone, for a beta-free covariance."""
-    derivs = state.covmodel.derivatives(state.disp, state.joint)
+def _fixed_covariance_pearson(bound, state, derivs):
+    """ψ_lambda as a function of beta with C held at ``state``."""
     c_inv = cho_solve(state.cho, np.eye(state.joint.dim))
     traces = [float(np.sum(c_inv * b_mat)) for b_mat in derivs]
 
@@ -239,9 +230,10 @@ def _fixed_covariance_pearson(bound, state):
     return value
 
 
-def _quasi_value(bound, beta, disp):
+def _pearson_value(bound, beta, disp):
     state = _evaluate(bound, beta, disp)
-    return state.D.T @ cho_solve(state.cho, state.resid)
+    derivs = state.covmodel.derivatives(state.disp, state.joint)
+    return _fixed_covariance_pearson(bound, state, derivs)(beta)
 
 
 def _directional_difference(value_at, center_value, point, index, h):
@@ -280,37 +272,33 @@ def _directional_difference(value_at, center_value, point, index, h):
 def cross_blocks(bound, beta, disp):
     """Cross sensitivity and variability blocks at a parameter point.
 
-    The sensitivities are central finite differences of one estimating
-    function in the other block's parameters (relative step 1e-5). The
-    cross variability is taken as zero: its third-moment plug-in estimate
-    is noise of the same order as its Cauchy-Schwarz bound and routinely
-    makes the assembled variability matrix indefinite, which would break
-    the positive semi-definiteness contract of the inverse information.
+    S_beta_lambda is exact: column i is -(C^-1 D)^T (dC/dlambda_i) C^-1 r
+    with the closed-form dC/dlambda_i. S_lambda_beta, an observed
+    derivative through the mean dependence of C, is a central finite
+    difference (relative step 1e-5). The cross variability is taken as
+    zero: its third-moment plug-in estimate is noise of the same order as
+    its Cauchy-Schwarz bound and routinely makes the assembled variability
+    matrix indefinite, which would break the positive semi-definiteness
+    contract of the inverse information.
     """
     k_total = len(beta)
-    flat = disp.flatten()
-    q = len(flat)
+    q = disp.n_free
+    state = _evaluate(bound, beta, disp)
+    derivs = state.covmodel.derivatives(state.disp, state.joint)
+    _, _, _, cd, u = _quasi_pieces(state)
+    sens_bl = np.column_stack([-cd.T @ (b_mat @ u) for b_mat in derivs])
     if _covariance_is_mean_free(bound):
-        pearson_at = _fixed_covariance_pearson(bound, _evaluate(bound, beta, disp))
+        pearson_at = _fixed_covariance_pearson(bound, state, derivs)
     else:
         pearson_at = lambda b: _pearson_value(bound, b, disp)  # noqa: E731
+    # The loop below builds its own NR x NR matrices; free these first.
+    del state, derivs, cd
     pearson_center = pearson_at(beta)
-    quasi_center = _quasi_value(bound, beta, disp)
     sens_lb = np.empty((q, k_total))
     for j in range(k_total):
         h = _CROSS_STEP * max(1.0, abs(beta[j]))
         sens_lb[:, j] = _directional_difference(
             pearson_at, pearson_center, beta, j, h
-        )
-    sens_bl = np.empty((k_total, q))
-    for i in range(q):
-        h = _CROSS_STEP * max(1.0, abs(flat[i]))
-        sens_bl[:, i] = _directional_difference(
-            lambda v: _quasi_value(bound, beta, disp.replace_flat(v)),
-            quasi_center,
-            flat,
-            i,
-            h,
         )
     var_lb = np.zeros((q, k_total))
     return sens_lb, sens_bl, var_lb
@@ -493,6 +481,16 @@ class _Trace:
             self.handle.close()
 
 
+def _solve(a, b, what):
+    """np.linalg.solve, with a singular system reported as a typed error."""
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        raise RankError(
+            f"the {what} system is singular; the model is not identifiable here"
+        ) from None
+
+
 def _halved_step(evaluate, start, step, iteration):
     """Apply a step, halving it on covariance failures (at most 10 times)."""
     halvings = 0
@@ -538,7 +536,7 @@ def fit(spec, data, options=None):
     try:
         for iteration in range(1, opts.max_iter + 1):
             psi_b, _, var_b, _, _ = _quasi_pieces(state)
-            beta_step = np.linalg.solve(var_b, psi_b)
+            beta_step = _solve(var_b, psi_b, "coefficient Newton")
             state_b, halvings_b = _halved_step(
                 lambda b: _evaluate(bound, b, disp), beta, beta_step, iteration
             )
@@ -546,7 +544,7 @@ def fit(spec, data, options=None):
             psi_l, sens_l, _, _, _ = _pearson_pieces(
                 state_b, opts.empirical_cumulants
             )
-            lam_step = -opts.alpha * np.linalg.solve(sens_l, psi_l)
+            lam_step = -opts.alpha * _solve(sens_l, psi_l, "dispersion Newton")
             flat = disp.flatten()
             state_new, halvings_l = _halved_step(
                 lambda v: _evaluate(bound, beta_new, disp.replace_flat(v)),
@@ -581,8 +579,8 @@ def fit(spec, data, options=None):
     q = disp.n_free
     sens = np.block([[sens_b, sens_bl], [sens_lb, sens_l]])
     var = np.block([[var_b, var_lb.T], [var_lb, var_l]])
-    half = np.linalg.solve(sens, var)
-    joint_inverse = np.linalg.solve(sens, half.T).T
+    half = _solve(sens, var, "sandwich")
+    joint_inverse = _solve(sens, half.T, "sandwich").T
     joint_inverse = 0.5 * (joint_inverse + joint_inverse.T)
     assert joint_inverse.shape == (k_total + q, k_total + q)
     return FittedModel(

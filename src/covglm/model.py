@@ -192,6 +192,24 @@ def grouping_matrix(values):
     return a @ a.T
 
 
+def _check_identifiable(name, components, zs):
+    """Raise unless the Z_d of one response are linearly independent.
+
+    Z_d is redundant, and its tau not identifiable, when it leaves the rank
+    of the leading Gram matrix tr(Z_i Z_j) unchanged.
+    """
+    gram = np.array([[np.sum(a * b) for b in zs] for a in zs])
+    ranks = [0] + [np.linalg.matrix_rank(gram[:d, :d]) for d in range(1, len(zs) + 1)]
+    labels = [c.kind if c.kind == "identity" else f"grouping({c.column})" for c in components]
+    redundant = [labels[d] for d in range(len(zs)) if ranks[d + 1] == ranks[d]]
+    if redundant:
+        raise ModelSpecError(
+            f"response {name!r}: matrix predictor components {', '.join(labels)} "
+            f"are linearly dependent (rank {ranks[-1]} of {len(zs)}); "
+            f"redundant: {', '.join(redundant)}"
+        )
+
+
 @dataclass(frozen=True)
 class BoundModel:
     """A model spec resolved against data: designs, responses, Z matrices."""
@@ -267,6 +285,7 @@ def bind(spec, data):
                 zs.append(np.eye(n))
             else:
                 zs.append(grouping_matrix(data.factor(comp.column)))
+        _check_identifiable(name, resp.matrix_pred, zs)
         z_lists.append(tuple(zs))
         ys.append(y)
     return BoundModel(

@@ -12,6 +12,7 @@ from covglm.covariance import (
 )
 from covglm.errors import NotPositiveDefinite
 from covglm.families import VarianceFn
+from covglm.model import grouping_matrix
 
 
 def test_build_omega_scales_identity():
@@ -108,18 +109,39 @@ def test_rho_pair_order():
     assert sigma_b[1, 2] == 0.3
 
 
-def _random_covariance_model(rng, n_responses, n_z, n=7):
+def _random_covariance_model(
+    rng, n_responses, n_z, n=7, kinds=None, with_ntrials=False, grouped=False
+):
+    """A random PD covariance model and dispersion point.
+
+    ``kinds`` fixes the variance kind per response (cycled by default);
+    ``with_ntrials`` draws binomial trial counts; ``grouped`` makes the
+    second matrix a grouping Z (rows in groups of at most three) instead of
+    a random symmetric one; the taus keep every case positive definite.
+    """
+    if kinds is None:
+        cycle = ["constant", "tweedie", "poisson_tweedie"]
+        kinds = [cycle[(r + n_z) % 3] for r in range(n_responses)]
     mus = []
     variances = []
+    ntrials = []
     z_lists = []
-    kinds = ["constant", "tweedie", "poisson_tweedie"]
     for r in range(n_responses):
-        mus.append(rng.uniform(0.5, 3.0, size=n))
-        variances.append(VarianceFn(kinds[(r + n_z) % 3], 1.0))
+        if kinds[r] == "binomialP":
+            mus.append(rng.uniform(0.1, 0.9, size=n))
+        else:
+            mus.append(rng.uniform(0.5, 3.0, size=n))
+        variances.append(VarianceFn(kinds[r], 1.0))
+        ntrials.append(
+            rng.integers(1, 10, size=n).astype(float) if with_ntrials else None
+        )
         zs = [np.eye(n)]
         for _ in range(n_z - 1):
-            a = rng.normal(size=(n, n))
-            zs.append(0.1 * (a + a.T))
+            if grouped:
+                zs.append(grouping_matrix(rng.permutation(n) // 3))
+            else:
+                a = rng.normal(size=(n, n))
+                zs.append(0.1 * (a + a.T))
         z_lists.append(tuple(zs))
     taus = []
     for _ in range(n_responses):
@@ -130,7 +152,7 @@ def _random_covariance_model(rng, n_responses, n_z, n=7):
     model = CovarianceModel(
         mus=tuple(mus),
         variances=tuple(variances),
-        ntrials=(None,) * n_responses,
+        ntrials=tuple(ntrials),
         z_lists=tuple(z_lists),
     )
     disp = DispersionVector(rho=rho, tau=tuple(taus))
@@ -151,11 +173,36 @@ def _finite_difference_derivs(model, disp, step=1e-6):
     return out
 
 
-@pytest.mark.parametrize("n_responses,n_z", [(1, 1), (1, 2), (2, 1), (2, 2)])
-def test_derivatives_match_finite_differences(n_responses, n_z):
+@pytest.mark.parametrize(
+    "n_responses,n_z,options",
+    [
+        pytest.param(1, 1, {}, id="1-1"),
+        pytest.param(1, 2, {}, id="1-2"),
+        pytest.param(2, 1, {}, id="2-1"),
+        pytest.param(2, 2, {}, id="2-2"),
+        pytest.param(3, 1, {}, id="3-1"),
+        pytest.param(3, 2, {}, id="3-2"),
+        pytest.param(
+            2, 2, {"kinds": ["poisson_tweedie"] * 2}, id="poisson_tweedie"
+        ),
+        pytest.param(
+            2,
+            2,
+            {"kinds": ["binomialP", "tweedie"], "with_ntrials": True},
+            id="binomialP-ntrials",
+        ),
+        pytest.param(
+            3,
+            2,
+            {"kinds": ["tweedie", "poisson_tweedie", "constant"], "grouped": True},
+            id="grouping",
+        ),
+    ],
+)
+def test_derivatives_match_finite_differences(n_responses, n_z, options):
     rng = np.random.default_rng(100 * n_responses + n_z)
     for _ in range(3):
-        model, disp = _random_covariance_model(rng, n_responses, n_z)
+        model, disp = _random_covariance_model(rng, n_responses, n_z, **options)
         analytic = model.derivatives(disp)
         numeric = _finite_difference_derivs(model, disp)
         assert len(analytic) == disp.n_free
@@ -163,6 +210,23 @@ def test_derivatives_match_finite_differences(n_responses, n_z):
             assert np.allclose(a, a.T, atol=1e-8)
             denom = max(np.linalg.norm(b), 1e-12)
             assert np.linalg.norm(a - b) / denom < 1e-4
+
+
+def test_derivatives_rebuild_no_covariance(monkeypatch):
+    rng = np.random.default_rng(11)
+    model, disp = _random_covariance_model(rng, 3, 2)
+    joint = model.build(disp)
+    calls = []
+    original = CovarianceModel.build
+
+    def counting_build(self, d):
+        calls.append(d)
+        return original(self, d)
+
+    monkeypatch.setattr(CovarianceModel, "build", counting_build)
+    derivs = model.derivatives(disp, joint)
+    assert len(derivs) == disp.n_free
+    assert calls == []
 
 
 def test_single_response_tau_derivative_is_exact_form():

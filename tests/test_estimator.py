@@ -170,6 +170,46 @@ def test_cross_blocks_shapes_and_symmetric_case():
     assert np.max(np.abs(sens_lb)) < 1e-3
 
 
+def test_quasi_sensitivity_in_dispersion_matches_finite_differences():
+    # S_beta_lambda = d psi_beta / d lambda, against central differences
+    # of the quasi-score at a point away from the root, with a mean-
+    # dependent variance in both responses and a grouping component.
+    rng = np.random.default_rng(8)
+    n = 40
+    x = rng.normal(size=n)
+    groups = np.array([f"g{i % 8}" for i in range(n)], dtype=object)
+    y1 = rng.poisson(np.exp(0.5 + 0.4 * x)).astype(float)
+    y2 = rng.gamma(2.0, np.exp(0.2 - 0.3 * x) / 2.0)
+    data = make_dataset({"y1": y1, "y2": y2, "x": x, "g": groups})
+    grouped = (MatrixComponent("identity"), MatrixComponent("grouping", "g"))
+    spec = ModelSpec(
+        responses=(
+            response_spec(
+                "y1 ~ x", link="log", variance="poisson_tweedie", matrix_pred=grouped
+            ),
+            response_spec("y2 ~ x", link="log", variance="tweedie", power=2.0),
+        )
+    )
+    bound = bind(spec, data)
+    beta = np.array([0.45, 0.35, 0.25, -0.2])
+    disp = DispersionVector(
+        rho=np.array([0.3]), tau=(np.array([0.6, 0.1]), np.array([0.5]))
+    )
+    _, sens_bl, _ = cross_blocks(bound, beta, disp)
+    flat = disp.flatten()
+    numeric = np.empty_like(sens_bl)
+    for i in range(len(flat)):
+        h = 1e-6 * max(1.0, abs(flat[i]))
+        plus, minus = flat.copy(), flat.copy()
+        plus[i] += h
+        minus[i] -= h
+        up, _, _ = quasi_score(bound, beta, disp.replace_flat(plus))
+        down, _, _ = quasi_score(bound, beta, disp.replace_flat(minus))
+        numeric[:, i] = (up - down) / (2.0 * h)
+    assert np.max(np.abs(numeric)) > 1e-2
+    assert np.linalg.norm(sens_bl - numeric) / np.linalg.norm(numeric) < 1e-6
+
+
 def test_psi_norms_small_at_convergence():
     data, _, _ = simulate_gaussian(6)
     opts = FitOptions()

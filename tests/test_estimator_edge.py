@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import gaussian_spec, make_dataset, response_spec
 from covglm.covariance import DispersionVector
-from covglm.errors import NotPositiveDefinite
+from covglm.errors import NotPositiveDefinite, RankError
 from covglm.estimator import FitOptions, _halved_step, fit, pearson_fn
 from covglm.model import MatrixComponent, ModelSpec, bind
 
@@ -123,6 +125,19 @@ def test_mean_free_covariance_shortcut_matches_generic_path(monkeypatch):
     generic = estimator.cross_blocks(bound, model.beta_hat, model.lambda_hat)
     for a, b in zip(fast, generic):
         assert np.allclose(a, b, atol=1e-9)
+
+
+def test_singular_newton_system_is_a_typed_error():
+    # Two identical Z_d (bind rejects these; a hand-built bound model does
+    # not) make the Pearson Newton system exactly singular.
+    rng = np.random.default_rng(6)
+    n = 40
+    x = rng.normal(size=n)
+    data = make_dataset({"y": 1.0 + x + rng.normal(size=n), "x": x})
+    bound = bind(gaussian_spec("y ~ x"), data)
+    bound = dataclasses.replace(bound, z_lists=((np.eye(n), np.eye(n)),))
+    with pytest.raises(RankError, match="dispersion Newton system is singular"):
+        fit(bound, None)
 
 
 def test_separated_binary_data_aborts_with_diagnostics():

@@ -155,6 +155,35 @@ def test_bind_builds_identity_and_grouping_z():
     assert np.array_equal(z1, expected)
 
 
+def test_bind_rejects_linearly_dependent_matrix_predictor():
+    # Singleton groups make grouping(s) equal the identity; grouping(g)
+    # is independent of both and is not reported.
+    values = {
+        "y": np.arange(6, dtype=float),
+        "x": np.arange(6, dtype=float) * 0.5,
+        "s": np.array(["a", "b", "c", "d", "e", "f"], dtype=object),
+        "g": np.array(["u", "u", "v", "v", "w", "w"], dtype=object),
+    }
+    spec = ModelSpec(
+        responses=(
+            response_spec(
+                "y ~ x",
+                matrix_pred=(
+                    MatrixComponent("identity"),
+                    MatrixComponent("grouping", "s"),
+                    MatrixComponent("grouping", "g"),
+                ),
+            ),
+        )
+    )
+    with pytest.raises(ModelSpecError) as info:
+        bind(spec, make_dataset(values))
+    message = str(info.value)
+    assert message.startswith("response 'y': matrix predictor components")
+    assert "(rank 2 of 3)" in message
+    assert message.endswith("redundant: grouping(s)")
+
+
 def test_empty_responses_rejected():
     with pytest.raises(ModelSpecError):
         ModelSpec(responses=())

@@ -255,6 +255,42 @@ def test_cli_empty_csv_is_an_error(tmp_path, capsys):
     assert err.startswith("error [")
 
 
+def test_cli_unidentifiable_matrix_predictor_is_one_line_error(tmp_path, capsys):
+    # One grouping level per row makes the grouping Z equal the identity.
+    rng = np.random.default_rng(4)
+    n = 60
+    x = rng.normal(size=n)
+    y = rng.poisson(np.exp(0.5 + 0.3 * x)) + 0.5
+    lines = ["y,x,g"] + [f"{y[i]},{x[i]},G{i}" for i in range(n)]
+    data_path = tmp_path / "data.csv"
+    data_path.write_text("\n".join(lines) + "\n")
+    spec = {
+        "responses": [
+            {
+                "formula": "y ~ x",
+                "link": "log",
+                "variance": "tweedie",
+                "matrix_pred": [
+                    {"kind": "identity"},
+                    {"kind": "grouping", "column": "g"},
+                ],
+            }
+        ]
+    }
+    spec_path = tmp_path / "model.json"
+    spec_path.write_text(json.dumps(spec))
+    save = tmp_path / "out.fit"
+    code = run(
+        ["fit", "--data", str(data_path), "--model", str(spec_path), "--save", str(save)]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error [model]: response 'y'")
+    assert "identity, grouping(g)" in err
+    assert not save.exists()
+
+
 def test_cli_error_on_missing_inputs(capsys):
     code = run(["anova"])
     assert code == 1
