@@ -6,7 +6,8 @@ sandwiching the per-response Cholesky factors around the Kronecker-expanded
 correlation. The dispersion derivatives, which feed the Pearson estimating
 function and the sandwich, are closed form; the tau derivatives go through
 the derivative of a Cholesky factor (Murray 2016, "Differentiation of the
-Cholesky decomposition", arXiv:1602.07527).
+Cholesky decomposition", arXiv:1602.07527). So does the pullback of C and
+those derivatives to the means, which the sandwich's S_lambda_beta needs.
 """
 
 from dataclasses import dataclass
@@ -15,7 +16,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .errors import NotPositiveDefinite
-from .families import variance_eval
+from .families import variance_deriv, variance_eval
 
 
 @dataclass(frozen=True)
@@ -215,11 +216,111 @@ class CovarianceModel:
                 out.append(d)
         return out
 
+    def mean_gradient(self, disp, joint, c_cotangents, d_cotangent):
+        """Row i: gradient in the stacked means of <G_i, C> + <H, dC/dlambda_i>.
 
-def _cholesky_derivative(chol, d_sigma):
-    """dL = L Phi(L^-1 dSigma L^-T); Phi keeps the lower triangle, diagonal halved."""
-    x = solve_triangular(chol, d_sigma, lower=True)
-    x = solve_triangular(chol, x.T, lower=True)
+        ``c_cotangents`` stacks symmetric NR x NR matrices G_i, one per free
+        dispersion parameter, and ``d_cotangent`` is a symmetric H; both are
+        held fixed. A mean of response a moves only Sigma_a and L_a, so
+        only block row and column a of C and of each dC/dlambda_i move,
+        and every contraction runs over N x N blocks. Terms in dL_a are
+        pulled back to dSigma_a through the adjoint of
+        dL = L Phi(L^-1 dSigma L^-T), and dSigma_a to the means through
+        dSigma = diag(ds) Omega diag(s) + diag(s) Omega diag(ds)
+        (+ diag(dmu) for ``poisson_tweedie``), ds = s'(mu) dmu. For tau_ad,
+        block (a, a) is A = diag(s) Z_d diag(s) and block (a, t) is
+        Sigma_b[a, t] K L_t^T with K = L P, P = Phi(M), M = L^-1 A L^-T;
+        K moves by dL P + L Phi(L^-1 dA L^-T - Q M - M Q^T), Q = L^-1 dL.
+        """
+        n_resp = self.n_responses
+        n = len(self.mus[0])
+        rows = [slice(r * n, (r + 1) * n) for r in range(n_resp)]
+        chols = joint.sigma_chols
+        sigma_b = joint.sigma_b
+        params = rho_pairs(n_resp) + [
+            (r, d) for r in range(n_resp) for d in range(len(self.z_lists[r]))
+        ]
+        n_rho = n_resp * (n_resp - 1) // 2
+        sqrt_vs = [
+            sqrt_variance(self.mus[r], self.variances[r], self.ntrials[r])
+            for r in range(n_resp)
+        ]
+        grad = np.zeros((len(c_cotangents), n_resp * n))
+        for a in range(n_resp):
+            chol = chols[a]
+            s = sqrt_vs[a]
+            dv = variance_deriv(self.variances[a], self.mus[a])
+            if self.ntrials[a] is not None:
+                dv = dv / self.ntrials[a]
+            slope = dv / (2.0 * s)  # ds/dmu
+            omega = build_omega(disp.tau[a], self.z_lists[a])
+            others = [t for t in range(n_resp) if t != a]
+            h_aa = d_cotangent[rows[a], rows[a]]
+            # For tau_ad, <H, d dC/dtau_ad> = <H[a, a] + 2 U, dA>
+            # + 2 <W P^T - L^-T (V + V^T) M, dL> with W = sum_t Sigma_b[a, t]
+            # H[a, t] L_t, V = Phi(L^T W) and U = L^-T V L^-1; only P, M
+            # and A depend on d.
+            h_chol = {t: d_cotangent[rows[a], rows[t]] @ chols[t] for t in others}
+            w = sum((sigma_b[a, t] * h_chol[t] for t in others), np.zeros((n, n)))
+            v = _phi(chol.T @ w)
+            u_w = _cholesky_derivative_adjoint(chol, w)
+            v_back = solve_triangular(chol, v + v.T, lower=True, trans="T")
+            for i, g in enumerate(c_cotangents):
+                # Cotangents of Sigma_a (gamma), of L_a (y_bar) and of A.
+                gamma = g[rows[a], rows[a]].copy()
+                y_bar = np.zeros((n, n))
+                for t in others:
+                    y_bar += 2.0 * sigma_b[a, t] * (g[rows[a], rows[t]] @ chols[t])
+                grad_s = np.zeros(n)
+                if i < n_rho:
+                    if a in params[i]:
+                        (t,) = [p for p in params[i] if p != a]
+                        y_bar += 2.0 * h_chol[t]
+                else:
+                    r, d = params[i]
+                    z = self.z_lists[r][d]
+                    a_mat = sqrt_vs[r][:, None] * z * sqrt_vs[r][None, :]
+                    m = _whiten(chols[r], a_mat)
+                    if r == a:
+                        y_bar += 2.0 * (w @ _phi(m).T - v_back @ m)
+                        grad_s += _spread(h_aa + 2.0 * u_w, z, s)
+                    else:
+                        k = chols[r] @ _phi(m)
+                        y_bar += 2.0 * sigma_b[r, a] * (
+                            d_cotangent[rows[a], rows[r]] @ k
+                        )
+                gamma += _cholesky_derivative_adjoint(chol, y_bar)
+                grad_s += _spread(gamma, omega, s)
+                grad[i, rows[a]] = slope * grad_s
+                if self.variances[a].kind == "poisson_tweedie":
+                    grad[i, rows[a]] += np.diag(gamma)
+        return grad
+
+
+def _phi(x):
+    """Lower triangle with the diagonal halved; self-adjoint in <., .>."""
     phi = np.tril(x)
     phi[np.diag_indices_from(phi)] *= 0.5
-    return chol @ phi
+    return phi
+
+
+def _whiten(chol, sym):
+    """L^-1 S L^-T for a symmetric S."""
+    x = solve_triangular(chol, sym, lower=True)
+    return solve_triangular(chol, x.T, lower=True)
+
+
+def _cholesky_derivative(chol, d_sigma):
+    """dL = L Phi(L^-1 dSigma L^-T)."""
+    return chol @ _phi(_whiten(chol, d_sigma))
+
+
+def _cholesky_derivative_adjoint(chol, y):
+    """G with <Y, dL> = <G, dSigma>: G = L^-T Phi(L^T Y) L^-1."""
+    x = solve_triangular(chol, _phi(chol.T @ y), lower=True, trans="T")
+    return solve_triangular(chol, x.T, lower=True, trans="T").T
+
+
+def _spread(gamma, z, s):
+    """Gradient in s of <gamma, diag(s) Z diag(s)>: ((gamma + gamma^T) o Z) s."""
+    return ((gamma + gamma.T) * z) @ s

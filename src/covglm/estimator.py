@@ -5,8 +5,8 @@ parameters solve the Pearson (trace-matching) equation; the two are
 alternated with Newton-type steps until the parameter vector settles. The
 asymptotic covariance is the inverse Godambe information
 S^-1 V S^-T assembled from the block sensitivity/variability matrices at
-the solution. Every block is closed form (dC/dlambda as in ``covariance``,
-after Murray 2016) except S_lambda_beta, a central finite difference.
+the solution. Every block is closed form: dC/dlambda and its pullback to
+the means as in ``covariance``, after Murray 2016.
 """
 
 import logging
@@ -22,8 +22,6 @@ from .errors import DomainError, NotPositiveDefinite, RankError
 from .model import BoundModel, bind
 
 log = logging.getLogger("covglm")
-
-_CROSS_STEP = 1e-5
 
 
 def parameter_label(prefix, response, index):
@@ -161,16 +159,21 @@ def quasi_score(bound, beta, disp):
 
 
 def _pearson_pieces(state, empirical_cumulants=True):
+    """psi_lambda, S_lambda and V_lambda, plus the stack C^-1 dC/dlambda_i
+    and C^-1 that ``cross_blocks`` reuses."""
     derivs = state.covmodel.derivatives(state.disp, state.joint)
     n = state.joint.dim
     q = len(derivs)
     u = cho_solve(state.cho, state.resid)
     stack = np.empty((q, n, n))
     psi = np.empty(q)
-    for i, b_mat in enumerate(derivs):
-        e_mat = cho_solve(state.cho, b_mat)
-        stack[i] = e_mat
-        psi[i] = u @ b_mat @ u - np.trace(e_mat)
+    for i in range(q):
+        # Drop each dC/dlambda_i once C^-1 dC/dlambda_i is stored, so the
+        # two NR x NR stacks are never held in full together.
+        b_mat, derivs[i] = derivs[i], None
+        stack[i] = cho_solve(state.cho, b_mat)
+        psi[i] = u @ b_mat @ u - np.trace(stack[i])
+    del b_mat
     traces = _kernels.pair_traces(np.ascontiguousarray(stack))
     sens = -traces
     c_inv = cho_solve(state.cho, np.eye(n))
@@ -181,7 +184,7 @@ def _pearson_pieces(state, empirical_cumulants=True):
         k4 = np.zeros(n)
     var = 2.0 * traces + (w_diag * k4) @ w_diag.T
     var = 0.5 * (var + var.T)
-    return psi, sens, var, w_diag, c_inv
+    return psi, sens, var, stack, c_inv
 
 
 def pearson_fn(bound, beta, disp, empirical_cumulants=True):
@@ -196,111 +199,41 @@ def pearson_fn(bound, beta, disp, empirical_cumulants=True):
     return psi, sens, var
 
 
-
-
-def _stacked_residual(bound, beta):
-    spans, _ = _beta_spans(bound.designs)
-    n = bound.n_obs
-    resid = np.empty(n * bound.n_responses)
-    for r in range(bound.n_responses):
-        resp = bound.spec.responses[r]
-        eta = bound.designs[r].X @ beta[spans[r]]
-        if bound.offsets[r] is not None:
-            eta = eta + bound.offsets[r]
-        resid[r * n : (r + 1) * n] = bound.y[r] - resp.link.inverse(eta)
-    return resid
-
-
-def _covariance_is_mean_free(bound):
-    # V(mu) = I for the constant kind, so C does not move with beta.
-    return all(resp.variance.kind == "constant" for resp in bound.spec.responses)
-
-
-def _fixed_covariance_pearson(bound, state, derivs):
-    """ψ_lambda as a function of beta with C held at ``state``."""
-    c_inv = cho_solve(state.cho, np.eye(state.joint.dim))
-    traces = [float(np.sum(c_inv * b_mat)) for b_mat in derivs]
-
-    def value(beta):
-        u = cho_solve(state.cho, _stacked_residual(bound, beta))
-        return np.array(
-            [u @ b_mat @ u - tr for b_mat, tr in zip(derivs, traces)]
-        )
-
-    return value
-
-
-def _pearson_value(bound, beta, disp):
-    state = _evaluate(bound, beta, disp)
-    derivs = state.covmodel.derivatives(state.disp, state.joint)
-    return _fixed_covariance_pearson(bound, state, derivs)(beta)
-
-
-def _directional_difference(value_at, center_value, point, index, h):
-    """Central difference of a vector function in one coordinate.
-
-    Falls back to a one-sided difference when a perturbed point leaves
-    the feasible region (non-positive-definite covariance or a variance
-    domain violation), which happens at boundary solutions such as a
-    between-response correlation fitted next to one.
-    """
-    plus = point.copy()
-    plus[index] += h
-    minus = point.copy()
-    minus[index] -= h
-    up = down = None
-    try:
-        up = value_at(plus)
-    except (NotPositiveDefinite, DomainError):
-        pass
-    try:
-        down = value_at(minus)
-    except (NotPositiveDefinite, DomainError):
-        pass
-    if up is not None and down is not None:
-        return (up - down) / (2.0 * h)
-    if up is not None:
-        return (up - center_value) / h
-    if down is not None:
-        return (center_value - down) / h
-    raise NotPositiveDefinite(
-        "cannot evaluate the estimating function near the solution; "
-        "both finite-difference perturbations left the feasible region"
-    )
-
-
-def cross_blocks(bound, beta, disp):
+def cross_blocks(bound, beta, disp, state=None, pearson=None):
     """Cross sensitivity and variability blocks at a parameter point.
 
-    S_beta_lambda is exact: column i is -(C^-1 D)^T (dC/dlambda_i) C^-1 r
-    with the closed-form dC/dlambda_i. S_lambda_beta, an observed
-    derivative through the mean dependence of C, is a central finite
-    difference (relative step 1e-5). The cross variability is taken as
+    Both sensitivities are exact. With u = C^-1 r, F_i = C^-1 B_i C^-1
+    (B_i = dC/dlambda_i) and y_i = F_i r, column i of S_beta_lambda is
+    -D^T y_i. S_lambda_beta, an observed derivative through the mean
+    dependence of r, C and B_i, is G D with row i of G the gradient of
+    psi_lambda_i in the means:
+    -2 y_i + d/dmu [<F_i - u y_i^T - y_i u^T, C> + <u u^T - C^-1, B_i>]
+    (``CovarianceModel.mean_gradient``). The cross variability is taken as
     zero: its third-moment plug-in estimate is noise of the same order as
     its Cauchy-Schwarz bound and routinely makes the assembled variability
     matrix indefinite, which would break the positive semi-definiteness
     contract of the inverse information.
+
+    ``fit`` passes its own evaluation at (beta, disp) as ``state`` and the
+    stack C^-1 B_i and C^-1 of its last ``_pearson_pieces`` as ``pearson``,
+    so nothing is rebuilt; the stack is overwritten.
     """
-    k_total = len(beta)
-    q = disp.n_free
-    state = _evaluate(bound, beta, disp)
-    derivs = state.covmodel.derivatives(state.disp, state.joint)
-    _, _, _, cd, u = _quasi_pieces(state)
-    sens_bl = np.column_stack([-cd.T @ (b_mat @ u) for b_mat in derivs])
-    if _covariance_is_mean_free(bound):
-        pearson_at = _fixed_covariance_pearson(bound, state, derivs)
-    else:
-        pearson_at = lambda b: _pearson_value(bound, b, disp)  # noqa: E731
-    # The loop below builds its own NR x NR matrices; free these first.
-    del state, derivs, cd
-    pearson_center = pearson_at(beta)
-    sens_lb = np.empty((q, k_total))
-    for j in range(k_total):
-        h = _CROSS_STEP * max(1.0, abs(beta[j]))
-        sens_lb[:, j] = _directional_difference(
-            pearson_at, pearson_center, beta, j, h
-        )
-    var_lb = np.zeros((q, k_total))
+    if state is None:
+        state = _evaluate(bound, beta, disp)
+    if pearson is None:
+        pearson = _pearson_pieces(state)[3:]
+    stack, c_inv = pearson
+    u = cho_solve(state.cho, state.resid)
+    ys = stack @ u
+    sens_bl = -(ys @ state.D).T
+    for e_mat, y in zip(stack, ys):
+        np.matmul(e_mat, c_inv, out=e_mat)
+        e_mat -= np.outer(u, y)
+        e_mat -= np.outer(y, u)
+    h_mat = np.outer(u, u) - c_inv
+    grad = state.covmodel.mean_gradient(state.disp, state.joint, stack, h_mat)
+    sens_lb = (grad - 2.0 * ys) @ state.D
+    var_lb = np.zeros_like(sens_lb)
     return sens_lb, sens_bl, var_lb
 
 
@@ -573,8 +506,12 @@ def fit(spec, data, options=None):
         log.warning("estimation did not converge in %d iterations", opts.max_iter)
     # Sandwich information assembled once, at the solution.
     psi_b, sens_b, var_b, _, _ = _quasi_pieces(state)
-    psi_l, sens_l, var_l, _, _ = _pearson_pieces(state, opts.empirical_cumulants)
-    sens_lb, sens_bl, var_lb = cross_blocks(bound, beta, disp)
+    psi_l, sens_l, var_l, stack, c_inv = _pearson_pieces(
+        state, opts.empirical_cumulants
+    )
+    sens_lb, sens_bl, var_lb = cross_blocks(
+        bound, beta, disp, state=state, pearson=(stack, c_inv)
+    )
     k_total = len(beta)
     q = disp.n_free
     sens = np.block([[sens_b, sens_bl], [sens_lb, sens_l]])

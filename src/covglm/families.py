@@ -111,3 +111,17 @@ def variance_eval(var, mu):
             f"offending index {_first_bad(bad)}"
         )
     return (mu * (1.0 - mu)) ** var.power
+
+
+def variance_deriv(var, mu):
+    """dV/dmu elementwise, for the part of the variance ``variance_eval`` gives.
+
+    The caller has already evaluated the variance at ``mu``, which checks
+    its domain.
+    """
+    mu = np.asarray(mu, dtype=float)
+    if var.kind == "constant":
+        return np.zeros_like(mu)
+    if var.kind in ("tweedie", "poisson_tweedie"):
+        return var.power * mu ** (var.power - 1.0)
+    return var.power * (mu * (1.0 - mu)) ** (var.power - 1.0) * (1.0 - 2.0 * mu)

@@ -1,0 +1,98 @@
+"""Degenerate inputs through the CLI: each either fits or fails in one line.
+
+Every case runs ``covglm summary`` on a small CSV with a short iteration
+budget. The exit code must be 0 (fit), 2 (printed under a non-convergence
+warning) or 1, and an exit of 1 must come with exactly one stderr line. An
+exception other than ``CovglmError`` escapes ``run`` and fails the test.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from covglm.cli import run
+
+N = 40
+IDENTITY = [{"kind": "identity"}]
+GROUPED = [{"kind": "identity"}, {"kind": "grouping", "column": "g"}]
+
+
+def _response(formula, link="identity", variance="constant", matrix_pred=IDENTITY):
+    return {
+        "formula": formula,
+        "link": link,
+        "variance": variance,
+        "matrix_pred": matrix_pred,
+    }
+
+
+def _all_zero_counts(variance):
+    rng = np.random.default_rng(1)
+    columns = {"y": np.zeros(N), "x": rng.normal(size=N)}
+    return columns, [_response("y ~ x", "log", variance)]
+
+
+def _single_group():
+    rng = np.random.default_rng(2)
+    x = rng.normal(size=N)
+    columns = {"y": 1.0 + x + rng.normal(size=N), "x": x, "g": ["G1"] * N}
+    return columns, [_response("y ~ x", matrix_pred=GROUPED)]
+
+
+def _logit_separation():
+    rng = np.random.default_rng(3)
+    x = np.concatenate([rng.uniform(-3, -0.5, N // 2), rng.uniform(0.5, 3, N // 2)])
+    columns = {"y": (x > 0).astype(float), "x": x}
+    return columns, [_response("y ~ x", "logit", "binomialP")]
+
+
+def _constant_covariate():
+    rng = np.random.default_rng(4)
+    columns = {"y": rng.normal(size=N), "x": np.full(N, 2.5)}
+    return columns, [_response("y ~ x")]
+
+
+def _correlation_toward_one():
+    # Nearly duplicated responses drive the fitted correlation against 1.
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=N)
+    y1 = 1.0 + 0.5 * x + rng.normal(size=N)
+    columns = {"y1": y1, "y2": y1 + 1e-4 * rng.normal(size=N), "x": x}
+    return columns, [_response("y1 ~ x"), _response("y2 ~ x")]
+
+
+CASES = {
+    "all-zero-tweedie": lambda: _all_zero_counts("tweedie"),
+    "all-zero-poisson_tweedie": lambda: _all_zero_counts("poisson_tweedie"),
+    "single-group": _single_group,
+    "logit-separation": _logit_separation,
+    "constant-covariate": _constant_covariate,
+    "rho-toward-one": _correlation_toward_one,
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_degenerate_input_fits_or_fails_in_one_line(case, tmp_path, capsys):
+    columns, responses = CASES[case]()
+    names = list(columns)
+    lines = [",".join(names)]
+    for row in zip(*(columns[name] for name in names)):
+        lines.append(",".join(str(value) for value in row))
+    data_path = tmp_path / "data.csv"
+    data_path.write_text("\n".join(lines) + "\n")
+    spec_path = tmp_path / "model.json"
+    spec_path.write_text(json.dumps({"responses": responses}))
+    code = run(
+        [
+            "summary",
+            "--data", str(data_path),
+            "--model", str(spec_path),
+            "--max-iter", "15",
+        ]
+    )
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert err.count("\n") == 1
+        assert err.startswith("error [")

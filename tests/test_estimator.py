@@ -210,6 +210,138 @@ def test_quasi_sensitivity_in_dispersion_matches_finite_differences():
     assert np.linalg.norm(sens_bl - numeric) / np.linalg.norm(numeric) < 1e-6
 
 
+def _three_response_problem(kinds):
+    """R=3 data, spec, an off-root point and correlations away from zero.
+
+    ``kinds`` picks each response from: ``constant`` (identity link,
+    grouping Z), ``tweedie`` (log, power 1.7), ``poisson_tweedie`` (log,
+    power 1.5, offset, grouping Z) and ``binomialP`` (logit, power 1.3,
+    trial counts).
+    """
+    rng = np.random.default_rng(14)
+    n = 36
+    x = rng.normal(size=n)
+    offset = rng.uniform(-0.3, 0.3, size=n)
+    trials = rng.integers(3, 12, size=n).astype(float)
+    columns = {
+        "x": x,
+        "g": np.array([f"g{i % 6}" for i in range(n)], dtype=object),
+        "off": offset,
+        "m": trials,
+        "constant": 1.0 + x + rng.normal(size=n),
+        "tweedie": rng.gamma(2.0, np.exp(0.2 - 0.3 * x) / 2.0),
+        "poisson_tweedie": rng.poisson(np.exp(0.5 + 0.4 * x + offset)).astype(float),
+        "binomialP": rng.binomial(trials.astype(int), 0.4) / trials,
+    }
+    grouped = (MatrixComponent("identity"), MatrixComponent("grouping", "g"))
+    responses = {
+        "constant": response_spec("constant ~ x", matrix_pred=grouped),
+        "tweedie": response_spec(
+            "tweedie ~ x", link="log", variance="tweedie", power=1.7
+        ),
+        "poisson_tweedie": response_spec(
+            "poisson_tweedie ~ x",
+            link="log",
+            variance="poisson_tweedie",
+            power=1.5,
+            offset_column="off",
+            matrix_pred=grouped,
+        ),
+        "binomialP": response_spec(
+            "binomialP ~ x",
+            link="logit",
+            variance="binomialP",
+            power=1.3,
+            ntrial_column="m",
+        ),
+    }
+    betas = {
+        "constant": [0.8, 0.9],
+        "tweedie": [0.25, -0.2],
+        "poisson_tweedie": [0.45, 0.35],
+        "binomialP": [-0.3, 0.2],
+    }
+    taus = {
+        "constant": [0.9, 0.2],
+        "tweedie": [0.5],
+        "poisson_tweedie": [0.6, 0.1],
+        "binomialP": [0.8],
+    }
+    spec = ModelSpec(responses=tuple(responses[k] for k in kinds))
+    beta = np.concatenate([betas[k] for k in kinds])
+    disp = DispersionVector(
+        rho=np.array([0.2, -0.15, 0.1]),
+        tau=tuple(np.array(taus[k]) for k in kinds),
+    )
+    return make_dataset(columns), spec, beta, disp
+
+
+@pytest.mark.parametrize(
+    "kinds",
+    [
+        ("constant", "tweedie", "poisson_tweedie"),
+        ("binomialP", "poisson_tweedie", "constant"),
+    ],
+    ids=["constant-tweedie-poisson_tweedie", "binomialP-poisson_tweedie-constant"],
+)
+def test_pearson_sensitivity_in_coefficients_matches_finite_differences(kinds):
+    # S_lambda_beta = d psi_lambda / d beta, against central differences of
+    # the Pearson function at a point away from the root. The mean moves
+    # psi_lambda through the residual, C and every dC/dlambda_i.
+    data, spec, beta, disp = _three_response_problem(kinds)
+    bound = bind(spec, data)
+    sens_lb, _, _ = cross_blocks(bound, beta, disp)
+    numeric = np.empty_like(sens_lb)
+    for j in range(len(beta)):
+        h = 1e-6 * max(1.0, abs(beta[j]))
+        plus, minus = beta.copy(), beta.copy()
+        plus[j] += h
+        minus[j] -= h
+        up, _, _ = pearson_fn(bound, plus, disp)
+        down, _, _ = pearson_fn(bound, minus, disp)
+        numeric[:, j] = (up - down) / (2.0 * h)
+    assert np.max(np.abs(numeric)) > 1e-2
+    assert np.linalg.norm(sens_lb - numeric) / np.linalg.norm(numeric) < 1e-6
+
+
+def test_cross_blocks_reuses_the_fit_state(monkeypatch):
+    # fit hands its solution state to cross_blocks, which then builds no
+    # covariance and differentiates none.
+    from covglm import estimator
+    from covglm.covariance import CovarianceModel
+
+    data, spec, _, _ = _three_response_problem(
+        ("constant", "tweedie", "poisson_tweedie")
+    )
+    calls = {"cross_blocks": 0, "build": 0, "derivatives": 0}
+    inside = []
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            if inside:
+                calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    def traced_cross_blocks(*args, **kwargs):
+        calls["cross_blocks"] += 1
+        inside.append(True)
+        try:
+            return original_cross_blocks(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    original_cross_blocks = estimator.cross_blocks
+    monkeypatch.setattr(estimator, "cross_blocks", traced_cross_blocks)
+    for name in ("build", "derivatives"):
+        monkeypatch.setattr(
+            CovarianceModel, name, counted(name, getattr(CovarianceModel, name))
+        )
+    fit(spec, data, FitOptions(max_iter=3))
+    assert calls == {"cross_blocks": 1, "build": 0, "derivatives": 0}
+
+
 def test_psi_norms_small_at_convergence():
     data, _, _ = simulate_gaussian(6)
     opts = FitOptions()

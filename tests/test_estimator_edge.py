@@ -38,8 +38,8 @@ def test_halved_step_aborts_after_ten_halvings():
 
 def test_boundary_correlation_fit_survives():
     # Nearly duplicated responses push the fitted correlation against 1;
-    # the post-fit numerical blocks must fall back to one-sided
-    # differences instead of stepping outside the feasible region.
+    # the post-fit sensitivity blocks are closed form at the solution, so
+    # nothing is evaluated outside the feasible region.
     rng = np.random.default_rng(60)
     n = 80
     x = rng.normal(size=n)
@@ -93,38 +93,6 @@ def test_dispersion_root_matches_independent_solver():
     solved = root(equations, x0=np.array([1.0, 0.1]), tol=1e-12)
     assert solved.success
     assert np.max(np.abs(solved.x - model.lambda_hat.tau[0])) < 1e-6
-
-
-def test_mean_free_covariance_shortcut_matches_generic_path(monkeypatch):
-    # Constant-variance fits take a cheap cross-block route (the joint
-    # covariance ignores the coefficients); it must agree with the
-    # general re-evaluation exactly.
-    from covglm import estimator
-
-    rng = np.random.default_rng(5)
-    n = 50
-    x = rng.normal(size=n)
-    groups = np.array([f"g{i % 5}" for i in range(n)], dtype=object)
-    y = 0.3 + 0.8 * x + rng.normal(size=n)
-    data = make_dataset({"y": y, "x": x, "g": groups})
-    spec = ModelSpec(
-        responses=(
-            response_spec(
-                "y ~ x",
-                matrix_pred=(
-                    MatrixComponent("identity"),
-                    MatrixComponent("grouping", "g"),
-                ),
-            ),
-        )
-    )
-    bound = bind(spec, data)
-    model = fit(spec, data)
-    fast = estimator.cross_blocks(bound, model.beta_hat, model.lambda_hat)
-    monkeypatch.setattr(estimator, "_covariance_is_mean_free", lambda b: False)
-    generic = estimator.cross_blocks(bound, model.beta_hat, model.lambda_hat)
-    for a, b in zip(fast, generic):
-        assert np.allclose(a, b, atol=1e-9)
 
 
 def test_singular_newton_system_is_a_typed_error():
