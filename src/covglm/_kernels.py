@@ -30,29 +30,33 @@ def numba_requested():
     return value not in {"0", "false", "off", "no"}
 
 
+def _as_batched(mats):
+    """A (q, n, n) stack as (q, 1, n, n): one cluster."""
+    return mats[:, None] if mats.ndim == 3 else mats
+
+
 def pair_traces_numpy(mats):
-    """tr(mats[i] @ mats[j]) for every pair of a (q, n, n) stack."""
+    """sum_g tr(mats[i, g] @ mats[j, g]) for every pair of a (q, G, n, n)
+    stack; a (q, n, n) stack is one cluster. One GEMM:
+    tr(A B) = sum_kl A[k, l] B[l, k]."""
+    mats = _as_batched(mats)
     q = mats.shape[0]
-    out = np.empty((q, q))
-    for i in range(q):
-        mt = mats[i].T
-        for j in range(i, q):
-            val = float(np.sum(mats[j] * mt))
-            out[i, j] = val
-            out[j, i] = val
-    return out
+    flat = mats.reshape(q, -1)
+    out = flat @ np.swapaxes(mats, -1, -2).reshape(q, -1).T
+    return 0.5 * (out + out.T)
 
 
 def _pair_traces_loops(mats):
     # tr(A B) = sum_kl A[k,l] * B[l,k]; symmetric in (i, j).
-    q, n, _ = mats.shape
+    q, n_clusters, n, _ = mats.shape
     out = np.empty((q, q))
     for i in range(q):
         for j in range(i, q):
             acc = 0.0
-            for k in range(n):
-                for l in range(n):
-                    acc += mats[i, k, l] * mats[j, l, k]
+            for g in range(n_clusters):
+                for k in range(n):
+                    for l in range(n):
+                        acc += mats[i, g, k, l] * mats[j, g, l, k]
             out[i, j] = acc
             out[j, i] = acc
     return out
@@ -119,6 +123,11 @@ if numba_requested():
     except ImportError:  # numba is an optional extra; keep the fallbacks
         pass
     else:
-        pair_traces = njit(cache=True)(_pair_traces_loops)
+        _pair_traces_compiled = njit(cache=True)(_pair_traces_loops)
+
+        def pair_traces(mats):
+            """The compiled loops, over a (q, G, n, n) or (q, n, n) stack."""
+            return _pair_traces_compiled(np.ascontiguousarray(_as_batched(mats)))
+
         gammainc_upper = njit(cache=True)(gammainc_upper_python)
         NUMBA_ENABLED = True

@@ -1,4 +1,4 @@
-"""Joint covariance assembly and its derivatives.
+"""Joint covariance assembly and its derivatives, one row cluster at a time.
 
 The within-response covariance is V^(1/2) Omega(tau) V^(1/2) (plus diag(mu)
 for the count kind); responses are coupled through a correlation matrix by
@@ -8,12 +8,17 @@ function and the sandwich, are closed form; the tau derivatives go through
 the derivative of a Cholesky factor (Murray 2016, "Differentiation of the
 Cholesky decomposition", arXiv:1602.07527). So does the pullback of C and
 those derivatives to the means, which the sandwich's S_lambda_beta needs.
+
+Every matrix here is block diagonal over the connected components of the
+rows (``RowClusters``), so C, dC/dlambda and C^-1 are held as stacks of
+per-cluster blocks, one stack per cluster size, and all algebra is batched
+over the clusters of a stack.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import NotPositiveDefinite
 from .families import variance_deriv, variance_eval
@@ -73,8 +78,89 @@ def correlation_matrix(rho, n_responses):
     return sigma_b
 
 
+def _row_components(pattern):
+    """Connected-component label of each row of a symmetric boolean pattern.
+
+    Min-label hooking with pointer jumping over the nonzero entries: every
+    round, each component root hooks onto the smallest label its rows
+    see, so the number of components at least halves per round.
+    """
+    rows, cols = np.nonzero(pattern)
+    labels = np.arange(len(pattern))
+    while True:
+        low = labels.copy()
+        np.minimum.at(low, rows, labels[cols])
+        if np.array_equal(low, labels):
+            return labels
+        np.minimum.at(labels, labels.copy(), low)
+        while True:
+            jumped = labels[labels]
+            if np.array_equal(jumped, labels):
+                break
+            labels = jumped
+
+
+@dataclass(frozen=True)
+class RowClusters:
+    """The rows split into connected components of the Z_d nonzero pattern.
+
+    Two rows share a cluster when some Z_d of some response links them,
+    directly or through other rows. Every Sigma_r is then block diagonal
+    over the clusters, and a Cholesky factorisation adds no fill between
+    them, so L_r, C, dC/dlambda and C^-1 are block diagonal too, provided
+    each cluster keeps its rows in their original relative order (the
+    Cholesky-Kronecker construction depends on that order).
+
+    Clusters of equal size m form one stack: ``rows[k]`` is a (G, m) array
+    of original row indices, ascending along each cluster, and
+    ``index[k]`` the (G, m R) positions of the same clusters in the
+    stacked length-N R vector, response r's rows at r N + row. A joint
+    block of stack k is therefore (G, m R, m R), response-major.
+    """
+
+    n_obs: int
+    rows: tuple
+    index: tuple
+
+    @classmethod
+    def of(cls, z_lists):
+        """Clusters of the matrix predictors of every response."""
+        n = z_lists[0][0].shape[0]
+        pattern = np.eye(n, dtype=bool)
+        for z_list in z_lists:
+            for z in z_list:
+                pattern |= z != 0
+        labels = _row_components(pattern | pattern.T)
+        # Stable sort: rows grouped by cluster, original order inside each.
+        order = np.argsort(labels, kind="stable")
+        _, sizes = np.unique(labels, return_counts=True)
+        starts = np.cumsum(sizes) - sizes
+        rows = []
+        for m in np.unique(sizes):
+            rows.append(order[starts[sizes == m][:, None] + np.arange(m)])
+        offsets = np.arange(len(z_lists))[:, None] * n
+        index = [
+            (offsets + r[:, None, :]).reshape(len(r), -1) for r in rows
+        ]
+        return cls(n_obs=n, rows=tuple(rows), index=tuple(index))
+
+    def scatter(self, stacks):
+        """Dense N R x N R matrices from per-stack blocks (..., G, mR, mR)."""
+        lead = stacks[0].shape[:-3]
+        n_resp = self.index[0].shape[1] // self.rows[0].shape[1]
+        out = np.zeros(lead + (n_resp * self.n_obs,) * 2)
+        for idx, stack in zip(self.index, stacks):
+            out[..., idx[:, :, None], idx[:, None, :]] = stack
+        return out
+
+
+def _t(x):
+    """Transpose of the last two axes."""
+    return np.swapaxes(x, -1, -2)
+
+
 def build_omega(tau_r, z_list):
-    """Omega = sum_d tau_d Z_d for one response."""
+    """Omega = sum_d tau_d Z_d for one response (or a stack of its blocks)."""
     if len(tau_r) != len(z_list):
         raise ValueError(
             f"got {len(tau_r)} dispersion coefficients for {len(z_list)} matrices"
@@ -93,12 +179,21 @@ def sqrt_variance(mu, var, ntrial=None):
     return np.sqrt(v)
 
 
+def _scale(s, x):
+    """diag(s) X diag(s), batched over leading axes."""
+    return s[..., :, None] * x * s[..., None, :]
+
+
 def build_sigma_r(mu, var, omega, ntrial=None):
-    """Per-response covariance V^(1/2) Omega V^(1/2) (+ diag(mu) for counts)."""
-    s = sqrt_variance(mu, var, ntrial)
-    sigma = s[:, None] * omega * s[None, :]
+    """Per-response covariance V^(1/2) Omega V^(1/2) (+ diag(mu) for counts).
+
+    ``mu`` (and ``ntrial``) may carry leading axes matching a stack of
+    Omega blocks.
+    """
+    sigma = _scale(sqrt_variance(mu, var, ntrial), omega)
     if var.kind == "poisson_tweedie":
-        sigma = sigma + np.diag(np.asarray(mu, dtype=float))
+        diag = np.arange(sigma.shape[-1])
+        sigma[..., diag, diag] += mu
     if not np.isfinite(sigma).all():
         raise NotPositiveDefinite("per-response covariance has non-finite entries")
     return sigma
@@ -113,16 +208,22 @@ def _chol(matrix, what):
 
 @dataclass(frozen=True)
 class JointCovariance:
-    """The NR x NR joint covariance with its cached Cholesky factors."""
+    """Joint covariance blocks with their cached Cholesky factors.
+
+    For a stack of G clusters of m rows, ``C`` is (G, mR, mR); for plain
+    N x N per-response matrices it is the dense NR x NR matrix.
+    """
 
     C: np.ndarray
     chol: np.ndarray
     sigma_chols: tuple
     sigma_b: np.ndarray
 
-    @property
-    def dim(self):
-        return self.C.shape[0]
+    @cached_property
+    def inverse(self):
+        """C^-1 = L^-T L^-1 from the joint Cholesky factor."""
+        chol_inv = np.linalg.inv(self.chol)
+        return _t(chol_inv) @ chol_inv
 
 
 def build_joint_c(sigmas, rho):
@@ -131,23 +232,25 @@ def build_joint_c(sigmas, rho):
     Computes Bdiag(L_1..L_R) (Sigma_b kron I) Bdiag(L_1^T..L_R^T) where L_r
     is the lower Cholesky factor of the r-th covariance; block (r, s) is
     therefore Sigma_b[r, s] * L_r L_s^T and the diagonal blocks recover the
-    per-response covariances exactly.
+    per-response covariances exactly. Each sigma may be a (..., m, m)
+    stack of cluster blocks; the result is then a stack too.
     """
     n_responses = len(sigmas)
-    n = sigmas[0].shape[0]
+    n = sigmas[0].shape[-1]
     chols = []
     for r, sigma in enumerate(sigmas):
         chols.append(_chol(sigma, f"covariance of response {r + 1}"))
     sigma_b = correlation_matrix(np.asarray(rho, dtype=float), n_responses)
     _chol(sigma_b, "between-response correlation matrix")
-    c = np.empty((n * n_responses, n * n_responses))
+    rows = [slice(r * n, (r + 1) * n) for r in range(n_responses)]
+    c = np.empty(sigmas[0].shape[:-2] + (n * n_responses,) * 2)
     for r in range(n_responses):
         for s in range(r, n_responses):
-            block = sigma_b[r, s] * (chols[r] @ chols[s].T)
-            c[r * n : (r + 1) * n, s * n : (s + 1) * n] = block
+            block = sigma_b[r, s] * (chols[r] @ _t(chols[s]))
+            c[..., rows[r], rows[s]] = block
             if s != r:
-                c[s * n : (s + 1) * n, r * n : (r + 1) * n] = block.T
-    c = 0.5 * (c + c.T)
+                c[..., rows[s], rows[r]] = _t(block)
+    c = 0.5 * (c + _t(c))
     chol = _chol(c, "joint covariance")
     return JointCovariance(C=c, chol=chol, sigma_chols=tuple(chols), sigma_b=sigma_b)
 
@@ -158,73 +261,114 @@ class CovarianceModel:
 
     Bundles the mean vectors, variance functions, trial counts and matrix
     predictors of every response so the estimator can rebuild C and its
-    dispersion derivatives at arbitrary dispersion values.
+    dispersion derivatives at arbitrary dispersion values. ``clusters``
+    are those of ``z_lists``; they are found from them when not given.
+    ``build``, ``derivatives`` and ``mean_gradient`` work on one stack of
+    equal-size clusters at a time (``RowClusters``).
     """
 
     mus: tuple
     variances: tuple
     ntrials: tuple
     z_lists: tuple
+    clusters: RowClusters = None
+
+    def __post_init__(self):
+        if self.clusters is None:
+            object.__setattr__(self, "clusters", RowClusters.of(self.z_lists))
 
     @property
     def n_responses(self):
         return len(self.mus)
 
-    def sigma(self, r, tau_r):
-        omega = build_omega(tau_r, self.z_lists[r])
-        return build_sigma_r(self.mus[r], self.variances[r], omega, self.ntrials[r])
+    @cached_property
+    def blocks(self):
+        """Per stack, per response: (means, trial counts, Z_d blocks) on
+        the stack's (G, m) cluster rows."""
+        out = []
+        for rows in self.clusters.rows:
+            pairs = (rows[:, :, None], rows[:, None, :])
+            out.append(
+                tuple(
+                    (
+                        mu[rows],
+                        None if ntrial is None else ntrial[rows],
+                        tuple(z[pairs] for z in z_list),
+                    )
+                    for mu, ntrial, z_list in zip(self.mus, self.ntrials, self.z_lists)
+                )
+            )
+        return tuple(out)
+
+    def _sqrt_variance(self, k, r):
+        mu, ntrial, _ = self.blocks[k][r]
+        return sqrt_variance(mu, self.variances[r], ntrial)
 
     def build(self, disp):
-        sigmas = [self.sigma(r, disp.tau[r]) for r in range(self.n_responses)]
-        return build_joint_c(sigmas, disp.rho)
+        """One ``JointCovariance`` per cluster stack."""
+        out = []
+        for stack in self.blocks:
+            sigmas = [
+                build_sigma_r(mu, var, build_omega(tau, z_blocks), ntrial)
+                for (mu, ntrial, z_blocks), var, tau in zip(
+                    stack, self.variances, disp.tau
+                )
+            ]
+            out.append(build_joint_c(sigmas, disp.rho))
+        return tuple(out)
 
     def derivatives(self, disp, joint=None):
         """dC/dlambda_i for every free dispersion parameter, in flat order.
 
-        Closed form; given ``joint``, nothing is rebuilt. rho_rs enters
-        linearly: L_r L_s^T in block (r, s), its transpose in (s, r). For
-        tau_rd, block (r, r) is dSigma_r = V^(1/2) Z_d V^(1/2) (diag(mu)
-        does not move with tau) and block (r, s) is Sigma_b[r, s] dL_r L_s^T,
-        dL_r from Murray 2016; no block outside row and column r moves.
+        One (q, G, mR, mR) array per cluster stack. Closed form; given
+        ``joint``, nothing is rebuilt. rho_rs enters linearly: L_r L_s^T in
+        block (r, s), its transpose in (s, r). For tau_rd, block (r, r) is
+        dSigma_r = V^(1/2) Z_d V^(1/2) (diag(mu) does not move with tau)
+        and block (r, s) is Sigma_b[r, s] dL_r L_s^T, dL_r from Murray
+        2016; no block outside row and column r moves.
         """
         if joint is None:
             joint = self.build(disp)
         n_resp = self.n_responses
-        n = len(self.mus[0])
-        rows = [slice(r * n, (r + 1) * n) for r in range(n_resp)]
-        chols = joint.sigma_chols
         out = []
-        for r, s in rho_pairs(n_resp):
-            d = np.zeros_like(joint.C)
-            block = chols[r] @ chols[s].T
-            d[rows[r], rows[s]] = block
-            d[rows[s], rows[r]] = block.T
+        for k, block in enumerate(joint):
+            m = block.C.shape[-1] // n_resp
+            rows = [slice(r * m, (r + 1) * m) for r in range(n_resp)]
+            chols = block.sigma_chols
+            d = np.zeros((disp.n_free,) + block.C.shape)
+            i = 0
+            for r, s in rho_pairs(n_resp):
+                product = chols[r] @ _t(chols[s])
+                d[i][..., rows[r], rows[s]] = product
+                d[i][..., rows[s], rows[r]] = _t(product)
+                i += 1
+            for r in range(n_resp):
+                sqrt_v = self._sqrt_variance(k, r)
+                chol_inv = np.linalg.inv(chols[r]) if n_resp > 1 else None
+                for z in self.blocks[k][r][2]:
+                    d_sigma = _scale(sqrt_v, z)
+                    d[i][..., rows[r], rows[r]] = d_sigma
+                    if n_resp > 1:
+                        d_chol = chols[r] @ _phi(_whiten(chol_inv, d_sigma))
+                        for s in range(n_resp):
+                            if s != r:
+                                product = block.sigma_b[r, s] * (d_chol @ _t(chols[s]))
+                                d[i][..., rows[r], rows[s]] = product
+                                d[i][..., rows[s], rows[r]] = _t(product)
+                    i += 1
             out.append(d)
-        for r in range(n_resp):
-            sqrt_v = sqrt_variance(self.mus[r], self.variances[r], self.ntrials[r])
-            for z in self.z_lists[r]:
-                d = np.zeros_like(joint.C)
-                d_sigma = sqrt_v[:, None] * z * sqrt_v[None, :]
-                d[rows[r], rows[r]] = d_sigma
-                if n_resp > 1:
-                    d_chol = _cholesky_derivative(chols[r], d_sigma)
-                    for s in range(n_resp):
-                        if s != r:
-                            block = joint.sigma_b[r, s] * (d_chol @ chols[s].T)
-                            d[rows[r], rows[s]] = block
-                            d[rows[s], rows[r]] = block.T
-                out.append(d)
-        return out
+        return tuple(out)
 
     def mean_gradient(self, disp, joint, c_cotangents, d_cotangent):
         """Row i: gradient in the stacked means of <G_i, C> + <H, dC/dlambda_i>.
 
-        ``c_cotangents`` stacks symmetric NR x NR matrices G_i, one per free
-        dispersion parameter, and ``d_cotangent`` is a symmetric H; both are
-        held fixed. A mean of response a moves only Sigma_a and L_a, so
-        only block row and column a of C and of each dC/dlambda_i move,
-        and every contraction runs over N x N blocks. Terms in dL_a are
-        pulled back to dSigma_a through the adjoint of
+        Per cluster stack, ``c_cotangents`` holds symmetric blocks G_i as a
+        (q, G, mR, mR) array, one per free dispersion parameter, and
+        ``d_cotangent`` the blocks of a symmetric H; both are held fixed.
+        Returns a (q, N R) array. A mean of response a moves only Sigma_a
+        and L_a, so only block row and column a of C and of each
+        dC/dlambda_i move, and every contraction runs over m x m blocks.
+        Terms in dL_a are pulled back to dSigma_a through the adjoint of
         dL = L Phi(L^-1 dSigma L^-T), and dSigma_a to the means through
         dSigma = diag(ds) Omega diag(s) + diag(s) Omega diag(ds)
         (+ diag(dmu) for ``poisson_tweedie``), ds = s'(mu) dmu. For tau_ad,
@@ -233,94 +377,91 @@ class CovarianceModel:
         K moves by dL P + L Phi(L^-1 dA L^-T - Q M - M Q^T), Q = L^-1 dL.
         """
         n_resp = self.n_responses
-        n = len(self.mus[0])
-        rows = [slice(r * n, (r + 1) * n) for r in range(n_resp)]
-        chols = joint.sigma_chols
-        sigma_b = joint.sigma_b
         params = rho_pairs(n_resp) + [
             (r, d) for r in range(n_resp) for d in range(len(self.z_lists[r]))
         ]
         n_rho = n_resp * (n_resp - 1) // 2
-        sqrt_vs = [
-            sqrt_variance(self.mus[r], self.variances[r], self.ntrials[r])
-            for r in range(n_resp)
-        ]
-        grad = np.zeros((len(c_cotangents), n_resp * n))
-        for a in range(n_resp):
-            chol = chols[a]
-            s = sqrt_vs[a]
-            dv = variance_deriv(self.variances[a], self.mus[a])
-            if self.ntrials[a] is not None:
-                dv = dv / self.ntrials[a]
-            slope = dv / (2.0 * s)  # ds/dmu
-            omega = build_omega(disp.tau[a], self.z_lists[a])
-            others = [t for t in range(n_resp) if t != a]
-            h_aa = d_cotangent[rows[a], rows[a]]
-            # For tau_ad, <H, d dC/dtau_ad> = <H[a, a] + 2 U, dA>
-            # + 2 <W P^T - L^-T (V + V^T) M, dL> with W = sum_t Sigma_b[a, t]
-            # H[a, t] L_t, V = Phi(L^T W) and U = L^-T V L^-1; only P, M
-            # and A depend on d.
-            h_chol = {t: d_cotangent[rows[a], rows[t]] @ chols[t] for t in others}
-            w = sum((sigma_b[a, t] * h_chol[t] for t in others), np.zeros((n, n)))
-            v = _phi(chol.T @ w)
-            u_w = _cholesky_derivative_adjoint(chol, w)
-            v_back = solve_triangular(chol, v + v.T, lower=True, trans="T")
-            for i, g in enumerate(c_cotangents):
-                # Cotangents of Sigma_a (gamma), of L_a (y_bar) and of A.
-                gamma = g[rows[a], rows[a]].copy()
-                y_bar = np.zeros((n, n))
-                for t in others:
-                    y_bar += 2.0 * sigma_b[a, t] * (g[rows[a], rows[t]] @ chols[t])
-                grad_s = np.zeros(n)
-                if i < n_rho:
-                    if a in params[i]:
-                        (t,) = [p for p in params[i] if p != a]
-                        y_bar += 2.0 * h_chol[t]
-                else:
-                    r, d = params[i]
-                    z = self.z_lists[r][d]
-                    a_mat = sqrt_vs[r][:, None] * z * sqrt_vs[r][None, :]
-                    m = _whiten(chols[r], a_mat)
-                    if r == a:
-                        y_bar += 2.0 * (w @ _phi(m).T - v_back @ m)
-                        grad_s += _spread(h_aa + 2.0 * u_w, z, s)
+        grad = np.zeros((disp.n_free, n_resp * self.clusters.n_obs))
+        for k, (block, g_stack, h) in enumerate(zip(joint, c_cotangents, d_cotangent)):
+            m = block.C.shape[-1] // n_resp
+            rows = [slice(r * m, (r + 1) * m) for r in range(n_resp)]
+            chols = block.sigma_chols
+            chol_invs = [np.linalg.inv(chol) for chol in chols]
+            sigma_b = block.sigma_b
+            sqrt_vs = [self._sqrt_variance(k, r) for r in range(n_resp)]
+            whitened = {
+                (r, d): _whiten(chol_invs[r], _scale(sqrt_vs[r], z))
+                for r in range(n_resp)
+                for d, z in enumerate(self.blocks[k][r][2])
+            }
+            out = np.zeros(g_stack.shape[:-1])
+            for a in range(n_resp):
+                chol, chol_inv, s = chols[a], chol_invs[a], sqrt_vs[a]
+                mu, ntrial, z_blocks = self.blocks[k][a]
+                dv = variance_deriv(self.variances[a], mu)
+                if ntrial is not None:
+                    dv = dv / ntrial
+                slope = dv / (2.0 * s)  # ds/dmu
+                omega = build_omega(disp.tau[a], z_blocks)
+                others = [t for t in range(n_resp) if t != a]
+                h_aa = h[..., rows[a], rows[a]]
+                # For tau_ad, <H, d dC/dtau_ad> = <H[a, a] + 2 U, dA>
+                # + 2 <W P^T - L^-T (V + V^T) M, dL> with W = sum_t
+                # Sigma_b[a, t] H[a, t] L_t, V = Phi(L^T W) and
+                # U = L^-T V L^-1; only P, M and A depend on d.
+                h_chol = {t: h[..., rows[a], rows[t]] @ chols[t] for t in others}
+                w = sum((sigma_b[a, t] * h_chol[t] for t in others), np.zeros_like(h_aa))
+                v = _phi(_t(chol) @ w)
+                u_w = _t(chol_inv) @ v @ chol_inv
+                v_back = _t(chol_inv) @ (v + _t(v))
+                for i, g in enumerate(g_stack):
+                    # Cotangents of Sigma_a (gamma), of L_a (y_bar) and of A.
+                    y_bar = np.zeros_like(h_aa)
+                    for t in others:
+                        y_bar += 2.0 * sigma_b[a, t] * (g[..., rows[a], rows[t]] @ chols[t])
+                    grad_s = np.zeros_like(s)
+                    if i < n_rho:
+                        if a in params[i]:
+                            (t,) = [p for p in params[i] if p != a]
+                            y_bar += 2.0 * h_chol[t]
                     else:
-                        k = chols[r] @ _phi(m)
-                        y_bar += 2.0 * sigma_b[r, a] * (
-                            d_cotangent[rows[a], rows[r]] @ k
-                        )
-                gamma += _cholesky_derivative_adjoint(chol, y_bar)
-                grad_s += _spread(gamma, omega, s)
-                grad[i, rows[a]] = slope * grad_s
-                if self.variances[a].kind == "poisson_tweedie":
-                    grad[i, rows[a]] += np.diag(gamma)
+                        r, d = params[i]
+                        white = whitened[(r, d)]
+                        if r == a:
+                            y_bar += 2.0 * (w @ _t(_phi(white)) - v_back @ white)
+                            grad_s += _spread(h_aa + 2.0 * u_w, z_blocks[d], s)
+                        else:
+                            k_mat = chols[r] @ _phi(white)
+                            y_bar += 2.0 * sigma_b[r, a] * (h[..., rows[a], rows[r]] @ k_mat)
+                    gamma = g[..., rows[a], rows[a]] + _cholesky_derivative_adjoint(
+                        chol, chol_inv, y_bar
+                    )
+                    grad_s += _spread(gamma, omega, s)
+                    out[i][..., rows[a]] = slope * grad_s
+                    if self.variances[a].kind == "poisson_tweedie":
+                        out[i][..., rows[a]] += np.diagonal(gamma, axis1=-2, axis2=-1)
+            grad[:, self.clusters.index[k]] = out
         return grad
 
 
 def _phi(x):
     """Lower triangle with the diagonal halved; self-adjoint in <., .>."""
     phi = np.tril(x)
-    phi[np.diag_indices_from(phi)] *= 0.5
+    diag = np.arange(x.shape[-1])
+    phi[..., diag, diag] *= 0.5
     return phi
 
 
-def _whiten(chol, sym):
-    """L^-1 S L^-T for a symmetric S."""
-    x = solve_triangular(chol, sym, lower=True)
-    return solve_triangular(chol, x.T, lower=True)
+def _whiten(chol_inv, sym):
+    """L^-1 S L^-T for a symmetric S, given L^-1."""
+    return chol_inv @ sym @ _t(chol_inv)
 
 
-def _cholesky_derivative(chol, d_sigma):
-    """dL = L Phi(L^-1 dSigma L^-T)."""
-    return chol @ _phi(_whiten(chol, d_sigma))
-
-
-def _cholesky_derivative_adjoint(chol, y):
+def _cholesky_derivative_adjoint(chol, chol_inv, y):
     """G with <Y, dL> = <G, dSigma>: G = L^-T Phi(L^T Y) L^-1."""
-    x = solve_triangular(chol, _phi(chol.T @ y), lower=True, trans="T")
-    return solve_triangular(chol, x.T, lower=True, trans="T").T
+    return _t(chol_inv) @ _phi(_t(chol) @ y) @ chol_inv
 
 
 def _spread(gamma, z, s):
     """Gradient in s of <gamma, diag(s) Z diag(s)>: ((gamma + gamma^T) o Z) s."""
-    return ((gamma + gamma.T) * z) @ s
+    return (((gamma + _t(gamma)) * z) @ s[..., None])[..., 0]

@@ -6,7 +6,9 @@ alternated with Newton-type steps until the parameter vector settles. The
 asymptotic covariance is the inverse Godambe information
 S^-1 V S^-T assembled from the block sensitivity/variability matrices at
 the solution. Every block is closed form: dC/dlambda and its pullback to
-the means as in ``covariance``, after Murray 2016.
+the means as in ``covariance``, after Murray 2016. C is block diagonal over
+the row clusters (``covariance.RowClusters``), so every estimating
+function, sensitivity and variability is a sum over the clusters.
 """
 
 import logging
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_solve, qr
+from scipy.linalg import qr
 
 from . import _kernels
 from .covariance import CovarianceModel, DispersionVector, rho_pairs
@@ -85,11 +87,23 @@ class _State:
     resid: np.ndarray
     D: np.ndarray
     covmodel: CovarianceModel
-    joint: object
+    joint: tuple  # one JointCovariance per cluster stack
 
     @property
-    def cho(self):
-        return (self.joint.chol, True)
+    def index(self):
+        return self.covmodel.clusters.index
+
+    def solve(self, x):
+        """C^-1 x for an (NR, k) array, one cluster stack at a time."""
+        out = np.empty_like(x)
+        for idx, block in zip(self.index, self.joint):
+            out[idx] = block.inverse @ x[idx]
+        return out
+
+    @cached_property
+    def u(self):
+        """C^-1 r."""
+        return self.solve(self.resid[:, None])[:, 0]
 
 
 def _beta_spans(designs):
@@ -126,6 +140,7 @@ def _evaluate(bound, beta, disp):
         variances=tuple(resp.variance for resp in bound.spec.responses),
         ntrials=bound.ntrials,
         z_lists=bound.z_lists,
+        clusters=bound.clusters,
     )
     joint = covmodel.build(disp)
     return _State(
@@ -140,12 +155,10 @@ def _evaluate(bound, beta, disp):
 
 
 def _quasi_pieces(state):
-    u = cho_solve(state.cho, state.resid)
-    psi = state.D.T @ u
-    cd = cho_solve(state.cho, state.D)
-    variability = state.D.T @ cd
+    psi = state.D.T @ state.u
+    variability = state.D.T @ state.solve(state.D)
     variability = 0.5 * (variability + variability.T)
-    return psi, -variability, variability, cd, u
+    return psi, -variability, variability
 
 
 def quasi_score(bound, beta, disp):
@@ -154,37 +167,41 @@ def quasi_score(bound, beta, disp):
     Returns ``(psi_beta, S_beta, V_beta)`` with S_beta = -D^T C^-1 D and
     V_beta its negative.
     """
-    psi, sens, var, _, _ = _quasi_pieces(_evaluate(bound, beta, disp))
-    return psi, sens, var
+    return _quasi_pieces(_evaluate(bound, beta, disp))
 
 
-def _pearson_pieces(state, empirical_cumulants=True):
-    """psi_lambda, S_lambda and V_lambda, plus the stack C^-1 dC/dlambda_i
-    and C^-1 that ``cross_blocks`` reuses."""
+def _pearson_pieces(state):
+    """psi_lambda and S_lambda, plus the stacks W_i = C^-1 dC/dlambda_i.
+
+    All three are sums over the clusters: psi_lambda_i = u^T B_i u - tr(W_i)
+    and S_lambda[i, j] = -tr(W_i W_j), with u = C^-1 r and B_i = dC/dlambda_i.
+    Each B_i stack is overwritten by W_i.
+    """
     derivs = state.covmodel.derivatives(state.disp, state.joint)
-    n = state.joint.dim
-    q = len(derivs)
-    u = cho_solve(state.cho, state.resid)
-    stack = np.empty((q, n, n))
-    psi = np.empty(q)
-    for i in range(q):
-        # Drop each dC/dlambda_i once C^-1 dC/dlambda_i is stored, so the
-        # two NR x NR stacks are never held in full together.
-        b_mat, derivs[i] = derivs[i], None
-        stack[i] = cho_solve(state.cho, b_mat)
-        psi[i] = u @ b_mat @ u - np.trace(stack[i])
-    del b_mat
-    traces = _kernels.pair_traces(np.ascontiguousarray(stack))
-    sens = -traces
-    c_inv = cho_solve(state.cho, np.eye(n))
-    w_diag = np.einsum("qlm,ml->ql", stack, c_inv)
+    psi = np.zeros(state.disp.n_free)
+    traces = np.zeros((state.disp.n_free,) * 2)
+    for idx, block, stack in zip(state.index, state.joint, derivs):
+        u = state.u[idx]
+        psi += np.einsum("gl,qglm,gm->q", u, stack, u)
+        for b_mat in stack:
+            np.matmul(block.inverse, b_mat, out=b_mat)
+        psi -= np.einsum("qgll->q", stack)
+        traces += _kernels.pair_traces(stack)
+    return psi, -traces, derivs
+
+
+def _pearson_variability(state, sens, stacks, empirical_cumulants=True):
+    """V_lambda = 2 tr(W_i W_j) + sum_l (W_i C^-1)_ll k4_l (W_j C^-1)_ll,
+    k4 = r^4 - 3 diag(C)^2 the empirical fourth-cumulant correction."""
+    var = -2.0 * sens
     if empirical_cumulants:
-        k4 = state.resid**4 - 3.0 * np.diag(state.joint.C) ** 2
-    else:
-        k4 = np.zeros(n)
-    var = 2.0 * traces + (w_diag * k4) @ w_diag.T
-    var = 0.5 * (var + var.T)
-    return psi, sens, var, stack, c_inv
+        for idx, block, stack in zip(state.index, state.joint, stacks):
+            w_diag = np.einsum("qglm,gml->qgl", stack, block.inverse)
+            w_diag = w_diag.reshape(len(stack), -1)
+            c_diag = np.diagonal(block.C, axis1=-2, axis2=-1)
+            k4 = (state.resid[idx] ** 4 - 3.0 * c_diag**2).ravel()
+            var += (w_diag * k4) @ w_diag.T
+    return 0.5 * (var + var.T)
 
 
 def pearson_fn(bound, beta, disp, empirical_cumulants=True):
@@ -193,10 +210,9 @@ def pearson_fn(bound, beta, disp, empirical_cumulants=True):
     Returns ``(psi_lambda, S_lambda, V_lambda)`` over the free dispersion
     parameters (correlations first, then per-response taus).
     """
-    psi, sens, var, _, _ = _pearson_pieces(
-        _evaluate(bound, beta, disp), empirical_cumulants
-    )
-    return psi, sens, var
+    state = _evaluate(bound, beta, disp)
+    psi, sens, stacks = _pearson_pieces(state)
+    return psi, sens, _pearson_variability(state, sens, stacks, empirical_cumulants)
 
 
 def cross_blocks(bound, beta, disp, state=None, pearson=None):
@@ -208,30 +224,34 @@ def cross_blocks(bound, beta, disp, state=None, pearson=None):
     dependence of r, C and B_i, is G D with row i of G the gradient of
     psi_lambda_i in the means:
     -2 y_i + d/dmu [<F_i - u y_i^T - y_i u^T, C> + <u u^T - C^-1, B_i>]
-    (``CovarianceModel.mean_gradient``). The cross variability is taken as
-    zero: its third-moment plug-in estimate is noise of the same order as
-    its Cauchy-Schwarz bound and routinely makes the assembled variability
-    matrix indefinite, which would break the positive semi-definiteness
-    contract of the inverse information.
+    (``CovarianceModel.mean_gradient``). Every term is a sum over the
+    row clusters. The cross variability is taken as zero: its third-moment
+    plug-in estimate is noise of the same order as its Cauchy-Schwarz
+    bound and routinely makes the assembled variability matrix indefinite,
+    which would break the positive semi-definiteness contract of the
+    inverse information.
 
     ``fit`` passes its own evaluation at (beta, disp) as ``state`` and the
-    stack C^-1 B_i and C^-1 of its last ``_pearson_pieces`` as ``pearson``,
-    so nothing is rebuilt; the stack is overwritten.
+    stacks C^-1 B_i of its last ``_pearson_pieces`` as ``pearson``, so
+    nothing is rebuilt; the stacks are overwritten.
     """
     if state is None:
         state = _evaluate(bound, beta, disp)
     if pearson is None:
-        pearson = _pearson_pieces(state)[3:]
-    stack, c_inv = pearson
-    u = cho_solve(state.cho, state.resid)
-    ys = stack @ u
+        pearson = _pearson_pieces(state)[2]
+    ys = np.empty((state.disp.n_free, len(state.resid)))
+    h_blocks = []
+    for idx, block, stack in zip(state.index, state.joint, pearson):
+        u = state.u[idx]
+        y = (stack @ u[..., None])[..., 0]
+        ys[:, idx] = y
+        for e_mat in stack:
+            np.matmul(e_mat, block.inverse, out=e_mat)
+        stack -= u[:, :, None] * y[..., None, :]
+        stack -= y[..., :, None] * u[:, None, :]
+        h_blocks.append(u[:, :, None] * u[:, None, :] - block.inverse)
     sens_bl = -(ys @ state.D).T
-    for e_mat, y in zip(stack, ys):
-        np.matmul(e_mat, c_inv, out=e_mat)
-        e_mat -= np.outer(u, y)
-        e_mat -= np.outer(y, u)
-    h_mat = np.outer(u, u) - c_inv
-    grad = state.covmodel.mean_gradient(state.disp, state.joint, stack, h_mat)
+    grad = state.covmodel.mean_gradient(state.disp, state.joint, pearson, h_blocks)
     sens_lb = (grad - 2.0 * ys) @ state.D
     var_lb = np.zeros_like(sens_lb)
     return sens_lb, sens_bl, var_lb
@@ -468,15 +488,13 @@ def fit(spec, data, options=None):
     iteration = 0
     try:
         for iteration in range(1, opts.max_iter + 1):
-            psi_b, _, var_b, _, _ = _quasi_pieces(state)
+            psi_b, _, var_b = _quasi_pieces(state)
             beta_step = _solve(var_b, psi_b, "coefficient Newton")
             state_b, halvings_b = _halved_step(
                 lambda b: _evaluate(bound, b, disp), beta, beta_step, iteration
             )
             beta_new = state_b.beta
-            psi_l, sens_l, _, _, _ = _pearson_pieces(
-                state_b, opts.empirical_cumulants
-            )
+            psi_l, sens_l, _ = _pearson_pieces(state_b)
             lam_step = -opts.alpha * _solve(sens_l, psi_l, "dispersion Newton")
             flat = disp.flatten()
             state_new, halvings_l = _halved_step(
@@ -505,12 +523,11 @@ def fit(spec, data, options=None):
     if not converged:
         log.warning("estimation did not converge in %d iterations", opts.max_iter)
     # Sandwich information assembled once, at the solution.
-    psi_b, sens_b, var_b, _, _ = _quasi_pieces(state)
-    psi_l, sens_l, var_l, stack, c_inv = _pearson_pieces(
-        state, opts.empirical_cumulants
-    )
+    psi_b, sens_b, var_b = _quasi_pieces(state)
+    psi_l, sens_l, stacks = _pearson_pieces(state)
+    var_l = _pearson_variability(state, sens_l, stacks, opts.empirical_cumulants)
     sens_lb, sens_bl, var_lb = cross_blocks(
-        bound, beta, disp, state=state, pearson=(stack, c_inv)
+        bound, beta, disp, state=state, pearson=stacks
     )
     k_total = len(beta)
     q = disp.n_free

@@ -9,9 +9,11 @@ format is documented in the README; ``load_model_spec`` reads it.
 import json
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
+from .covariance import RowClusters
 from .data import Dataset
 from .design import build_design
 from .errors import DataError, MissingColumnError, ModelSpecError
@@ -183,13 +185,10 @@ def _formula_text(formula):
 
 
 def grouping_matrix(values):
-    """Z = A A^T for the indicator matrix A of group membership."""
-    levels = sorted({v for v in values if v is not None})
-    index = {level: k for k, level in enumerate(levels)}
-    a = np.zeros((len(values), len(levels)))
-    for i, v in enumerate(values):
-        a[i, index[v]] = 1.0
-    return a @ a.T
+    """Z = A A^T for the indicator matrix A of group membership: 1 where
+    two rows share a level, compared through integer level codes."""
+    _, codes = np.unique(np.asarray(values), return_inverse=True)
+    return (codes[:, None] == codes[None, :]).astype(float)
 
 
 def _check_identifiable(name, components, zs):
@@ -227,6 +226,11 @@ class BoundModel:
     @property
     def n_responses(self):
         return len(self.designs)
+
+    @cached_property
+    def clusters(self):
+        """Row clusters of ``z_lists``, found once per bound model."""
+        return RowClusters.of(self.z_lists)
 
 
 def complete_rows(spec, data):

@@ -1,4 +1,6 @@
 import itertools
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,17 @@ from covglm.estimator import fit
 from covglm.families import Link, VarianceFn
 from covglm.formula import parse_formula
 from covglm.model import MatrixComponent, ModelSpec, ResponseSpec
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def subprocess_env(**overrides):
+    """The environment with the repo's src first on PYTHONPATH: a child
+    interpreter does not inherit pytest's ``pythonpath`` setting."""
+    env = dict(os.environ, **overrides)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return env
 
 
 def make_dataset(columns):

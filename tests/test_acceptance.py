@@ -199,14 +199,18 @@ def test_criterion_5_wald_properties():
 
 
 def test_criterion_6_covariance_derivatives():
-    from test_covariance import _finite_difference_derivs, _random_covariance_model
+    from test_covariance import (
+        _dense_derivatives,
+        _finite_difference_derivs,
+        _random_covariance_model,
+    )
 
     rng = np.random.default_rng(99)
     cases = [(r, d) for r in (1, 2) for d in (1, 2) for _ in range(5)]
     assert len(cases) == 20
     for n_responses, n_z in cases:
         model, disp = _random_covariance_model(rng, n_responses, n_z)
-        analytic = model.derivatives(disp)
+        analytic = _dense_derivatives(model, disp)
         numeric = _finite_difference_derivs(model, disp, step=1e-6)
         for a, b in zip(analytic, numeric):
             denom = max(np.linalg.norm(b), 1e-12)

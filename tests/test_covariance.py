@@ -159,6 +159,16 @@ def _random_covariance_model(
     return model, disp
 
 
+def _dense_c(model, disp):
+    """The NR x NR joint covariance, scattered from its cluster blocks."""
+    return model.clusters.scatter([joint.C for joint in model.build(disp)])
+
+
+def _dense_derivatives(model, disp, joint=None):
+    """(q, NR, NR) dC/dlambda, scattered from its cluster blocks."""
+    return model.clusters.scatter(model.derivatives(disp, joint))
+
+
 def _finite_difference_derivs(model, disp, step=1e-6):
     flat = disp.flatten()
     out = []
@@ -167,8 +177,8 @@ def _finite_difference_derivs(model, disp, step=1e-6):
         plus[i] += step
         minus = flat.copy()
         minus[i] -= step
-        c_plus = model.build(disp.replace_flat(plus)).C
-        c_minus = model.build(disp.replace_flat(minus)).C
+        c_plus = _dense_c(model, disp.replace_flat(plus))
+        c_minus = _dense_c(model, disp.replace_flat(minus))
         out.append((c_plus - c_minus) / (2 * step))
     return out
 
@@ -203,7 +213,7 @@ def test_derivatives_match_finite_differences(n_responses, n_z, options):
     rng = np.random.default_rng(100 * n_responses + n_z)
     for _ in range(3):
         model, disp = _random_covariance_model(rng, n_responses, n_z, **options)
-        analytic = model.derivatives(disp)
+        analytic = _dense_derivatives(model, disp)
         numeric = _finite_difference_derivs(model, disp)
         assert len(analytic) == disp.n_free
         for a, b in zip(analytic, numeric):
@@ -224,7 +234,7 @@ def test_derivatives_rebuild_no_covariance(monkeypatch):
         return original(self, d)
 
     monkeypatch.setattr(CovarianceModel, "build", counting_build)
-    derivs = model.derivatives(disp, joint)
+    derivs = _dense_derivatives(model, disp, joint)
     assert len(derivs) == disp.n_free
     assert calls == []
 
@@ -240,7 +250,7 @@ def test_single_response_tau_derivative_is_exact_form():
         z_lists=((z,),),
     )
     disp = DispersionVector(rho=np.zeros(0), tau=(np.array([1.3]),))
-    (deriv,) = model.derivatives(disp)
+    (deriv,) = _dense_derivatives(model, disp)
     assert np.allclose(deriv, np.diag(mu))
 
 
@@ -253,7 +263,7 @@ def test_rho_derivative_identity_blocks():
         z_lists=((np.eye(n),), (np.eye(n),)),
     )
     disp = DispersionVector(rho=np.zeros(1), tau=(np.ones(1), np.ones(1)))
-    derivs = model.derivatives(disp)
+    derivs = _dense_derivatives(model, disp)
     rho_deriv = derivs[0]
     expected = np.zeros((2 * n, 2 * n))
     expected[:n, n:] = np.eye(n)
@@ -265,6 +275,6 @@ def test_joint_c_smallest_eigenvalue_positive():
     rng = np.random.default_rng(5)
     for trial in range(5):
         model, disp = _random_covariance_model(rng, 2, 2)
-        joint = model.build(disp)
-        assert np.linalg.eigvalsh(joint.C).min() > 0
-        assert np.allclose(joint.C, joint.C.T, atol=1e-10)
+        c = _dense_c(model, disp)
+        assert np.linalg.eigvalsh(c).min() > 0
+        assert np.allclose(c, c.T, atol=1e-10)

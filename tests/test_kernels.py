@@ -1,10 +1,10 @@
-import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from conftest import subprocess_env
 from covglm import _kernels
 
 
@@ -41,7 +41,7 @@ def test_gammainc_series_cf_continuity():
 
 
 def test_env_flag_disables_numba():
-    env = dict(os.environ, COVGLM_NUMBA="0")
+    env = subprocess_env(COVGLM_NUMBA="0")
     code = (
         "from covglm import _kernels\n"
         "assert not _kernels.NUMBA_ENABLED\n"
@@ -61,7 +61,7 @@ def test_default_flag_enables_numba_when_importable():
     # imports; otherwise the numpy/python fallbacks are. "Importable" is
     # decided by importing numba, as _kernels does: an installed numba that
     # rejects the installed NumPy raises ImportError and counts as absent.
-    env = dict(os.environ)
+    env = subprocess_env()
     env.pop("COVGLM_NUMBA", None)
     code = (
         "try:\n"
@@ -117,7 +117,7 @@ def test_full_fit_identical_under_both_paths(tmp_path):
     )
     outputs = {}
     for flag in ("0", "1"):
-        env = dict(os.environ, COVGLM_NUMBA=flag)
+        env = subprocess_env(COVGLM_NUMBA=flag)
         result = subprocess.run(
             [sys.executable, str(script)], env=env, capture_output=True, text=True
         )

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import subprocess_env
 from covglm.cli import run
 from covglm.errors import FitFileError
 from covglm.estimator import fit
@@ -349,6 +350,7 @@ def test_cli_entry_point_subprocess(tmp_path):
         ],
         capture_output=True,
         text=True,
+        env=subprocess_env(),
     )
     assert result.returncode == 0
     assert result.stdout.startswith("ANOVA type III")
