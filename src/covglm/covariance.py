@@ -144,15 +144,6 @@ class RowClusters:
         ]
         return cls(n_obs=n, rows=tuple(rows), index=tuple(index))
 
-    def scatter(self, stacks):
-        """Dense N R x N R matrices from per-stack blocks (..., G, mR, mR)."""
-        lead = stacks[0].shape[:-3]
-        n_resp = self.index[0].shape[1] // self.rows[0].shape[1]
-        out = np.zeros(lead + (n_resp * self.n_obs,) * 2)
-        for idx, stack in zip(self.index, stacks):
-            out[..., idx[:, :, None], idx[:, None, :]] = stack
-        return out
-
 
 def _t(x):
     """Transpose of the last two axes."""
@@ -329,35 +320,38 @@ class CovarianceModel:
         """
         if joint is None:
             joint = self.build(disp)
+        return tuple(
+            self._stack_derivatives(k, disp, block) for k, block in enumerate(joint)
+        )
+
+    def _stack_derivatives(self, k, disp, block):
         n_resp = self.n_responses
-        out = []
-        for k, block in enumerate(joint):
-            m = block.C.shape[-1] // n_resp
-            rows = [slice(r * m, (r + 1) * m) for r in range(n_resp)]
-            chols = block.sigma_chols
-            d = np.zeros((disp.n_free,) + block.C.shape)
-            i = 0
-            for r, s in rho_pairs(n_resp):
-                product = chols[r] @ _t(chols[s])
-                d[i][..., rows[r], rows[s]] = product
-                d[i][..., rows[s], rows[r]] = _t(product)
+        m = block.C.shape[-1] // n_resp
+        rows = [slice(r * m, (r + 1) * m) for r in range(n_resp)]
+        chols = block.sigma_chols
+        out = np.zeros((disp.n_free,) + block.C.shape)
+        for d, (r, s) in zip(out, rho_pairs(n_resp)):
+            product = chols[r] @ _t(chols[s])
+            d[..., rows[r], rows[s]] = product
+            d[..., rows[s], rows[r]] = _t(product)
+        i = n_resp * (n_resp - 1) // 2
+        for r in range(n_resp):
+            sqrt_v = self._sqrt_variance(k, r)
+            chol_inv = np.linalg.inv(chols[r]) if n_resp > 1 else None
+            for z in self.blocks[k][r][2]:
+                d = out[i]
                 i += 1
-            for r in range(n_resp):
-                sqrt_v = self._sqrt_variance(k, r)
-                chol_inv = np.linalg.inv(chols[r]) if n_resp > 1 else None
-                for z in self.blocks[k][r][2]:
-                    d_sigma = _scale(sqrt_v, z)
-                    d[i][..., rows[r], rows[r]] = d_sigma
-                    if n_resp > 1:
-                        d_chol = chols[r] @ _phi(_whiten(chol_inv, d_sigma))
-                        for s in range(n_resp):
-                            if s != r:
-                                product = block.sigma_b[r, s] * (d_chol @ _t(chols[s]))
-                                d[i][..., rows[r], rows[s]] = product
-                                d[i][..., rows[s], rows[r]] = _t(product)
-                    i += 1
-            out.append(d)
-        return tuple(out)
+                d_sigma = _scale(sqrt_v, z)
+                d[..., rows[r], rows[r]] = d_sigma
+                if n_resp == 1:
+                    continue
+                d_chol = chols[r] @ _phi(_whiten(chol_inv, d_sigma))
+                for s in range(n_resp):
+                    if s != r:
+                        product = block.sigma_b[r, s] * (d_chol @ _t(chols[s]))
+                        d[..., rows[r], rows[s]] = product
+                        d[..., rows[s], rows[r]] = _t(product)
+        return out
 
     def mean_gradient(self, disp, joint, c_cotangents, d_cotangent):
         """Row i: gradient in the stacked means of <G_i, C> + <H, dC/dlambda_i>.
@@ -376,72 +370,75 @@ class CovarianceModel:
         Sigma_b[a, t] K L_t^T with K = L P, P = Phi(M), M = L^-1 A L^-T;
         K moves by dL P + L Phi(L^-1 dA L^-T - Q M - M Q^T), Q = L^-1 dL.
         """
+        grad = np.zeros((disp.n_free, self.n_responses * self.clusters.n_obs))
+        for k, pieces in enumerate(zip(joint, c_cotangents, d_cotangent)):
+            grad[:, self.clusters.index[k]] = self._stack_mean_gradient(k, disp, *pieces)
+        return grad
+
+    def _stack_mean_gradient(self, k, disp, block, g_stack, h):
         n_resp = self.n_responses
         params = rho_pairs(n_resp) + [
             (r, d) for r in range(n_resp) for d in range(len(self.z_lists[r]))
         ]
         n_rho = n_resp * (n_resp - 1) // 2
-        grad = np.zeros((disp.n_free, n_resp * self.clusters.n_obs))
-        for k, (block, g_stack, h) in enumerate(zip(joint, c_cotangents, d_cotangent)):
-            m = block.C.shape[-1] // n_resp
-            rows = [slice(r * m, (r + 1) * m) for r in range(n_resp)]
-            chols = block.sigma_chols
-            chol_invs = [np.linalg.inv(chol) for chol in chols]
-            sigma_b = block.sigma_b
-            sqrt_vs = [self._sqrt_variance(k, r) for r in range(n_resp)]
-            whitened = {
-                (r, d): _whiten(chol_invs[r], _scale(sqrt_vs[r], z))
-                for r in range(n_resp)
-                for d, z in enumerate(self.blocks[k][r][2])
-            }
-            out = np.zeros(g_stack.shape[:-1])
-            for a in range(n_resp):
-                chol, chol_inv, s = chols[a], chol_invs[a], sqrt_vs[a]
-                mu, ntrial, z_blocks = self.blocks[k][a]
-                dv = variance_deriv(self.variances[a], mu)
-                if ntrial is not None:
-                    dv = dv / ntrial
-                slope = dv / (2.0 * s)  # ds/dmu
-                omega = build_omega(disp.tau[a], z_blocks)
-                others = [t for t in range(n_resp) if t != a]
-                h_aa = h[..., rows[a], rows[a]]
-                # For tau_ad, <H, d dC/dtau_ad> = <H[a, a] + 2 U, dA>
-                # + 2 <W P^T - L^-T (V + V^T) M, dL> with W = sum_t
-                # Sigma_b[a, t] H[a, t] L_t, V = Phi(L^T W) and
-                # U = L^-T V L^-1; only P, M and A depend on d.
-                h_chol = {t: h[..., rows[a], rows[t]] @ chols[t] for t in others}
-                w = sum((sigma_b[a, t] * h_chol[t] for t in others), np.zeros_like(h_aa))
-                v = _phi(_t(chol) @ w)
-                u_w = _t(chol_inv) @ v @ chol_inv
-                v_back = _t(chol_inv) @ (v + _t(v))
-                for i, g in enumerate(g_stack):
-                    # Cotangents of Sigma_a (gamma), of L_a (y_bar) and of A.
-                    y_bar = np.zeros_like(h_aa)
-                    for t in others:
-                        y_bar += 2.0 * sigma_b[a, t] * (g[..., rows[a], rows[t]] @ chols[t])
-                    grad_s = np.zeros_like(s)
-                    if i < n_rho:
-                        if a in params[i]:
-                            (t,) = [p for p in params[i] if p != a]
-                            y_bar += 2.0 * h_chol[t]
+        m = block.C.shape[-1] // n_resp
+        rows = [slice(r * m, (r + 1) * m) for r in range(n_resp)]
+        chols = block.sigma_chols
+        chol_invs = [np.linalg.inv(chol) for chol in chols]
+        sigma_b = block.sigma_b
+        sqrt_vs = [self._sqrt_variance(k, r) for r in range(n_resp)]
+        whitened = {
+            (r, d): _whiten(chol_invs[r], _scale(sqrt_vs[r], z))
+            for r in range(n_resp)
+            for d, z in enumerate(self.blocks[k][r][2])
+        }
+        out = np.zeros(g_stack.shape[:-1])
+        for a in range(n_resp):
+            chol, chol_inv, s = chols[a], chol_invs[a], sqrt_vs[a]
+            mu, ntrial, z_blocks = self.blocks[k][a]
+            dv = variance_deriv(self.variances[a], mu)
+            if ntrial is not None:
+                dv = dv / ntrial
+            slope = dv / (2.0 * s)  # ds/dmu
+            omega = build_omega(disp.tau[a], z_blocks)
+            others = [t for t in range(n_resp) if t != a]
+            h_aa = h[..., rows[a], rows[a]]
+            # For tau_ad, <H, d dC/dtau_ad> = <H[a, a] + 2 U, dA>
+            # + 2 <W P^T - L^-T (V + V^T) M, dL> with W = sum_t Sigma_b[a, t]
+            # H[a, t] L_t, V = Phi(L^T W) and U = L^-T V L^-1; only P, M
+            # and A depend on d.
+            h_chol = {t: h[..., rows[a], rows[t]] @ chols[t] for t in others}
+            w = sum((sigma_b[a, t] * h_chol[t] for t in others), np.zeros_like(h_aa))
+            v = _phi(_t(chol) @ w)
+            u_w = _t(chol_inv) @ v @ chol_inv
+            v_back = _t(chol_inv) @ (v + _t(v))
+            for i, g in enumerate(g_stack):
+                # Cotangents of Sigma_a (gamma), of L_a (y_bar) and of A.
+                y_bar = np.zeros_like(h_aa)
+                for t in others:
+                    y_bar += 2.0 * sigma_b[a, t] * (g[..., rows[a], rows[t]] @ chols[t])
+                grad_s = np.zeros_like(s)
+                if i < n_rho:
+                    if a in params[i]:
+                        (t,) = [p for p in params[i] if p != a]
+                        y_bar += 2.0 * h_chol[t]
+                else:
+                    r, d = params[i]
+                    white = whitened[(r, d)]
+                    if r == a:
+                        y_bar += 2.0 * (w @ _t(_phi(white)) - v_back @ white)
+                        grad_s += _spread(h_aa + 2.0 * u_w, z_blocks[d], s)
                     else:
-                        r, d = params[i]
-                        white = whitened[(r, d)]
-                        if r == a:
-                            y_bar += 2.0 * (w @ _t(_phi(white)) - v_back @ white)
-                            grad_s += _spread(h_aa + 2.0 * u_w, z_blocks[d], s)
-                        else:
-                            k_mat = chols[r] @ _phi(white)
-                            y_bar += 2.0 * sigma_b[r, a] * (h[..., rows[a], rows[r]] @ k_mat)
-                    gamma = g[..., rows[a], rows[a]] + _cholesky_derivative_adjoint(
-                        chol, chol_inv, y_bar
-                    )
-                    grad_s += _spread(gamma, omega, s)
-                    out[i][..., rows[a]] = slope * grad_s
-                    if self.variances[a].kind == "poisson_tweedie":
-                        out[i][..., rows[a]] += np.diagonal(gamma, axis1=-2, axis2=-1)
-            grad[:, self.clusters.index[k]] = out
-        return grad
+                        k_mat = chols[r] @ _phi(white)
+                        y_bar += 2.0 * sigma_b[r, a] * (h[..., rows[a], rows[r]] @ k_mat)
+                gamma = g[..., rows[a], rows[a]] + _cholesky_derivative_adjoint(
+                    chol, chol_inv, y_bar
+                )
+                grad_s += _spread(gamma, omega, s)
+                out[i][..., rows[a]] = slope * grad_s
+                if self.variances[a].kind == "poisson_tweedie":
+                    out[i][..., rows[a]] += np.diagonal(gamma, axis1=-2, axis2=-1)
+        return out
 
 
 def _phi(x):

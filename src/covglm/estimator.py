@@ -173,7 +173,7 @@ def quasi_score(bound, beta, disp):
 def _pearson_pieces(state):
     """psi_lambda and S_lambda, plus the stacks W_i = C^-1 dC/dlambda_i.
 
-    All three are sums over the clusters: psi_lambda_i = u^T B_i u - tr(W_i)
+    Both are sums over the clusters: psi_lambda_i = u^T B_i u - tr(W_i)
     and S_lambda[i, j] = -tr(W_i W_j), with u = C^-1 r and B_i = dC/dlambda_i.
     Each B_i stack is overwritten by W_i.
     """

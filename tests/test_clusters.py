@@ -27,7 +27,9 @@ from covglm.covariance import (
 from covglm.estimator import _evaluate, cross_blocks, fit, pearson_fn, quasi_score
 from covglm.model import MatrixComponent, ModelSpec, bind
 
-PROPERTY_SETTINGS = settings(max_examples=20, deadline=None, derandomize=True, database=None)
+PROPERTY_SETTINGS = settings(
+    max_examples=20, deadline=None, derandomize=True, database=None
+)
 
 
 def _rel(a, b):
@@ -148,7 +150,7 @@ def _dense_reference(bound, beta, disp):
 def test_clustered_evaluation_matches_dense_reference():
     bound, beta, disp = _partly_crossed_problem()
     clusters = bound.clusters
-    sizes = np.concatenate([np.full(len(rows), rows.shape[1]) for rows in clusters.rows])
+    sizes = np.concatenate([np.full(len(r), r.shape[1]) for r in clusters.rows])
     assert sum(sizes) == bound.n_obs
     assert len(clusters.rows) >= 3  # unequal sizes: several stacks
     assert max(sizes) > 6  # h merged groups of g

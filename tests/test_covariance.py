@@ -159,14 +159,24 @@ def _random_covariance_model(
     return model, disp
 
 
+def _scatter(model, stacks):
+    """Dense (..., NR, NR) matrices from per-stack blocks (..., G, mR, mR)."""
+    clusters = model.clusters
+    dim = model.n_responses * clusters.n_obs
+    out = np.zeros(stacks[0].shape[:-3] + (dim, dim))
+    for idx, stack in zip(clusters.index, stacks):
+        out[..., idx[:, :, None], idx[:, None, :]] = stack
+    return out
+
+
 def _dense_c(model, disp):
     """The NR x NR joint covariance, scattered from its cluster blocks."""
-    return model.clusters.scatter([joint.C for joint in model.build(disp)])
+    return _scatter(model, [joint.C for joint in model.build(disp)])
 
 
 def _dense_derivatives(model, disp, joint=None):
     """(q, NR, NR) dC/dlambda, scattered from its cluster blocks."""
-    return model.clusters.scatter(model.derivatives(disp, joint))
+    return _scatter(model, model.derivatives(disp, joint))
 
 
 def _finite_difference_derivs(model, disp, step=1e-6):

@@ -342,6 +342,27 @@ def test_cross_blocks_reuses_the_fit_state(monkeypatch):
     assert calls == {"cross_blocks": 1, "build": 0, "derivatives": 0}
 
 
+def test_pearson_variability_is_formed_once_per_fit(monkeypatch):
+    # The iteration uses psi_lambda and S_lambda only; V_lambda, with its
+    # fourth-cumulant term, is formed once, at the solution.
+    from covglm import estimator
+
+    calls = []
+    original = estimator._pearson_variability
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(estimator, "_pearson_variability", counted)
+    data, spec, _, _ = _three_response_problem(
+        ("constant", "tweedie", "poisson_tweedie")
+    )
+    model = fit(spec, data, FitOptions(max_iter=3))
+    assert model.iterations == 3
+    assert len(calls) == 1
+
+
 def test_psi_norms_small_at_convergence():
     data, _, _ = simulate_gaussian(6)
     opts = FitOptions()
