@@ -25,6 +25,7 @@ from .errors import (
     FormulaSyntaxError,
     ModelSpecError,
     NotPositiveDefinite,
+    OptionError,
     PredictorMismatch,
     RankError,
     SingularHypothesisError,
@@ -91,6 +92,7 @@ __all__ = [
     "ModelSpec",
     "ModelSpecError",
     "NotPositiveDefinite",
+    "OptionError",
     "PredictorMismatch",
     "RankError",
     "ResponseSpec",

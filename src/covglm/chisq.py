@@ -1,6 +1,6 @@
 """Chi-square upper-tail probabilities."""
 
-from . import _kernels
+from scipy.special import gammaincc
 
 
 def chisq_sf(statistic, df):
@@ -16,12 +16,12 @@ def chisq_sf(statistic, df):
     Returns
     -------
     float
-        The survival-function value Q(df/2, statistic/2), absolute error
-        below 1e-10.
+        The survival-function value Q(df/2, statistic/2), the regularized
+        upper incomplete gamma function.
     """
     if not float(df).is_integer() or df < 1:
         raise ValueError(f"df must be a positive integer, got {df!r}")
     w = float(statistic)
     if w < 0.0 or not w == w:
         raise ValueError(f"statistic must be nonnegative, got {statistic!r}")
-    return float(_kernels.gammainc_upper(df / 2.0, w / 2.0))
+    return float(gammaincc(df / 2.0, w / 2.0))

@@ -11,7 +11,7 @@ import logging
 import sys
 
 from .data import Dataset
-from .errors import CovglmError
+from .errors import CovglmError, OptionError
 from .estimator import FitOptions, fit
 from .model import bind, load_model_spec
 from .multcomp import joint_multiple_comparisons, multiple_comparisons
@@ -138,7 +138,12 @@ def _obtain_fit(args):
 
 
 def _split_groups(text):
-    return [int(v) for v in text.split(",") if v.strip() != ""]
+    try:
+        return [int(v) for v in text.split(",") if v.strip() != ""]
+    except ValueError:
+        raise OptionError(
+            f"groups must be comma-separated integers, got {text!r}"
+        ) from None
 
 
 def _split_names(text):

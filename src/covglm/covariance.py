@@ -216,6 +216,11 @@ class JointCovariance:
         chol_inv = np.linalg.inv(self.chol)
         return _t(chol_inv) @ chol_inv
 
+    @cached_property
+    def sigma_chol_invs(self):
+        """L_r^-1 for every per-response Cholesky factor L_r."""
+        return tuple(np.linalg.inv(chol) for chol in self.sigma_chols)
+
 
 def build_joint_c(sigmas, rho):
     """Couple per-response covariances through the correlation matrix.
@@ -337,7 +342,7 @@ class CovarianceModel:
         i = n_resp * (n_resp - 1) // 2
         for r in range(n_resp):
             sqrt_v = self._sqrt_variance(k, r)
-            chol_inv = np.linalg.inv(chols[r]) if n_resp > 1 else None
+            chol_inv = block.sigma_chol_invs[r] if n_resp > 1 else None
             for z in self.blocks[k][r][2]:
                 d = out[i]
                 i += 1
@@ -384,7 +389,7 @@ class CovarianceModel:
         m = block.C.shape[-1] // n_resp
         rows = [slice(r * m, (r + 1) * m) for r in range(n_resp)]
         chols = block.sigma_chols
-        chol_invs = [np.linalg.inv(chol) for chol in chols]
+        chol_invs = block.sigma_chol_invs
         sigma_b = block.sigma_b
         sqrt_vs = [self._sqrt_variance(k, r) for r in range(n_resp)]
         whitened = {

@@ -87,6 +87,12 @@ class DataError(CovglmError):
     origin = "data"
 
 
+class OptionError(CovglmError, ValueError):
+    """A fitting option or table argument is outside its allowed values."""
+
+    origin = "options"
+
+
 class FitFileError(CovglmError):
     """A fit file failed version, structure, or checksum validation."""
 

@@ -20,7 +20,7 @@ from scipy.linalg import qr
 
 from . import _kernels
 from .covariance import CovarianceModel, DispersionVector, rho_pairs
-from .errors import DomainError, NotPositiveDefinite, RankError
+from .errors import DomainError, NotPositiveDefinite, OptionError, RankError
 from .model import BoundModel, bind
 
 log = logging.getLogger("covglm")
@@ -72,11 +72,11 @@ class FitOptions:
 
     def __post_init__(self):
         if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+            raise OptionError(f"max_iter must be at least 1, got {self.max_iter}")
         if not self.tol > 0:
-            raise ValueError("tol must be positive")
+            raise OptionError(f"tol must be positive, got {self.tol}")
         if not 0 < self.alpha <= 1:
-            raise ValueError("alpha must be in (0, 1]")
+            raise OptionError(f"alpha must be in (0, 1], got {self.alpha}")
 
 
 @dataclass

@@ -15,7 +15,7 @@ import numpy as np
 
 from .chisq import chisq_sf
 from .design import encode_combination
-from .errors import DataError
+from .errors import DataError, OptionError
 from .model import complete_rows
 from .tables import TestTable, _predictor_caption, _require_shared_predictor
 from .wald import TestResult, wald_statistic
@@ -115,7 +115,7 @@ def multiple_comparisons(model, effects, data):
     at one.
     """
     if len(effects) != model.n_responses:
-        raise ValueError("one factor list per response")
+        raise OptionError("one factor list per response")
     h = len(model.theta_star_labels)
     tables = []
     for r in range(model.n_responses):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chisq import chisq_sf
-from .errors import PredictorMismatch
+from .errors import OptionError, PredictorMismatch
 from .formula import term_label
 from .wald import TestResult, kron_hypothesis, wald_statistic
 
@@ -78,7 +78,7 @@ def _selected_columns(kind, infos, index):
 
 def _check_kind(kind):
     if kind not in _ROMAN:
-        raise ValueError(f"table type must be 1, 2 or 3, got {kind!r}")
+        raise OptionError(f"table type must be 1, 2 or 3, got {kind!r}")
 
 
 def anova(model, kind):
@@ -182,19 +182,19 @@ def anova_dispersion(model, groupings, names):
     printable label per group.
     """
     if len(groupings) != model.n_responses or len(names) != model.n_responses:
-        raise ValueError("one grouping vector and one name list per response")
+        raise OptionError("one grouping vector and one name list per response")
     tables = []
     for r in range(model.n_responses):
         tau_len = len(model.lambda_hat.tau[r])
         grouping = list(groupings[r])
         if len(grouping) != tau_len:
-            raise ValueError(
+            raise OptionError(
                 f"response {r + 1}: grouping has {len(grouping)} entries for "
                 f"{tau_len} dispersion parameters"
             )
         groups = _groups(grouping)
         if len(names[r]) != len(groups):
-            raise ValueError(
+            raise OptionError(
                 f"response {r + 1}: {len(names[r])} names for {len(groups)} groups"
             )
         span = model.tau_star_spans[r]
@@ -224,7 +224,7 @@ def manova_dispersion(model, grouping, names):
             )
     groups = _groups(grouping)
     if len(names) != len(groups):
-        raise ValueError(f"{len(names)} names for {len(groups)} groups")
+        raise OptionError(f"{len(names)} names for {len(groups)} groups")
     rows = []
     for gi, g in enumerate(groups):
         cols = []

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from covglm import _kernels
 from covglm.chisq import chisq_sf
 
 # (statistic, df, tail) triples as printed in the worked examples.
@@ -23,6 +22,7 @@ def test_reported_tails(w, df, expected):
 def test_large_statistics_vanish():
     assert chisq_sf(22.5613, 1) < 5e-5
     assert chisq_sf(29.098, 2) < 5e-5
+    assert chisq_sf(400.0, 1) < 1e-12
 
 
 @pytest.mark.parametrize("df", [1, 2, 3, 7, 40])
@@ -58,6 +58,25 @@ def test_matches_scipy_broadly():
         assert abs(chisq_sf(w, df) - chi2.sf(w, df)) < 1e-10
 
 
+def _closed_form_tail(w, df):
+    """Q(df/2, w/2) as the exact finite sum for integer df."""
+    x = w / 2.0
+    k = df // 2
+    if df % 2 == 0:
+        return math.exp(-x) * sum(x**j / math.factorial(j) for j in range(k))
+    return math.erfc(math.sqrt(x)) + math.exp(-x) * sum(
+        x ** (j - 0.5) / math.gamma(j + 0.5) for j in range(1, k + 1)
+    )
+
+
+def test_matches_closed_form_sums():
+    for df in range(1, 61):
+        for w in np.linspace(0.0, 200.0, 401):
+            expected = _closed_form_tail(float(w), df)
+            error = abs(chisq_sf(w, df) - expected)
+            assert error < 1e-12 and error <= 1e-10 * expected, (w, df)
+
+
 def test_invalid_inputs():
     with pytest.raises(ValueError):
         chisq_sf(1.0, 0)
@@ -65,13 +84,3 @@ def test_invalid_inputs():
         chisq_sf(1.0, 1.5)
     with pytest.raises(ValueError):
         chisq_sf(-0.5, 2)
-
-
-def test_python_fallback_matches_dispatched_kernel():
-    rng = np.random.default_rng(1)
-    for _ in range(100):
-        a = float(rng.uniform(0.5, 40))
-        x = float(rng.uniform(0, 80))
-        assert _kernels.gammainc_upper(a, x) == pytest.approx(
-            _kernels.gammainc_upper_python(a, x), abs=1e-13
-        )

@@ -208,12 +208,7 @@ def test_pair_traces_sums_over_clusters():
             for i in range(3)
         ]
     )
-    assert np.allclose(_kernels.pair_traces_numpy(mats), expected, rtol=1e-12)
-    assert np.allclose(_kernels._pair_traces_loops(mats), expected, rtol=1e-12)
-    # A three-dimensional stack is one cluster.
-    assert np.allclose(
-        _kernels.pair_traces_numpy(mats[:, 0]), _kernels.pair_traces_numpy(mats[:, :1])
-    )
+    assert np.allclose(_kernels.pair_traces(mats), expected, rtol=1e-12)
 
 
 def _grouped_bivariate_columns(seed, n_groups, size):

@@ -249,6 +249,29 @@ def test_derivatives_rebuild_no_covariance(monkeypatch):
     assert calls == []
 
 
+def test_per_response_factors_inverted_once(monkeypatch):
+    # derivatives and then mean_gradient on one evaluated state share the
+    # per-response inverses L_r^-1: one inversion per factor, not two.
+    rng = np.random.default_rng(12)
+    model, disp = _random_covariance_model(rng, 3, 2, grouped=True)
+    joint = model.build(disp)
+    inverted = []
+    original = np.linalg.inv
+
+    def counting_inv(a):
+        inverted.append(a)
+        return original(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counting_inv)
+    derivs = model.derivatives(disp, joint)
+    cotangents = [0.5 * (d + np.swapaxes(d, -1, -2)) for d in derivs]
+    h = [block.C for block in joint]
+    model.mean_gradient(disp, joint, cotangents, h)
+    factors = [chol for block in joint for chol in block.sigma_chols]
+    assert len(inverted) == len(factors)
+    assert all(any(a is f for f in factors) for a in inverted)
+
+
 def test_single_response_tau_derivative_is_exact_form():
     n = 5
     mu = np.linspace(1.0, 2.0, n)

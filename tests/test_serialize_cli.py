@@ -298,6 +298,27 @@ def test_cli_error_on_missing_inputs(capsys):
     assert "error [" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["summary", "--alpha", "1.5"],
+        ["summary", "--max-iter", "0"],
+        ["summary", "--tol", "0"],
+        ["anova-disp", "--groups", "a", "--names", "a"],
+        ["anova-disp", "--groups", "0", "--names", "a,b"],
+        ["manova-disp", "--groups", "0", "--names", "a,b"],
+    ],
+    ids=["alpha", "max-iter", "tol", "groups-not-int", "anova-names", "manova-names"],
+)
+def test_cli_bad_option_value_is_one_line_error(argv, tmp_path, capsys):
+    data_path, spec_path = _write_inputs(tmp_path, n=40)
+    code = run(argv + ["--data", str(data_path), "--model", str(spec_path)])
+    assert code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error [")
+
+
 def test_cli_spec_hash_guard(tmp_path, capsys):
     data_path, spec_path = _write_inputs(tmp_path)
     fit_path = tmp_path / "cached.fit"
