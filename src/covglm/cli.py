@@ -102,8 +102,6 @@ def build_parser():
 
 
 def _load_data(args):
-    if not args.data:
-        return None
     column_types = {}
     if args.model:
         column_types = load_model_spec(args.model).column_types
@@ -151,6 +149,16 @@ def _split_names(text):
 
 
 def _dispatch(args):
+    # Option values first: a malformed one should cost no fit.
+    if args.command == "anova-disp":
+        groups = [_split_groups(g) for g in args.groups.split(";")]
+        names = [_split_names(n) for n in args.names.split(";")]
+    elif args.command == "manova-disp":
+        groups, names = _split_groups(args.groups), _split_names(args.names)
+    elif args.command == "multcomp":
+        if not args.data:
+            raise CovglmError("multcomp needs --data (combinations come from it)")
+        effects = _split_names(args.effects)
     model = _obtain_fit(args)
     if args.command == "fit":
         save_fit(model, args.save)
@@ -166,18 +174,11 @@ def _dispatch(args):
     elif args.command == "manova":
         output = render_report(manova(model, args.type))
     elif args.command == "anova-disp":
-        groups = [_split_groups(g) for g in args.groups.split(";")]
-        names = [_split_names(n) for n in args.names.split(";")]
         output = render_report(anova_dispersion(model, groups, names))
     elif args.command == "manova-disp":
-        output = render_report(
-            manova_dispersion(model, _split_groups(args.groups), _split_names(args.names))
-        )
+        output = render_report(manova_dispersion(model, groups, names))
     elif args.command == "multcomp":
         data = _load_data(args)
-        if data is None:
-            raise CovglmError("multcomp needs --data (combinations come from it)")
-        effects = _split_names(args.effects)
         if args.multivariate:
             output = render_report(joint_multiple_comparisons(model, effects, data))
         else:

@@ -78,31 +78,29 @@ def correlation_matrix(rho, n_responses):
     return sigma_b
 
 
-def _row_components(pattern):
-    """Connected-component label of each row of a symmetric boolean pattern.
-
-    Min-label hooking with pointer jumping over the nonzero entries: every
-    round, each component root hooks onto the smallest label its rows
-    see, so the number of components at least halves per round.
+def _component_labels(n, codes):
+    """The smallest row of every row's connected component, rows that share
+    a level of any code vector being linked. Each round every row takes
+    the smallest label of its levels' rows, each label root hooks onto the
+    smallest label its rows took, and labels are followed to their roots.
     """
-    rows, cols = np.nonzero(pattern)
-    labels = np.arange(len(pattern))
+    labels = np.arange(n)
     while True:
-        low = labels.copy()
-        np.minimum.at(low, rows, labels[cols])
+        low = labels
+        for c in codes:
+            level_low = np.full(c.max() + 1, n)
+            np.minimum.at(level_low, c, low)
+            low = np.minimum(low, level_low[c])
         if np.array_equal(low, labels):
             return labels
         np.minimum.at(labels, labels.copy(), low)
-        while True:
-            jumped = labels[labels]
-            if np.array_equal(jumped, labels):
-                break
-            labels = jumped
+        while not np.array_equal(labels[labels], labels):
+            labels = labels[labels]
 
 
 @dataclass(frozen=True)
 class RowClusters:
-    """The rows split into connected components of the Z_d nonzero pattern.
+    """The rows split into the connected components that the Z_d link.
 
     Two rows share a cluster when some Z_d of some response links them,
     directly or through other rows. Every Sigma_r is then block diagonal
@@ -123,26 +121,27 @@ class RowClusters:
     index: tuple
 
     @classmethod
-    def of(cls, z_lists):
-        """Clusters of the matrix predictors of every response."""
-        n = z_lists[0][0].shape[0]
-        pattern = np.eye(n, dtype=bool)
-        for z_list in z_lists:
-            for z in z_list:
-                pattern |= z != 0
-        labels = _row_components(pattern | pattern.T)
+    def of(cls, z_codes):
+        """Clusters of the level codes ``z_codes[r][d]`` of every Z_d."""
+        n = len(z_codes[0][0])
+        labels = _component_labels(n, [c for codes in z_codes for c in codes])
         # Stable sort: rows grouped by cluster, original order inside each.
         order = np.argsort(labels, kind="stable")
         _, sizes = np.unique(labels, return_counts=True)
         starts = np.cumsum(sizes) - sizes
-        rows = []
-        for m in np.unique(sizes):
-            rows.append(order[starts[sizes == m][:, None] + np.arange(m)])
-        offsets = np.arange(len(z_lists))[:, None] * n
-        index = [
-            (offsets + r[:, None, :]).reshape(len(r), -1) for r in rows
-        ]
+        rows = [order[starts[sizes == m][:, None] + np.arange(m)] for m in np.unique(sizes)]
+        offsets = np.arange(len(z_codes))[:, None] * n
+        index = [(offsets + r[:, None, :]).reshape(len(r), -1) for r in rows]
         return cls(n_obs=n, rows=tuple(rows), index=tuple(index))
+
+    def z_blocks(self, z_codes):
+        """Per stack, per response: the (D, G, m, m) cluster blocks of its D
+        matrices Z_d, 1.0 where two rows of a cluster share a level."""
+        stacked = [np.stack(codes) for codes in z_codes]
+        return tuple(
+            tuple((c[:, rows, None] == c[:, rows[:, None, :]]).astype(float) for c in stacked)
+            for rows in self.rows
+        )
 
 
 def _t(x):
@@ -255,10 +254,9 @@ def build_joint_c(sigmas, rho):
 class CovarianceModel:
     """C as a function of the dispersion parameters, at a fixed mean.
 
-    Bundles the mean vectors, variance functions, trial counts and matrix
-    predictors of every response so the estimator can rebuild C and its
-    dispersion derivatives at arbitrary dispersion values. ``clusters``
-    are those of ``z_lists``; they are found from them when not given.
+    Bundles the means, variance functions, trial counts and Z_d cluster
+    blocks (``RowClusters.z_blocks``) of every response, so the estimator
+    can rebuild C and its dispersion derivatives at any dispersion value.
     ``build``, ``derivatives`` and ``mean_gradient`` work on one stack of
     equal-size clusters at a time (``RowClusters``).
     """
@@ -266,12 +264,8 @@ class CovarianceModel:
     mus: tuple
     variances: tuple
     ntrials: tuple
-    z_lists: tuple
-    clusters: RowClusters = None
-
-    def __post_init__(self):
-        if self.clusters is None:
-            object.__setattr__(self, "clusters", RowClusters.of(self.z_lists))
+    z_blocks: tuple
+    clusters: RowClusters
 
     @property
     def n_responses(self):
@@ -281,20 +275,13 @@ class CovarianceModel:
     def blocks(self):
         """Per stack, per response: (means, trial counts, Z_d blocks) on
         the stack's (G, m) cluster rows."""
-        out = []
-        for rows in self.clusters.rows:
-            pairs = (rows[:, :, None], rows[:, None, :])
-            out.append(
-                tuple(
-                    (
-                        mu[rows],
-                        None if ntrial is None else ntrial[rows],
-                        tuple(z[pairs] for z in z_list),
-                    )
-                    for mu, ntrial, z_list in zip(self.mus, self.ntrials, self.z_lists)
-                )
+        return tuple(
+            tuple(
+                (mu[rows], None if ntrial is None else ntrial[rows], z_blocks)
+                for mu, ntrial, z_blocks in zip(self.mus, self.ntrials, stack)
             )
-        return tuple(out)
+            for rows, stack in zip(self.clusters.rows, self.z_blocks)
+        )
 
     def _sqrt_variance(self, k, r):
         mu, ntrial, _ = self.blocks[k][r]
@@ -383,7 +370,7 @@ class CovarianceModel:
     def _stack_mean_gradient(self, k, disp, block, g_stack, h):
         n_resp = self.n_responses
         params = rho_pairs(n_resp) + [
-            (r, d) for r in range(n_resp) for d in range(len(self.z_lists[r]))
+            (r, d) for r in range(n_resp) for d in range(len(self.z_blocks[k][r]))
         ]
         n_rho = n_resp * (n_resp - 1) // 2
         m = block.C.shape[-1] // n_resp

@@ -139,7 +139,7 @@ def _evaluate(bound, beta, disp):
         mus=tuple(mus),
         variances=tuple(resp.variance for resp in bound.spec.responses),
         ntrials=bound.ntrials,
-        z_lists=bound.z_lists,
+        z_blocks=bound.z_blocks,
         clusters=bound.clusters,
     )
     joint = covmodel.build(disp)
@@ -480,7 +480,7 @@ def fit(spec, data, options=None):
     _check_ranks(bound)
     beta = _initial_beta(bound)
     disp = DispersionVector.initial(
-        bound.n_responses, [len(z) for z in bound.z_lists]
+        bound.n_responses, [len(c) for c in bound.z_codes]
     )
     trace = _Trace(opts.trace_path, opts.verbose)
     state = _evaluate(bound, beta, disp)

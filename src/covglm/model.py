@@ -185,33 +185,41 @@ def _formula_text(formula):
 
 
 def grouping_matrix(values):
-    """Z = A A^T for the indicator matrix A of group membership: 1 where
-    two rows share a level, compared through integer level codes."""
+    """Level codes of group membership. They represent Z = A A^T for the
+    indicator matrix A: Z_ab = 1 exactly where rows a and b share a code."""
     _, codes = np.unique(np.asarray(values), return_inverse=True)
-    return (codes[:, None] == codes[None, :]).astype(float)
+    return codes
 
 
-def _check_identifiable(name, components, zs):
+def _pair_count(a, b):
+    """tr(Z_a Z_b) from level codes: the number of ordered row pairs that
+    share a level of both, the sum of squared counts of the (a, b) pairs."""
+    return float(np.sum(np.unique(a * (b.max() + 1) + b, return_counts=True)[1] ** 2))
+
+
+def _check_identifiable(name, components, codes):
     """Raise unless the Z_d of one response are linearly independent.
 
     Z_d is redundant, and its tau not identifiable, when it leaves the rank
     of the leading Gram matrix tr(Z_i Z_j) unchanged.
     """
-    gram = np.array([[np.sum(a * b) for b in zs] for a in zs])
-    ranks = [0] + [np.linalg.matrix_rank(gram[:d, :d]) for d in range(1, len(zs) + 1)]
+    gram = np.array([[_pair_count(a, b) for b in codes] for a in codes])
+    ranks = [0] + [np.linalg.matrix_rank(gram[:d, :d]) for d in range(1, len(codes) + 1)]
     labels = [c.kind if c.kind == "identity" else f"grouping({c.column})" for c in components]
-    redundant = [labels[d] for d in range(len(zs)) if ranks[d + 1] == ranks[d]]
+    redundant = [labels[d] for d in range(len(codes)) if ranks[d + 1] == ranks[d]]
     if redundant:
         raise ModelSpecError(
             f"response {name!r}: matrix predictor components {', '.join(labels)} "
-            f"are linearly dependent (rank {ranks[-1]} of {len(zs)}); "
+            f"are linearly dependent (rank {ranks[-1]} of {len(codes)}); "
             f"redundant: {', '.join(redundant)}"
         )
 
 
 @dataclass(frozen=True)
 class BoundModel:
-    """A model spec resolved against data: designs, responses, Z matrices."""
+    """A model spec resolved against data: designs, responses, and Z_d of
+    response r as ``z_codes[r][d]``, one level code per row (identity:
+    0..N-1; grouping: ``grouping_matrix``)."""
 
     spec: ModelSpec
     data: Dataset
@@ -219,7 +227,7 @@ class BoundModel:
     y: tuple
     offsets: tuple
     ntrials: tuple
-    z_lists: tuple
+    z_codes: tuple
     n_obs: int
     n_dropped: int
 
@@ -229,8 +237,13 @@ class BoundModel:
 
     @cached_property
     def clusters(self):
-        """Row clusters of ``z_lists``, found once per bound model."""
-        return RowClusters.of(self.z_lists)
+        """Row clusters of ``z_codes``, found once per bound model."""
+        return RowClusters.of(self.z_codes)
+
+    @cached_property
+    def z_blocks(self):
+        """The cluster blocks of every Z_d, formed once per bound model."""
+        return self.clusters.z_blocks(self.z_codes)
 
 
 def complete_rows(spec, data):
@@ -260,7 +273,7 @@ def bind(spec, data):
     ys = []
     offsets = []
     ntrials = []
-    z_lists = []
+    z_codes = []
     for resp in spec.responses:
         name = resp.formula.response
         y = np.asarray(data.numeric(name), dtype=float)
@@ -283,14 +296,12 @@ def bind(spec, data):
             ntrials.append(nt)
         else:
             ntrials.append(None)
-        zs = []
-        for comp in resp.matrix_pred:
-            if comp.kind == "identity":
-                zs.append(np.eye(n))
-            else:
-                zs.append(grouping_matrix(data.factor(comp.column)))
-        _check_identifiable(name, resp.matrix_pred, zs)
-        z_lists.append(tuple(zs))
+        codes = tuple(
+            grouping_matrix(data.factor(c.column)) if c.kind == "grouping" else np.arange(n)
+            for c in resp.matrix_pred
+        )
+        _check_identifiable(name, resp.matrix_pred, codes)
+        z_codes.append(codes)
         ys.append(y)
     return BoundModel(
         spec=spec,
@@ -299,7 +310,7 @@ def bind(spec, data):
         y=tuple(ys),
         offsets=tuple(offsets),
         ntrials=tuple(ntrials),
-        z_lists=tuple(z_lists),
+        z_codes=tuple(z_codes),
         n_obs=n,
         n_dropped=n_dropped,
     )

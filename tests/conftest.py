@@ -38,6 +38,11 @@ def make_dataset(columns):
     return Dataset(cols, kinds)
 
 
+def dense_z(codes):
+    """The N x N matrix Z_ab = [c_a == c_b] that level codes represent."""
+    return (codes[:, None] == codes[None, :]).astype(float)
+
+
 def response_spec(formula, link="identity", variance="constant", power=1.0,
                   matrix_pred=None, offset_column=None, ntrial_column=None):
     return ResponseSpec(

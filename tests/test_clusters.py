@@ -4,16 +4,19 @@ Every estimating function, sensitivity and variability is a sum over the
 row clusters. These tests compare the clustered evaluation with one
 assembled densely over all NR rows, and check the invariances the
 decomposition relies on: whole clusters may be reordered, rows inside a
-cluster may not (when R > 1 and Omega is not diagonal), and an
-identity-only model is invariant to any row order.
+cluster may not (when R > 1 and Omega is not diagonal), an identity-only
+model is invariant to any row order, and swapping two responses permutes
+the estimates and their covariance the same way.
 """
+
+import dataclasses
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
-from conftest import make_dataset, response_spec
+from conftest import dense_z, make_dataset, response_spec
 from covglm import _kernels
 from covglm.covariance import (
     DispersionVector,
@@ -99,7 +102,7 @@ def _dense_reference(bound, beta, disp):
         build_sigma_r(
             state.mus[r],
             variances[r],
-            build_omega(disp.tau[r], bound.z_lists[r]),
+            build_omega(disp.tau[r], [dense_z(c) for c in bound.z_codes[r]]),
             bound.ntrials[r],
         )
         for r in range(n_resp)
@@ -113,7 +116,8 @@ def _dense_reference(bound, beta, disp):
         d[rows[s], rows[r]] = chols[s] @ chols[r].T
         derivs.append(d)
     for r in range(n_resp):
-        for z in bound.z_lists[r]:
+        for codes in bound.z_codes[r]:
+            z = dense_z(codes)
             d = np.zeros_like(joint.C)
             d_sigma = sqrt_vs[r][:, None] * z * sqrt_vs[r][None, :]
             d[rows[r], rows[r]] = d_sigma
@@ -173,6 +177,7 @@ def test_clustered_evaluation_matches_dense_reference():
         rows=(np.arange(n)[None, :],),
         index=(np.arange(n * bound.n_responses)[None, :],),
     )
+    bound = dataclasses.replace(bound)  # no cached clusters or Z blocks
     object.__setattr__(bound, "clusters", one)
     one_lb, one_bl, _ = cross_blocks(bound, beta, disp)
     assert _rel(sens_bl, one_bl) < 1e-10
@@ -193,9 +198,9 @@ def test_clusters_keep_row_order_and_cover_every_row():
     for rows in clusters.rows:
         label[rows] = start + np.arange(len(rows))[:, None]
         start += len(rows)
-    for z_list in bound.z_lists:
-        for z in z_list:
-            i, j = np.nonzero(z)
+    for codes_r in bound.z_codes:
+        for codes in codes_r:
+            i, j = np.nonzero(dense_z(codes))
             assert np.array_equal(label[i], label[j])
 
 
@@ -267,6 +272,27 @@ def test_fit_invariant_to_cluster_order(seed, n_groups, size, data):
     base = fit(GROUPED_SPEC, make_dataset(columns))
     moved = fit(GROUPED_SPEC, make_dataset({k: v[rows] for k, v in columns.items()}))
     _same_fit(base, moved)
+
+
+@PROPERTY_SETTINGS
+@given(seed=st.integers(0, 2**16), n_groups=st.integers(4, 9), size=st.integers(2, 5))
+def test_fit_equivariant_to_response_order(seed, n_groups, size):
+    # C's block (r, s) is Sigma_b[r, s] L_r L_s^T, so swapping the two
+    # responses permutes C's block rows and columns and nothing else.
+    data = make_dataset(_grouped_bivariate_columns(seed, n_groups, size))
+    base = fit(GROUPED_SPEC, data)
+    swapped = fit(ModelSpec(responses=GROUPED_SPEC.responses[::-1]), data)
+    k = base.n_beta
+    first, second = (np.arange(span.start, span.stop) for span in base.beta_spans)
+    # Full parameter order (beta_1, beta_2, rho_12, tau_1, tau_2).
+    perm = np.concatenate([second, first, [k], [k + 3, k + 4], [k + 1, k + 2]])
+    theta = np.concatenate([base.beta_hat, base.lambda_hat.flatten()])
+    swapped_theta = np.concatenate([swapped.beta_hat, swapped.lambda_hat.flatten()])
+    assert np.max(np.abs(swapped_theta - theta[perm])) <= 1e-10
+    assert abs(swapped.lambda_hat.rho[0] - base.lambda_hat.rho[0]) <= 1e-10
+    expected = base.joint_inverse[np.ix_(perm, perm)]
+    scale = np.max(np.abs(expected))
+    assert np.max(np.abs(swapped.joint_inverse - expected)) <= 1e-10 * scale
 
 
 @PROPERTY_SETTINGS

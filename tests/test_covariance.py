@@ -4,6 +4,7 @@ import pytest
 from covglm.covariance import (
     CovarianceModel,
     DispersionVector,
+    RowClusters,
     build_joint_c,
     build_omega,
     build_sigma_r,
@@ -116,8 +117,10 @@ def _random_covariance_model(
 
     ``kinds`` fixes the variance kind per response (cycled by default);
     ``with_ntrials`` draws binomial trial counts; ``grouped`` makes the
-    second matrix a grouping Z (rows in groups of at most three) instead of
-    a random symmetric one; the taus keep every case positive definite.
+    second matrix a grouping Z (rows in groups of at most three, given as
+    level codes and split into row clusters) instead of a random symmetric
+    one, which links every row into one cluster; the taus keep every case
+    positive definite.
     """
     if kinds is None:
         cycle = ["constant", "tweedie", "poisson_tweedie"]
@@ -126,6 +129,7 @@ def _random_covariance_model(
     variances = []
     ntrials = []
     z_lists = []
+    z_codes = []
     for r in range(n_responses):
         if kinds[r] == "binomialP":
             mus.append(rng.uniform(0.1, 0.9, size=n))
@@ -136,27 +140,56 @@ def _random_covariance_model(
             rng.integers(1, 10, size=n).astype(float) if with_ntrials else None
         )
         zs = [np.eye(n)]
+        codes = [np.arange(n)]
         for _ in range(n_z - 1):
             if grouped:
-                zs.append(grouping_matrix(rng.permutation(n) // 3))
+                codes.append(grouping_matrix(rng.permutation(n) // 3))
             else:
                 a = rng.normal(size=(n, n))
                 zs.append(0.1 * (a + a.T))
         z_lists.append(tuple(zs))
+        z_codes.append(tuple(codes))
     taus = []
     for _ in range(n_responses):
         t = rng.uniform(-0.15, 0.15, size=n_z)
         t[0] = rng.uniform(0.8, 2.0)
         taus.append(t)
     rho = rng.uniform(-0.4, 0.4, size=n_responses * (n_responses - 1) // 2)
-    model = CovarianceModel(
+    if grouped:
+        model = _coded_model(mus, variances, ntrials, z_codes)
+    else:
+        model = _one_cluster_model(mus, variances, ntrials, z_lists)
+    disp = DispersionVector(rho=rho, tau=tuple(taus))
+    return model, disp
+
+
+def _coded_model(mus, variances, ntrials, z_codes):
+    """A covariance model over the row clusters of level-coded Z_d."""
+    clusters = RowClusters.of(tuple(z_codes))
+    return CovarianceModel(
         mus=tuple(mus),
         variances=tuple(variances),
         ntrials=tuple(ntrials),
-        z_lists=tuple(z_lists),
+        z_blocks=clusters.z_blocks(tuple(z_codes)),
+        clusters=clusters,
     )
-    disp = DispersionVector(rho=rho, tau=tuple(taus))
-    return model, disp
+
+
+def _one_cluster_model(mus, variances, ntrials, z_lists):
+    """A covariance model of arbitrary dense N x N Z_d, all rows one cluster."""
+    n = len(mus[0])
+    clusters = RowClusters(
+        n_obs=n,
+        rows=(np.arange(n)[None, :],),
+        index=(np.arange(n * len(mus))[None, :],),
+    )
+    return CovarianceModel(
+        mus=tuple(mus),
+        variances=tuple(variances),
+        ntrials=tuple(ntrials),
+        z_blocks=(tuple(np.stack(zs)[:, None] for zs in z_lists),),
+        clusters=clusters,
+    )
 
 
 def _scatter(model, stacks):
@@ -275,13 +308,7 @@ def test_per_response_factors_inverted_once(monkeypatch):
 def test_single_response_tau_derivative_is_exact_form():
     n = 5
     mu = np.linspace(1.0, 2.0, n)
-    z = np.eye(n)
-    model = CovarianceModel(
-        mus=(mu,),
-        variances=(VarianceFn("tweedie", 1.0),),
-        ntrials=(None,),
-        z_lists=((z,),),
-    )
+    model = _coded_model([mu], [VarianceFn("tweedie", 1.0)], [None], [(np.arange(n),)])
     disp = DispersionVector(rho=np.zeros(0), tau=(np.array([1.3]),))
     (deriv,) = _dense_derivatives(model, disp)
     assert np.allclose(deriv, np.diag(mu))
@@ -289,11 +316,11 @@ def test_single_response_tau_derivative_is_exact_form():
 
 def test_rho_derivative_identity_blocks():
     n = 4
-    model = CovarianceModel(
-        mus=(np.ones(n), np.ones(n)),
-        variances=(VarianceFn("constant"), VarianceFn("constant")),
-        ntrials=(None, None),
-        z_lists=((np.eye(n),), (np.eye(n),)),
+    model = _coded_model(
+        [np.ones(n), np.ones(n)],
+        [VarianceFn("constant"), VarianceFn("constant")],
+        [None, None],
+        [(np.arange(n),), (np.arange(n),)],
     )
     disp = DispersionVector(rho=np.zeros(1), tau=(np.ones(1), np.ones(1)))
     derivs = _dense_derivatives(model, disp)

@@ -103,7 +103,7 @@ def test_singular_newton_system_is_a_typed_error():
     x = rng.normal(size=n)
     data = make_dataset({"y": 1.0 + x + rng.normal(size=n), "x": x})
     bound = bind(gaussian_spec("y ~ x"), data)
-    bound = dataclasses.replace(bound, z_lists=((np.eye(n), np.eye(n)),))
+    bound = dataclasses.replace(bound, z_codes=((np.arange(n), np.arange(n)),))
     with pytest.raises(RankError, match="dispersion Newton system is singular"):
         fit(bound, None)
 

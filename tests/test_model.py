@@ -1,23 +1,31 @@
 import logging
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import make_dataset, response_spec
+from conftest import dense_z, make_dataset, response_spec
 from covglm.errors import DataError, MissingColumnError, ModelSpecError
 from covglm.model import (
     MatrixComponent,
     ModelSpec,
+    _pair_count,
     bind,
     grouping_matrix,
+    load_model_spec,
     model_spec_json,
     parse_model_spec,
 )
 
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
 
 def test_grouping_matrix_block_structure():
     values = np.array(["a", "b", "a", "c", "b"], dtype=object)
-    z = grouping_matrix(values)
+    codes = grouping_matrix(values)
+    assert codes.tolist() == [0, 1, 0, 2, 1]
+    z = dense_z(codes)
     assert z.shape == (5, 5)
     assert np.allclose(z, z.T)
     assert z[0, 2] == 1.0 and z[1, 4] == 1.0 and z[0, 1] == 0.0
@@ -149,10 +157,57 @@ def test_bind_builds_identity_and_grouping_z():
         )
     )
     bound = bind(spec, data)
-    z0, z1 = bound.z_lists[0]
+    z0, z1 = (dense_z(codes) for codes in bound.z_codes[0])
     assert np.array_equal(z0, np.eye(6))
     expected = np.kron(np.eye(3), np.ones((2, 2)))
     assert np.array_equal(z1, expected)
+
+
+def test_gram_entries_from_codes_match_dense_traces():
+    rng = np.random.default_rng(3)
+    for n_levels in (1, 3, 7, 40):
+        a = grouping_matrix(rng.integers(0, n_levels, size=40))
+        b = grouping_matrix(rng.integers(0, 5, size=40))
+        for x, y in ((a, b), (a, a), (b, np.arange(40))):
+            assert _pair_count(x, y) == np.trace(dense_z(x) @ dense_z(y))
+
+
+def _hunting_shaped_rows(n, group_size=6, seed=0):
+    """Bivariate counts with an exposure offset in hunter-month groups."""
+    rng = np.random.default_rng(seed)
+    group = np.repeat(np.arange(n // group_size), group_size)
+    cell = rng.permutation(np.arange(n) % 4)
+    exposure = rng.integers(5, 26, size=n).astype(float)
+    return make_dataset(
+        {
+            "BD": rng.poisson(0.4 * exposure).astype(float),
+            "OT": rng.poisson(0.2 * exposure).astype(float),
+            "logOFFSET": np.log(exposure),
+            "METHOD": np.where(cell // 2 == 1, "Trampa", "Escopeta").astype(object),
+            "SEX": np.where(cell % 2 == 1, "Male", "Female").astype(object),
+            "HUNTER.MONTH": np.array([f"HM{g:03d}" for g in group], dtype=object),
+        }
+    )
+
+
+def test_bind_holds_no_n_by_n_array():
+    # Four Z_d as dense N x N float matrices would hold 4 N^2 8 B = 184 MB
+    # at N = 2400; their level codes and 400 cluster blocks take well
+    # under 1 MB.
+    n = 2400
+    spec = load_model_spec(FIXTURES / "hunting_model.json")
+    data = _hunting_shaped_rows(n)
+    tracemalloc.start()
+    try:
+        bound = bind(spec, data)
+        blocks = bound.z_blocks
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert bound.n_obs == n
+    assert [stack.shape for stack in bound.clusters.rows] == [(n // 6, 6)]
+    assert blocks[0][0][1].shape == (n // 6, 6, 6)
+    assert peak < 16e6
 
 
 def test_bind_rejects_linearly_dependent_matrix_predictor():

@@ -299,18 +299,25 @@ def test_cli_error_on_missing_inputs(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv,needs_model",
     [
-        ["summary", "--alpha", "1.5"],
-        ["summary", "--max-iter", "0"],
-        ["summary", "--tol", "0"],
-        ["anova-disp", "--groups", "a", "--names", "a"],
-        ["anova-disp", "--groups", "0", "--names", "a,b"],
-        ["manova-disp", "--groups", "0", "--names", "a,b"],
+        (["summary", "--alpha", "1.5"], False),
+        (["summary", "--max-iter", "0"], False),
+        (["summary", "--tol", "0"], False),
+        (["anova-disp", "--groups", "a", "--names", "a"], False),
+        (["anova-disp", "--groups", "0", "--names", "a,b"], True),
+        (["manova-disp", "--groups", "0", "--names", "a,b"], True),
     ],
     ids=["alpha", "max-iter", "tol", "groups-not-int", "anova-names", "manova-names"],
 )
-def test_cli_bad_option_value_is_one_line_error(argv, tmp_path, capsys):
+def test_cli_bad_option_value_is_one_line_error(
+    argv, needs_model, tmp_path, capsys, monkeypatch
+):
+    # A value that is wrong whatever the model is rejected before fitting.
+    if not needs_model:
+        monkeypatch.setattr(
+            "covglm.cli.fit", lambda *a, **k: pytest.fail("fitted before the check")
+        )
     data_path, spec_path = _write_inputs(tmp_path, n=40)
     code = run(argv + ["--data", str(data_path), "--model", str(spec_path)])
     assert code == 1
