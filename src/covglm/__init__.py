@@ -15,7 +15,12 @@ from .covariance import (
     build_sigma_r,
 )
 from .data import Dataset
-from .design import DesignInfo, build_design, encode_combination
+from .design import (
+    DesignInfo,
+    build_design,
+    encode_combination,
+    encode_combinations,
+)
 from .errors import (
     CovglmError,
     DataError,
@@ -113,6 +118,7 @@ __all__ = [
     "contrast_set",
     "cross_blocks",
     "encode_combination",
+    "encode_combinations",
     "fit",
     "joint_multiple_comparisons",
     "kron_hypothesis",

@@ -1,5 +1,6 @@
 """Chi-square upper-tail probabilities."""
 
+import numpy as np
 from scipy.special import gammaincc
 
 
@@ -8,20 +9,24 @@ def chisq_sf(statistic, df):
 
     Parameters
     ----------
-    statistic : float
-        Observed statistic, must be nonnegative.
+    statistic : float or array_like
+        Observed statistic(s), each nonnegative.
     df : int
         Degrees of freedom, must be a positive integer.
 
     Returns
     -------
-    float
+    float or numpy.ndarray
         The survival-function value Q(df/2, statistic/2), the regularized
-        upper incomplete gamma function.
+        upper incomplete gamma function: a float for a scalar statistic,
+        an array of the statistic's shape otherwise.
     """
     if not float(df).is_integer() or df < 1:
         raise ValueError(f"df must be a positive integer, got {df!r}")
-    w = float(statistic)
-    if w < 0.0 or not w == w:
-        raise ValueError(f"statistic must be nonnegative, got {statistic!r}")
-    return float(gammaincc(df / 2.0, w / 2.0))
+    w = np.asarray(statistic, dtype=float)
+    bad = ~(w >= 0.0)  # also true for NaN
+    if bad.any():
+        shown = statistic if w.ndim == 0 else w[bad][0]
+        raise ValueError(f"statistic must be nonnegative, got {shown!r}")
+    p = gammaincc(df / 2.0, w / 2.0)
+    return float(p) if w.ndim == 0 else p

@@ -21,7 +21,13 @@ from .report import (
     render_summary,
 )
 from .serialize import load_fit, save_fit, spec_digest
-from .tables import anova, anova_dispersion, manova, manova_dispersion
+from .tables import (
+    anova,
+    anova_dispersion,
+    manova,
+    manova_dispersion,
+    named_groups,
+)
 from .wald import parse_hypothesis, wald_test
 
 log = logging.getLogger("covglm")
@@ -153,8 +159,15 @@ def _dispatch(args):
     if args.command == "anova-disp":
         groups = [_split_groups(g) for g in args.groups.split(";")]
         names = [_split_names(n) for n in args.names.split(";")]
+        if len(groups) != len(names):
+            raise OptionError(
+                f"--groups has {len(groups)} response lists, --names {len(names)}"
+            )
+        for r, (grouping, labels) in enumerate(zip(groups, names)):
+            named_groups(grouping, labels, f"response {r + 1}: ")
     elif args.command == "manova-disp":
         groups, names = _split_groups(args.groups), _split_names(args.names)
+        named_groups(groups, names)
     elif args.command == "multcomp":
         if not args.data:
             raise CovglmError("multcomp needs --data (combinations come from it)")

@@ -142,27 +142,35 @@ def build_design(formula, data):
     )
 
 
-def encode_combination(design, assignment, numeric_values=None):
-    """Encode a single synthetic observation against an existing design.
+def encode_combinations(design, assignments, numeric_values=None):
+    """Encode synthetic observations against an existing design.
 
-    ``assignment`` maps factor names to levels; unassigned factors sit at
-    their reference level and numeric variables take the value given in
-    ``numeric_values`` (default 0.0). Returns a length-k row vector.
+    Each entry of ``assignments`` maps factor names to levels; unassigned
+    factors sit at their reference level and numeric variables take the
+    value given in ``numeric_values`` (default 0.0). Returns an
+    ``(len(assignments), k)`` matrix, one row per assignment.
     """
     numeric_values = numeric_values or {}
+    n = len(assignments)
     var_data = {}
     for var, kind in design.var_kinds.items():
         if kind == "factor":
             levels = list(design.level_maps[var])
-            level = assignment.get(var, levels[0])
-            if level not in levels:
-                raise DataError(f"unknown level {level!r} for factor {var!r}")
-            var_data[var] = (kind, levels, np.array([level], dtype=object))
+            values = [a.get(var, levels[0]) for a in assignments]
+            for level in values:
+                if level not in levels:
+                    raise DataError(f"unknown level {level!r} for factor {var!r}")
+            var_data[var] = (kind, levels, np.array(values, dtype=object))
         else:
             value = float(numeric_values.get(var, 0.0))
-            var_data[var] = (kind, None, np.array([value]))
-    row, _, _, _ = _assemble(design.formula, var_data, 1)
-    return row[0]
+            var_data[var] = (kind, None, np.full(n, value))
+    X, _, _, _ = _assemble(design.formula, var_data, n)
+    return X
+
+
+def encode_combination(design, assignment, numeric_values=None):
+    """One row of :func:`encode_combinations`: a length-k vector."""
+    return encode_combinations(design, [assignment], numeric_values)[0]
 
 
 def term_labels(design):

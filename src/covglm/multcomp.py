@@ -4,7 +4,8 @@ The adjusted-means matrix has one row per observed combination of the
 requested factors, each row being the design encoding of that combination
 (other factors at their reference level, numeric covariates at their
 sample mean). Differencing every pair of rows yields the contrast matrix;
-each contrast is Wald-tested with a Bonferroni-corrected p-value.
+all contrasts of a table are Wald-tested as one stack, with
+Bonferroni-corrected p-values.
 """
 
 import itertools
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chisq import chisq_sf
-from .design import encode_combination
-from .errors import DataError, OptionError
+from .design import encode_combinations
+from .errors import DataError, OptionError, RankError, SingularHypothesisError
 from .model import complete_rows
 from .tables import TestTable, _predictor_caption, _require_shared_predictor
 from .wald import TestResult, wald_statistic
@@ -70,40 +71,53 @@ def adjusted_means(model, response, factors, data):
         if k == "numeric"
     }
     combos = _observed_combos(design, factors, data)
-    rows = []
-    labels = []
-    for combo in combos:
-        assignment = dict(zip(factors, combo))
-        rows.append(encode_combination(design, assignment, numeric_means))
-        labels.append(":".join(combo))
-    return np.array(rows), tuple(labels)
+    assignments = [dict(zip(factors, combo)) for combo in combos]
+    means = encode_combinations(design, assignments, numeric_means)
+    return means, tuple(":".join(combo) for combo in combos)
 
 
 def pairwise_contrasts(means):
-    """Differences of every unordered pair of rows (i < j), stacked."""
-    g = means.shape[0]
-    return np.array(
-        [means[i] - means[j] for i, j in itertools.combinations(range(g), 2)]
-    )
+    """Differences of every unordered pair of rows (i < j), stacked.
+
+    Pairs run in lexicographic order: (0, 1), (0, 2), ..., (1, 2), ...
+    """
+    i, j = np.triu_indices(means.shape[0], k=1)
+    return means[i] - means[j]
 
 
 def contrast_set(model, response, factors, data):
     means, combo_labels = adjusted_means(model, response, factors, data)
-    contrasts = pairwise_contrasts(means)
     labels = tuple(
         f"{combo_labels[i]}-{combo_labels[j]}"
-        for i, j in itertools.combinations(range(len(combo_labels)), 2)
+        for i, j in zip(*np.triu_indices(len(combo_labels), k=1))
     )
     return ContrastSet(
         means=means,
-        contrasts=contrasts,
+        contrasts=pairwise_contrasts(means),
         combo_labels=combo_labels,
         contrast_labels=labels,
     )
 
 
-def _bonferroni(p, m):
-    return min(1.0, p * m)
+def _contrast_rows(model, constraints, labels, where):
+    """Table rows for a ``(m, s, h)`` stack of contrast constraints.
+
+    One stacked Wald call and one chi-square call cover the whole table;
+    p-values are multiplied by the number of contrasts m and capped at one
+    (Bonferroni).
+    """
+    m, s, _ = constraints.shape
+    try:
+        stats, df = wald_statistic(
+            model.theta_star, model.godambe_inv, constraints, np.zeros((m, s))
+        )
+    except (RankError, SingularHypothesisError) as exc:
+        raise type(exc)(f"contrast {labels[exc.index]} ({where}): {exc}") from None
+    p_values = np.minimum(1.0, chisq_sf(stats, df) * m)
+    return tuple(
+        TestResult(label=label, df=df, statistic=stat, p_value=p)
+        for label, stat, p in zip(labels, stats.tolist(), p_values.tolist())
+    )
 
 
 def multiple_comparisons(model, effects, data):
@@ -120,29 +134,17 @@ def multiple_comparisons(model, effects, data):
     tables = []
     for r in range(model.n_responses):
         cs = contrast_set(model, r, list(effects[r]), data)
-        span = model.beta_spans[r]
-        m = cs.contrasts.shape[0]
-        rows = []
-        for label, contrast in zip(cs.contrast_labels, cs.contrasts):
-            constraint = np.zeros((1, h))
-            constraint[0, span] = contrast
-            stat, df = wald_statistic(
-                model.theta_star, model.godambe_inv, constraint, np.zeros(1)
-            )
-            rows.append(
-                TestResult(
-                    label=label,
-                    df=df,
-                    statistic=stat,
-                    p_value=_bonferroni(chisq_sf(stat, df), m),
-                )
-            )
+        constraints = np.zeros((len(cs.contrasts), 1, h))
+        constraints[:, 0, model.beta_spans[r]] = cs.contrasts
+        rows = _contrast_rows(
+            model, constraints, cs.contrast_labels, f"response {r + 1}"
+        )
         tables.append(
             TestTable(
                 title="Multiple comparisons test for each outcome using Wald statistic",
                 caption=model.design[r].formula.text,
                 label_header="Contrast",
-                rows=tuple(rows),
+                rows=rows,
             )
         )
     return tables
@@ -158,27 +160,12 @@ def joint_multiple_comparisons(model, effects, data):
     _require_shared_predictor(model)
     cs = contrast_set(model, 0, list(effects), data)
     h = len(model.theta_star_labels)
-    n_resp = model.n_responses
-    m = cs.contrasts.shape[0]
-    rows = []
-    for label, contrast in zip(cs.contrast_labels, cs.contrasts):
-        constraint = np.zeros((n_resp, h))
-        for r in range(n_resp):
-            constraint[r, model.beta_spans[r]] = contrast
-        stat, df = wald_statistic(
-            model.theta_star, model.godambe_inv, constraint, np.zeros(n_resp)
-        )
-        rows.append(
-            TestResult(
-                label=label,
-                df=df,
-                statistic=stat,
-                p_value=_bonferroni(chisq_sf(stat, df), m),
-            )
-        )
+    constraints = np.zeros((len(cs.contrasts), model.n_responses, h))
+    for r in range(model.n_responses):
+        constraints[:, r, model.beta_spans[r]] = cs.contrasts
     return TestTable(
         title="Multivariate multiple comparisons test using Wald statistic",
         caption=_predictor_caption(model),
         label_header="Contrast",
-        rows=tuple(rows),
+        rows=_contrast_rows(model, constraints, cs.contrast_labels, "all responses"),
     )

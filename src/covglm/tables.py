@@ -165,13 +165,17 @@ def manova(model, kind):
     return table
 
 
-def _groups(indices):
-    """Distinct group indices in order of first appearance."""
-    seen = []
-    for g in indices:
-        if g not in seen:
-            seen.append(g)
-    return seen
+def named_groups(grouping, names, where=""):
+    """Distinct group indices of ``grouping`` in order of first appearance.
+
+    Raises :class:`OptionError`, prefixed with ``where``, unless ``names``
+    holds exactly one name per group. The check needs no model, so the CLI
+    runs it before fitting.
+    """
+    groups = list(dict.fromkeys(grouping))
+    if len(names) != len(groups):
+        raise OptionError(f"{where}{len(names)} names for {len(groups)} groups")
+    return groups
 
 
 def anova_dispersion(model, groupings, names):
@@ -192,11 +196,7 @@ def anova_dispersion(model, groupings, names):
                 f"response {r + 1}: grouping has {len(grouping)} entries for "
                 f"{tau_len} dispersion parameters"
             )
-        groups = _groups(grouping)
-        if len(names[r]) != len(groups):
-            raise OptionError(
-                f"response {r + 1}: {len(names[r])} names for {len(groups)} groups"
-            )
+        groups = named_groups(grouping, names[r], f"response {r + 1}: ")
         span = model.tau_star_spans[r]
         rows = []
         for gi, g in enumerate(groups):
@@ -222,9 +222,7 @@ def manova_dispersion(model, grouping, names):
                 "joint dispersion tables need the same matrix-predictor "
                 "length for every response"
             )
-    groups = _groups(grouping)
-    if len(names) != len(groups):
-        raise OptionError(f"{len(names)} names for {len(groups)} groups")
+    groups = named_groups(grouping, names)
     rows = []
     for gi, g in enumerate(groups):
         cols = []

@@ -121,36 +121,79 @@ def kron_hypothesis(g, f):
     return np.kron(np.asarray(g, dtype=float), np.asarray(f, dtype=float))
 
 
+def _located(error, message, index, stacked):
+    """``error(message)``; in a stack, it names and records the failing entry."""
+    exc = error(f"{message} (stack entry {index})" if stacked else message)
+    exc.index = int(index)
+    return exc
+
+
+def _failing_factor(middle):
+    """Index of the first block of a stack whose Cholesky factor fails."""
+    for i, block in enumerate(middle):
+        try:
+            np.linalg.cholesky(block)
+        except np.linalg.LinAlgError:
+            return i
+
+
 def wald_statistic(theta, inverse_information, constraint, rhs):
     """The Wald quadratic form for L theta = c.
 
     Returns ``(statistic, df)``; raises on a rank-deficient L or a singular
     middle matrix (no pseudo-inverse is attempted; a singular L J L^T
     signals a redundant hypothesis the caller should fix).
+
+    ``constraint`` may also be a stack of m hypotheses with the same number
+    of rows, shape ``(m, s, h)``, with ``rhs`` of shape ``(m, s)``; the
+    result is then ``(statistics, s)`` with an array of m statistics, all
+    computed in one batched pass. A hypothesis that holds exactly (zero
+    gap) has statistic 0.0 and its middle matrix is never factored. An
+    error from a stack names the failing entry and sets it as the
+    exception's ``index`` attribute.
     """
-    constraint = np.atleast_2d(np.asarray(constraint, dtype=float))
-    rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
-    s, h = constraint.shape
+    constraint = np.asarray(constraint, dtype=float)
+    stacked = constraint.ndim == 3
+    if not stacked:
+        constraint = np.atleast_2d(constraint)[None]
+    _, s, h = constraint.shape
     if h != len(theta):
         raise ValueError(
             f"constraint matrix has {h} columns for {len(theta)} parameters"
         )
-    if np.linalg.matrix_rank(constraint) < s:
-        raise RankError(f"constraint matrix has rank below its {s} rows")
-    gap = constraint @ theta - rhs
-    if not np.any(gap):
-        return 0.0, s
-    middle = constraint @ inverse_information @ constraint.T
-    middle = 0.5 * (middle + middle.T)
-    try:
-        chol = np.linalg.cholesky(middle)
-    except np.linalg.LinAlgError:
-        raise SingularHypothesisError(
-            "L J L^T is singular; the hypothesis rows are redundant "
-            "under this model's information matrix"
-        ) from None
-    stat = float(gap @ cho_solve((chol, True), gap))
-    return max(stat, 0.0), s
+    deficient = np.linalg.matrix_rank(constraint) < s
+    if deficient.any():
+        raise _located(
+            RankError,
+            f"constraint matrix has rank below its {s} rows",
+            np.argmax(deficient),
+            stacked,
+        )
+    gap = constraint @ theta - np.asarray(rhs, dtype=float)
+    stats = np.zeros(len(constraint))
+    live = gap.any(axis=1)
+    if live.any():
+        rows = constraint[live]
+        middle = rows @ inverse_information @ rows.transpose(0, 2, 1)
+        middle = 0.5 * (middle + middle.transpose(0, 2, 1))
+        try:
+            chol = np.linalg.cholesky(middle)
+        except np.linalg.LinAlgError:
+            raise _located(
+                SingularHypothesisError,
+                "L J L^T is singular; the hypothesis rows are redundant "
+                "under this model's information matrix",
+                np.flatnonzero(live)[_failing_factor(middle)],
+                stacked,
+            ) from None
+        # gap^T (C C^T)^-1 gap: one hypothesis uses LAPACK's Cholesky solve,
+        # a stack whitens every gap, |C^-1 gap|^2, in one batched solve.
+        if stacked:
+            whitened = np.linalg.solve(chol, gap[live][..., None])[..., 0]
+            stats[live] = np.einsum("ij,ij->i", whitened, whitened)
+        else:
+            stats[0] = max(gap[0] @ cho_solve((chol[0], True), gap[0]), 0.0)
+    return (stats, s) if stacked else (float(stats[0]), s)
 
 
 def wald_test(model, hypothesis):

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from covglm.data import Dataset
 from covglm.estimator import fit
@@ -13,6 +14,12 @@ from covglm.model import MatrixComponent, ModelSpec, ResponseSpec
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+# Property tests draw a fixed, small set of examples so tier-1 stays fast
+# and repeatable.
+PROPERTY_SETTINGS = settings(
+    max_examples=20, deadline=None, derandomize=True, database=None
+)
 
 
 def subprocess_env(**overrides):

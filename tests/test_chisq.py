@@ -84,3 +84,21 @@ def test_invalid_inputs():
         chisq_sf(1.0, 1.5)
     with pytest.raises(ValueError):
         chisq_sf(-0.5, 2)
+
+
+def test_array_input_matches_scalar_calls():
+    w = np.array([0.0, 0.3, 2.5, 17.0, 140.0])
+    for df in (1, 3):
+        p = chisq_sf(w, df)
+        assert isinstance(p, np.ndarray) and p.shape == w.shape
+        assert p.tolist() == [chisq_sf(float(v), df) for v in w]
+    assert isinstance(chisq_sf(np.float64(2.0), 2), float)
+    assert chisq_sf(np.zeros((2, 2)), 1).shape == (2, 2)
+
+
+@pytest.mark.parametrize("bad", [-0.5, float("nan")])
+def test_array_with_one_bad_entry_rejected(bad):
+    with pytest.raises(ValueError, match="nonnegative"):
+        chisq_sf(np.array([1.0, bad, 3.0]), 2)
+    with pytest.raises(ValueError, match="nonnegative"):
+        chisq_sf(bad, 2)

@@ -12,11 +12,11 @@ the estimates and their covariance the same way.
 import dataclasses
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
-from conftest import dense_z, make_dataset, response_spec
+from conftest import PROPERTY_SETTINGS, dense_z, make_dataset, response_spec
 from covglm import _kernels
 from covglm.covariance import (
     DispersionVector,
@@ -29,11 +29,6 @@ from covglm.covariance import (
 )
 from covglm.estimator import _evaluate, cross_blocks, fit, pearson_fn, quasi_score
 from covglm.model import MatrixComponent, ModelSpec, bind
-
-PROPERTY_SETTINGS = settings(
-    max_examples=20, deadline=None, derandomize=True, database=None
-)
-
 
 def _rel(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)

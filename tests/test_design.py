@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import factorial_data, make_dataset
-from covglm.design import build_design, encode_combination
-from covglm.errors import DegenerateFactor, MissingColumnError
+from covglm.design import build_design, encode_combination, encode_combinations
+from covglm.errors import DataError, DegenerateFactor, MissingColumnError
 from covglm.formula import parse_formula
 
 
@@ -111,6 +111,22 @@ def test_encode_combination_matches_rows():
             },
         )
         assert np.allclose(row, design.X[row_index])
+
+
+def test_encode_combinations_stacks_single_rows():
+    data = factorial_data()
+    design = build_design(parse_formula("y1 ~ block + water * pot"), data)
+    assignments = [
+        {"water": w, "pot": p} for w in ("W1", "W3") for p in ("P1", "P2", "P5")
+    ] + [{"block": "B4"}, {}]
+    matrix = encode_combinations(design, assignments)
+    assert matrix.shape == (len(assignments), design.n_columns)
+    for row, assignment in zip(matrix, assignments):
+        assert np.array_equal(row, encode_combination(design, assignment))
+    with pytest.raises(DataError, match="unknown level 'W9' for factor 'water'"):
+        encode_combinations(design, assignments + [{"water": "W9"}])
+    with pytest.raises(DataError, match="unknown level"):
+        encode_combination(design, {"pot": "P0"})
 
 
 def test_design_matrix_is_read_only():

@@ -1,15 +1,19 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from conftest import gaussian_spec, make_dataset
 from covglm.chisq import chisq_sf
-from covglm.errors import DataError
+from covglm import multcomp
+from covglm.errors import DataError, RankError
 from covglm.estimator import fit
 from covglm.multcomp import (
     adjusted_means,
     contrast_set,
     joint_multiple_comparisons,
     multiple_comparisons,
+    pairwise_contrasts,
 )
 
 
@@ -203,3 +207,41 @@ def test_unobserved_combination_dropped_with_warning():
         cs = contrast_set(model, 0, ["m1", "m2"], data)
     assert cs.means.shape[0] == 3
     assert cs.contrasts.shape[0] == 3
+
+
+def test_pairwise_order_matches_combinations():
+    for g in range(1, 8):
+        means = np.arange(g * 3, dtype=float).reshape(g, 3) ** 2
+        expected = [means[i] - means[j] for i, j in itertools.combinations(range(g), 2)]
+        got = pairwise_contrasts(means)
+        assert got.shape == (len(expected), 3)
+        assert np.array_equal(got, np.array(expected).reshape(-1, 3))
+
+
+def test_one_stacked_wald_call_per_table(monkeypatch):
+    model, data = _two_factor_fit()
+    calls = []
+    real = multcomp.wald_statistic
+
+    def counted(*args):
+        calls.append(np.shape(args[2]))
+        return real(*args)
+
+    monkeypatch.setattr("covglm.multcomp.wald_statistic", counted)
+    tables = multiple_comparisons(model, [["METHOD", "SEX"]] * 2, data)
+    assert calls == [(6, 1, len(model.theta_star_labels))] * len(tables)
+    calls.clear()
+    joint_multiple_comparisons(model, ["METHOD", "SEX"], data)
+    assert calls == [(6, 2, len(model.theta_star_labels))]
+
+
+def test_degenerate_contrast_error_names_contrast_and_response():
+    # Without a SEX main effect, the two Escopeta (reference) combinations
+    # share one encoding, so their contrast is an all-zero row.
+    _, data = _two_factor_fit()
+    model = fit(gaussian_spec("y1 ~ METHOD", "y2 ~ METHOD + METHOD:SEX"), data)
+    with pytest.raises(RankError) as info:
+        multiple_comparisons(model, [["METHOD"], ["METHOD", "SEX"]], data)
+    message = str(info.value)
+    assert message.startswith("contrast Escopeta:Female-Escopeta:Male (response 2): ")
+    assert "rank below its 1 rows" in message

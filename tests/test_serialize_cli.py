@@ -305,10 +305,19 @@ def test_cli_error_on_missing_inputs(capsys):
         (["summary", "--max-iter", "0"], False),
         (["summary", "--tol", "0"], False),
         (["anova-disp", "--groups", "a", "--names", "a"], False),
-        (["anova-disp", "--groups", "0", "--names", "a,b"], True),
-        (["manova-disp", "--groups", "0", "--names", "a,b"], True),
+        (["anova-disp", "--groups", "0", "--names", "a,b"], False),
+        (["manova-disp", "--groups", "0", "--names", "a,b"], False),
+        (["anova-disp", "--groups", "0;0", "--names", "a"], False),
     ],
-    ids=["alpha", "max-iter", "tol", "groups-not-int", "anova-names", "manova-names"],
+    ids=[
+        "alpha",
+        "max-iter",
+        "tol",
+        "groups-not-int",
+        "anova-names",
+        "manova-names",
+        "anova-lists",
+    ],
 )
 def test_cli_bad_option_value_is_one_line_error(
     argv, needs_model, tmp_path, capsys, monkeypatch

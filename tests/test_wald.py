@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import gaussian_spec, simulate_gaussian
+from conftest import PROPERTY_SETTINGS, gaussian_spec, simulate_gaussian
 from covglm.chisq import chisq_sf
 from covglm.errors import (
     RankError,
@@ -176,3 +178,101 @@ def test_wald_test_labels_and_delegation(simple_fit):
     assert result.label == "beta11 = 0; beta12 = 0"
     assert result.p_value == chisq_sf(result.statistic, 2)
     assert result.statistic >= 0
+
+
+def _spd(rng, h, rank=None):
+    """A random symmetric positive (semi-)definite h x h matrix."""
+    a = rng.normal(size=(h, rank or h))
+    return a @ a.T + (0.0 if rank else 0.5) * np.eye(h)
+
+
+def _rel(a, b):
+    return np.max(np.abs(a - b) / np.abs(b))
+
+
+@pytest.mark.parametrize("s", [1, 3])
+def test_stack_matches_loop_of_single_hypotheses(s):
+    rng = np.random.default_rng(40 + s)
+    h, m = 9, 25
+    theta = rng.normal(size=h)
+    j_inv = _spd(rng, h)
+    constraint = rng.normal(size=(m, s, h))
+    rhs = rng.normal(size=(m, s))
+    stats, df = wald_statistic(theta, j_inv, constraint, rhs)
+    assert df == s
+    assert isinstance(stats, np.ndarray) and stats.shape == (m,)
+    loop = [wald_statistic(theta, j_inv, L, c) for L, c in zip(constraint, rhs)]
+    assert all(isinstance(stat, float) and d == s for stat, d in loop)
+    assert _rel(stats, np.array([stat for stat, _ in loop])) <= 1e-12
+
+
+def test_stack_zero_gap_row_is_exactly_zero_even_if_singular():
+    rng = np.random.default_rng(44)
+    h = 5
+    theta = rng.normal(size=h)
+    j_inv = _spd(rng, h, rank=h - 1)
+    null = np.linalg.svd(j_inv)[2][-1]  # L J L^T = 0 along this row
+    constraint = np.stack([rng.normal(size=(1, h)), null[None], rng.normal(size=(1, h))])
+    rhs = np.array([[0.0], [null @ theta], [1.0]])
+    stats, _ = wald_statistic(theta, j_inv, constraint, rhs)
+    assert stats[1] == 0.0
+    assert stats[0] > 0 and stats[2] > 0
+    for i in (0, 2):
+        single, _ = wald_statistic(theta, j_inv, constraint[i], rhs[i])
+        assert stats[i] == pytest.approx(single, rel=1e-12)
+
+
+def test_stack_all_zero_row_raises_rank_error_naming_entry():
+    rng = np.random.default_rng(45)
+    constraint = rng.normal(size=(4, 1, 6))
+    constraint[2] = 0.0
+    with pytest.raises(RankError, match="stack entry 2") as info:
+        wald_statistic(rng.normal(size=6), _spd(rng, 6), constraint, np.zeros((4, 1)))
+    assert info.value.index == 2
+
+
+def test_stack_singular_middle_on_live_row_raises():
+    rng = np.random.default_rng(46)
+    h = 5
+    theta = rng.normal(size=h) + 1.0
+    j_inv = _spd(rng, h, rank=h - 1)
+    null = np.linalg.svd(j_inv)[2][-1]
+    constraint = np.stack([rng.normal(size=(1, h)), null[None]])
+    with pytest.raises(SingularHypothesisError, match="stack entry 1") as info:
+        wald_statistic(theta, j_inv, constraint, np.zeros((2, 1)))
+    assert info.value.index == 1
+
+
+def test_single_hypothesis_errors_keep_their_message():
+    with pytest.raises(RankError, match=r"rank below its 1 rows$"):
+        wald_statistic(np.ones(3), np.eye(3), np.zeros((1, 3)), np.zeros(1))
+
+
+_SCALES = st.floats(min_value=1e-3, max_value=1e3) | st.floats(
+    min_value=-1e3, max_value=-1e-3
+)
+
+
+@PROPERTY_SETTINGS
+@given(
+    seed=st.integers(0, 2**16),
+    m=st.integers(1, 4),
+    s=st.integers(1, 3),
+    scales=st.lists(_SCALES, min_size=12, max_size=12),
+)
+def test_row_scaling_leaves_statistic_unchanged(seed, m, s, scales):
+    rng = np.random.default_rng(seed)
+    h = 6
+    theta = rng.normal(size=h)
+    j_inv = _spd(rng, h)
+    constraint = rng.normal(size=(m, s, h))
+    rhs = rng.normal(size=(m, s))
+    factors = np.array(scales[: m * s]).reshape(m, s)
+    scaled = (factors[..., None] * constraint, factors * rhs)
+    stats, _ = wald_statistic(theta, j_inv, constraint, rhs)
+    scaled_stats, _ = wald_statistic(theta, j_inv, *scaled)
+    assert _rel(scaled_stats, stats) <= 1e-10
+    for i in range(m):
+        single, _ = wald_statistic(theta, j_inv, constraint[i], rhs[i])
+        scaled_single, _ = wald_statistic(theta, j_inv, scaled[0][i], scaled[1][i])
+        assert abs(scaled_single - single) <= 1e-10 * single
