@@ -63,17 +63,8 @@ def adjusted_means(model, response, factors, data):
     Combinations run in Cartesian order, first factor slowest, levels in
     design order. Returns ``(matrix, labels)``.
     """
-    design = model.design[response]
-    data, _ = complete_rows(model.spec, data)
-    numeric_means = {
-        v: float(np.mean(data.numeric(v)))
-        for v, k in design.var_kinds.items()
-        if k == "numeric"
-    }
-    combos = _observed_combos(design, factors, data)
-    assignments = [dict(zip(factors, combo)) for combo in combos]
-    means = encode_combinations(design, assignments, numeric_means)
-    return means, tuple(":".join(combo) for combo in combos)
+    cs = contrast_set(model, response, factors, data)
+    return cs.means, cs.combo_labels
 
 
 def pairwise_contrasts(means):
@@ -86,7 +77,21 @@ def pairwise_contrasts(means):
 
 
 def contrast_set(model, response, factors, data):
-    means, combo_labels = adjusted_means(model, response, factors, data)
+    data, _ = complete_rows(model.spec, data)
+    return _contrast_set(model.design[response], factors, data)
+
+
+def _contrast_set(design, factors, data):
+    """:func:`contrast_set` over data already restricted to complete rows."""
+    numeric_means = {
+        v: float(np.mean(data.numeric(v)))
+        for v, k in design.var_kinds.items()
+        if k == "numeric"
+    }
+    combos = _observed_combos(design, factors, data)
+    assignments = [dict(zip(factors, combo)) for combo in combos]
+    means = encode_combinations(design, assignments, numeric_means)
+    combo_labels = tuple(":".join(combo) for combo in combos)
     labels = tuple(
         f"{combo_labels[i]}-{combo_labels[j]}"
         for i, j in zip(*np.triu_indices(len(combo_labels), k=1))
@@ -130,10 +135,15 @@ def multiple_comparisons(model, effects, data):
     """
     if len(effects) != model.n_responses:
         raise OptionError("one factor list per response")
+    data, _ = complete_rows(model.spec, data)
     h = len(model.theta_star_labels)
+    shared = {}  # designs with the same terms over the same rows encode alike
     tables = []
     for r in range(model.n_responses):
-        cs = contrast_set(model, r, list(effects[r]), data)
+        key = (model.design[r].terms, tuple(effects[r]))
+        if key not in shared:
+            shared[key] = _contrast_set(model.design[r], list(effects[r]), data)
+        cs = shared[key]
         constraints = np.zeros((len(cs.contrasts), 1, h))
         constraints[:, 0, model.beta_spans[r]] = cs.contrasts
         rows = _contrast_rows(

@@ -1,7 +1,9 @@
 """ANOVA/MANOVA tables of types I-III and their dispersion analogues.
 
-All tables are rows of joint Wald tests; the three types differ only in
-which coefficient spans each term's row tests:
+Every row is a joint Wald test of theta*[S] = 0 for a set S of columns,
+and each table function tests all of its rows in one column-set Wald
+call. The three types differ only in which coefficient spans each term's
+row tests:
 
 * type I: the term's own span plus every later term's span (sequential
   leave-trailing-out), so degrees of freedom shrink down the table;
@@ -10,19 +12,21 @@ which coefficient spans each term's row tests:
 * type III: the term's span alone (fully marginal).
 
 The intercept row tests everything for type I and the intercept alone for
-types II and III. Multivariate tables expand the single-response rows over
-identical predictors with an identity Kronecker factor, multiplying the
-degrees of freedom by the number of responses.
+types II and III. Multivariate tables take a row's columns on every
+response (the identity Kronecker expansion of the single-response row)
+over identical predictors, multiplying the degrees of freedom by the
+number of responses.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .chisq import chisq_sf
-from .errors import OptionError, PredictorMismatch
+from .errors import OptionError, PredictorMismatch, RankError, SingularHypothesisError
 from .formula import term_label
-from .wald import TestResult, kron_hypothesis, wald_statistic
+from .wald import TestResult, wald_statistic
 
 _ROMAN = {1: "I", 2: "II", 3: "III"}
 
@@ -39,15 +43,33 @@ class TestTable:
     rows: tuple
 
 
-def _joint_row(model, label, columns):
-    columns = np.asarray(sorted(columns), dtype=int)
-    h = len(model.theta_star_labels)
-    constraint = np.zeros((len(columns), h))
-    constraint[np.arange(len(columns)), columns] = 1.0
-    stat, df = wald_statistic(
-        model.theta_star, model.godambe_inv, constraint, np.zeros(len(columns))
-    )
-    return TestResult(label=label, df=df, statistic=stat, p_value=chisq_sf(stat, df))
+def _test_rows(model, tests):
+    """Rows testing theta*[S] = 0 for each (columns S, label, row name).
+
+    One column-set Wald call and one chi-square call cover every row; an
+    error is prefixed with the failing row's name.
+    """
+    sets, labels, names = zip(*tests)
+    try:
+        stats, df = wald_statistic(model.theta_star, model.godambe_inv, sets, None)
+    except (RankError, SingularHypothesisError) as exc:
+        raise type(exc)(f"{names[exc.index]}: {exc}") from None
+    rows = zip(labels, df.tolist(), stats.tolist(), chisq_sf(stats, df).tolist())
+    return tuple(itertools.starmap(TestResult, rows))
+
+
+def _response_tables(model, tests, title, label_header):
+    """One table per response from its list of tests, all in one batch."""
+    rows = iter(_test_rows(model, [t for response in tests for t in response]))
+    return [
+        TestTable(
+            title=title,
+            caption=design.formula.text,
+            label_header=label_header,
+            rows=tuple(itertools.islice(rows, len(response))),
+        )
+        for design, response in zip(model.design, tests)
+    ]
 
 
 def _term_columns(design, offset):
@@ -62,18 +84,11 @@ def _term_columns(design, offset):
 def _selected_columns(kind, infos, index):
     term, _, own = infos[index]
     if kind == 1:
-        cols = []
-        for _, _, later in infos[index:]:
-            cols.extend(later)
-        return cols
+        return [c for _, _, later in infos[index:] for c in later]
     if kind == 3 or not term:
-        return list(own)
-    term_vars = frozenset(term)
-    cols = list(own)
-    for other, _, other_cols in infos:
-        if other and frozenset(other) > term_vars:
-            cols.extend(other_cols)
-    return cols
+        return own
+    wider = [c for t, _, cols in infos if t and set(t) > set(term) for c in cols]
+    return own + wider
 
 
 def _check_kind(kind):
@@ -84,41 +99,33 @@ def _check_kind(kind):
 def anova(model, kind):
     """Per-response ANOVA tables of the requested type (1, 2 or 3)."""
     _check_kind(kind)
-    tables = []
-    for r in range(model.n_responses):
-        design = model.design[r]
-        infos = _term_columns(design, model.beta_spans[r].start)
-        rows = [
-            _joint_row(model, label, _selected_columns(kind, infos, i))
-            for i, (_, label, _) in enumerate(infos)
-        ]
-        tables.append(
-            TestTable(
-                title=f"ANOVA type {_ROMAN[kind]} using Wald statistic for fixed effects",
-                caption=design.formula.text,
-                label_header="Covariate",
-                rows=tuple(rows),
-            )
+    tests = []
+    for r, (design, span) in enumerate(zip(model.design, model.beta_spans)):
+        infos = _term_columns(design, span.start)
+        where = f"(response {r + 1})"
+        tests.append(
+            [
+                (_selected_columns(kind, infos, i), label, f"term {label} {where}")
+                for i, (_, label, _) in enumerate(infos)
+            ]
         )
-    return tables
+    return _response_tables(
+        model,
+        tests,
+        f"ANOVA type {_ROMAN[kind]} using Wald statistic for fixed effects",
+        "Covariate",
+    )
 
 
 def _require_shared_predictor(model):
-    first = model.design[0]
-    signature = [
-        (tuple(t), first.term_spans[frozenset(t)][1] - first.term_spans[frozenset(t)][0])
-        for t in first.terms
-    ]
-    for design in model.design[1:]:
-        other = [
-            (tuple(t), design.term_spans[frozenset(t)][1] - design.term_spans[frozenset(t)][0])
-            for t in design.terms
-        ]
-        if other != signature:
-            raise PredictorMismatch(
-                "multivariate tables need every response under the same "
-                "linear predictor"
-            )
+    def signature(design):
+        return [(tuple(t), design.span(t)[1] - design.span(t)[0]) for t in design.terms]
+
+    if any(signature(d) != signature(model.design[0]) for d in model.design[1:]):
+        raise PredictorMismatch(
+            "multivariate tables need every response under the same "
+            "linear predictor"
+        )
 
 
 def _predictor_caption(model):
@@ -130,39 +137,25 @@ def _predictor_caption(model):
 def manova(model, kind):
     """Joint table over all responses; predictors must match.
 
-    Each row expands the single-response constraint matrix over the
-    stacked coefficients with an identity response-selector Kronecker
-    factor, so every term is tested on all responses at once and the
-    degrees of freedom multiply by the number of responses.
+    Each row tests a term's columns on every response at once (the
+    single-response selector expanded with an identity response-selector
+    Kronecker factor), so the degrees of freedom multiply by the number of
+    responses.
     """
     _check_kind(kind)
     _require_shared_predictor(model)
-    n_resp = model.n_responses
-    design = model.design[0]
-    infos = _term_columns(design, 0)
-    h = len(model.theta_star_labels)
-    n_beta = model.n_beta
-    rows = []
+    infos = _term_columns(model.design[0], 0)
+    tests = []
     for i, (_, label, _) in enumerate(infos):
-        cols = _selected_columns(kind, infos, i)
-        single = np.zeros((len(cols), design.n_columns))
-        single[np.arange(len(cols)), sorted(cols)] = 1.0
-        expanded = kron_hypothesis(np.eye(n_resp), single)
-        constraint = np.zeros((expanded.shape[0], h))
-        constraint[:, :n_beta] = expanded
-        stat, df = wald_statistic(
-            model.theta_star, model.godambe_inv, constraint, np.zeros(len(constraint))
-        )
-        rows.append(
-            TestResult(label=label, df=df, statistic=stat, p_value=chisq_sf(stat, df))
-        )
-    table = TestTable(
+        cols = np.asarray(_selected_columns(kind, infos, i))
+        joint = np.concatenate([span.start + cols for span in model.beta_spans])
+        tests.append((joint, label, f"term {label} (all responses)"))
+    return TestTable(
         title=f"MANOVA type {_ROMAN[kind]} using Wald statistic for fixed effects",
         caption=_predictor_caption(model),
         label_header="Covariate",
-        rows=tuple(rows),
+        rows=_test_rows(model, tests),
     )
-    return table
 
 
 def named_groups(grouping, names, where=""):
@@ -187,7 +180,7 @@ def anova_dispersion(model, groupings, names):
     """
     if len(groupings) != model.n_responses or len(names) != model.n_responses:
         raise OptionError("one grouping vector and one name list per response")
-    tables = []
+    tests = []
     for r in range(model.n_responses):
         tau_len = len(model.lambda_hat.tau[r])
         grouping = list(groupings[r])
@@ -197,20 +190,17 @@ def anova_dispersion(model, groupings, names):
                 f"{tau_len} dispersion parameters"
             )
         groups = named_groups(grouping, names[r], f"response {r + 1}: ")
-        span = model.tau_star_spans[r]
-        rows = []
-        for gi, g in enumerate(groups):
-            cols = [span.start + d for d, val in enumerate(grouping) if val == g]
-            rows.append(_joint_row(model, names[r][gi], cols))
-        tables.append(
-            TestTable(
-                title="ANOVA type III using Wald statistic for dispersion parameters",
-                caption=model.design[r].formula.text,
-                label_header="Dispersion",
-                rows=tuple(rows),
-            )
-        )
-    return tables
+        start = model.tau_star_spans[r].start
+        tests.append([])
+        for g, name in zip(groups, names[r]):
+            cols = [start + d for d, val in enumerate(grouping) if val == g]
+            tests[-1].append((cols, name, f"dispersion {name} (response {r + 1})"))
+    return _response_tables(
+        model,
+        tests,
+        "ANOVA type III using Wald statistic for dispersion parameters",
+        "Dispersion",
+    )
 
 
 def manova_dispersion(model, grouping, names):
@@ -223,16 +213,14 @@ def manova_dispersion(model, grouping, names):
                 "length for every response"
             )
     groups = named_groups(grouping, names)
-    rows = []
-    for gi, g in enumerate(groups):
-        cols = []
-        for r in range(model.n_responses):
-            span = model.tau_star_spans[r]
-            cols.extend(span.start + d for d, val in enumerate(grouping) if val == g)
-        rows.append(_joint_row(model, names[gi], cols))
+    tests = []
+    for g, name in zip(groups, names):
+        own = [d for d, val in enumerate(grouping) if val == g]
+        cols = [span.start + d for span in model.tau_star_spans for d in own]
+        tests.append((cols, name, f"dispersion {name} (all responses)"))
     return TestTable(
         title="MANOVA type III using Wald statistic for dispersion parameters",
         caption=_predictor_caption(model),
         label_header="Covariate",
-        rows=tuple(rows),
+        rows=_test_rows(model, tests),
     )

@@ -137,6 +137,56 @@ def _failing_factor(middle):
             return i
 
 
+def _quadratic_forms(middle, gap, stacked):
+    """gap_i^T middle_i^-1 gap_i for each entry of a ``(m, s, s)`` stack.
+
+    An entry whose gap is exactly zero gets 0.0 and is never factored.
+    """
+    stats = np.zeros(len(gap))
+    live = gap.any(axis=1)
+    if live.any():
+        middle = 0.5 * (middle[live] + middle[live].transpose(0, 2, 1))
+        try:
+            chol = np.linalg.cholesky(middle)
+        except np.linalg.LinAlgError:
+            raise _located(
+                SingularHypothesisError,
+                "L J L^T is singular; the hypothesis rows are redundant "
+                "under this model's information matrix",
+                np.flatnonzero(live)[_failing_factor(middle)],
+                stacked,
+            ) from None
+        # gap^T (C C^T)^-1 gap: one hypothesis uses LAPACK's Cholesky solve,
+        # a stack whitens every gap, |C^-1 gap|^2, in one batched solve.
+        if stacked:
+            whitened = np.linalg.solve(chol, gap[live][..., None])[..., 0]
+            stats[live] = np.einsum("ij,ij->i", whitened, whitened)
+        else:
+            stats[0] = max(gap[0] @ cho_solve((chol[0], True), gap[0]), 0.0)
+    return stats
+
+
+def _column_sets(theta, inverse_information, sets):
+    """Statistics and df of theta[S_i] = 0 for each column set S_i.
+
+    Each set is padded to the largest with columns of an identity block
+    appended to J, whose theta entries are zero, so one batched solve
+    covers every set.
+    """
+    for i, cols in enumerate(sets):
+        if not len(cols) or len(set(cols)) < len(cols):
+            raise _located(RankError, "column set is empty or repeats a column", i, True)
+    sizes = np.array([len(cols) for cols in sets])
+    h, width = len(theta), sizes.max()
+    mask = np.arange(width) < sizes[:, None]
+    index = np.where(mask, 0, h + np.arange(width))
+    index[mask] = np.concatenate(sets)
+    padded = np.eye(h + width)
+    padded[:h, :h] = inverse_information
+    gap = np.concatenate([theta, np.zeros(width)])[index]
+    return _quadratic_forms(padded[index[:, :, None], index[:, None, :]], gap, True), sizes
+
+
 def wald_statistic(theta, inverse_information, constraint, rhs):
     """The Wald quadratic form for L theta = c.
 
@@ -147,11 +197,19 @@ def wald_statistic(theta, inverse_information, constraint, rhs):
     ``constraint`` may also be a stack of m hypotheses with the same number
     of rows, shape ``(m, s, h)``, with ``rhs`` of shape ``(m, s)``; the
     result is then ``(statistics, s)`` with an array of m statistics, all
-    computed in one batched pass. A hypothesis that holds exactly (zero
-    gap) has statistic 0.0 and its middle matrix is never factored. An
-    error from a stack names the failing entry and sets it as the
-    exception's ``index`` attribute.
+    computed in one batched pass. With ``rhs=None``, ``constraint`` is
+    instead a list of m integer column sets S_i of any sizes, entry i tests
+    theta[S_i] = 0 (its L J L^T is J[S_i, S_i], so no rank check is run;
+    an empty set or a repeated column raises :class:`RankError`), and the
+    result is ``(statistics, df)`` with the m set sizes as df.
+
+    In either stack, a hypothesis that holds exactly (zero gap) has
+    statistic 0.0 and its middle matrix is never factored. An error from a
+    stack names the failing entry and sets it as the exception's ``index``
+    attribute.
     """
+    if rhs is None:
+        return _column_sets(theta, inverse_information, constraint)
     constraint = np.asarray(constraint, dtype=float)
     stacked = constraint.ndim == 3
     if not stacked:
@@ -170,29 +228,8 @@ def wald_statistic(theta, inverse_information, constraint, rhs):
             stacked,
         )
     gap = constraint @ theta - np.asarray(rhs, dtype=float)
-    stats = np.zeros(len(constraint))
-    live = gap.any(axis=1)
-    if live.any():
-        rows = constraint[live]
-        middle = rows @ inverse_information @ rows.transpose(0, 2, 1)
-        middle = 0.5 * (middle + middle.transpose(0, 2, 1))
-        try:
-            chol = np.linalg.cholesky(middle)
-        except np.linalg.LinAlgError:
-            raise _located(
-                SingularHypothesisError,
-                "L J L^T is singular; the hypothesis rows are redundant "
-                "under this model's information matrix",
-                np.flatnonzero(live)[_failing_factor(middle)],
-                stacked,
-            ) from None
-        # gap^T (C C^T)^-1 gap: one hypothesis uses LAPACK's Cholesky solve,
-        # a stack whitens every gap, |C^-1 gap|^2, in one batched solve.
-        if stacked:
-            whitened = np.linalg.solve(chol, gap[live][..., None])[..., 0]
-            stats[live] = np.einsum("ij,ij->i", whitened, whitened)
-        else:
-            stats[0] = max(gap[0] @ cho_solve((chol[0], True), gap[0]), 0.0)
+    middle = constraint @ inverse_information @ constraint.transpose(0, 2, 1)
+    stats = _quadratic_forms(middle, gap, stacked)
     return (stats, s) if stacked else (float(stats[0]), s)
 
 

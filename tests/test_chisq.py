@@ -102,3 +102,23 @@ def test_array_with_one_bad_entry_rejected(bad):
         chisq_sf(np.array([1.0, bad, 3.0]), 2)
     with pytest.raises(ValueError, match="nonnegative"):
         chisq_sf(bad, 2)
+
+
+def test_array_df_matches_per_element_calls():
+    w = np.array([0.0, 0.3, 2.5, 17.0, 140.0])
+    df = np.array([1, 2, 3, 10, 57])
+    p = chisq_sf(w, df)
+    assert p.tolist() == [chisq_sf(float(v), int(d)) for v, d in zip(w, df)]
+    # df broadcasts against the statistics, and a scalar statistic too.
+    grid = chisq_sf(w[:, None], [1, 4])
+    assert grid.shape == (5, 2)
+    assert grid[:, 1].tolist() == chisq_sf(w, 4).tolist()
+    assert chisq_sf(3.0, [1, 2]).tolist() == [chisq_sf(3.0, 1), chisq_sf(3.0, 2)]
+
+
+@pytest.mark.parametrize("bad", [0, 1.5, -2, float("nan"), float("inf")])
+def test_array_df_with_one_bad_entry_rejected(bad):
+    with pytest.raises(ValueError, match="df must be a positive integer"):
+        chisq_sf(np.array([1.0, 2.0, 3.0]), np.array([1, bad, 3]))
+    with pytest.raises(ValueError, match="df must be a positive integer"):
+        chisq_sf(1.0, bad)

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -245,3 +246,35 @@ def test_degenerate_contrast_error_names_contrast_and_response():
     message = str(info.value)
     assert message.startswith("contrast Escopeta:Female-Escopeta:Male (response 2): ")
     assert "rank below its 1 rows" in message
+
+
+def test_shared_design_warns_once_per_combination_and_binds_rows_once(monkeypatch):
+    rng = np.random.default_rng(33)
+    method = np.array(["A"] * 30 + ["B"] * 30, dtype=object)
+    sex = np.array(["f", "m"] * 15 + ["f"] * 30, dtype=object)  # no B:m
+    data = make_dataset(
+        {"y1": rng.normal(size=60), "y2": rng.normal(size=60), "m1": method, "m2": sex}
+    )
+    model = fit(gaussian_spec("y1 ~ m1 + m2", "y2 ~ m1 + m2"), data)
+    bound = []
+    real = multcomp.complete_rows
+
+    def counted(*args):
+        bound.append(args)
+        return real(*args)
+
+    monkeypatch.setattr("covglm.multcomp.complete_rows", counted)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        tables = multiple_comparisons(model, [["m1", "m2"]] * 2, data)
+    assert [str(w.message) for w in caught] == ["dropping unobserved combination B:m"]
+    assert len(bound) == 1
+    with pytest.warns(UserWarning, match="B:m"):
+        cs = contrast_set(model, 1, ["m1", "m2"], data)
+    for table in tables:
+        assert [row.label for row in table.rows] == list(cs.contrast_labels)
+    # Different factor lists per response still get their own contrasts.
+    with pytest.warns(UserWarning, match="B:m"):
+        tables = multiple_comparisons(model, [["m1"], ["m1", "m2"]], data)
+    assert [row.label for row in tables[0].rows] == ["A-B"]
+    assert len(tables[1].rows) == 3

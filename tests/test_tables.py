@@ -1,12 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import gaussian_spec, make_dataset, simulate_gaussian
+from covglm import tables as tables_module
 from covglm.chisq import chisq_sf
-from covglm.errors import PredictorMismatch
+from covglm.errors import PredictorMismatch, SingularHypothesisError
 from covglm.estimator import fit
 from covglm.tables import anova, anova_dispersion, manova, manova_dispersion
-from covglm.wald import parse_hypothesis, wald_test
+from covglm.wald import kron_hypothesis, parse_hypothesis, wald_statistic, wald_test
 
 SOYA_DF = {
     1: [19, 18, 14, 12, 8],
@@ -172,3 +175,127 @@ def test_manova_dispersion_single_response_matches_anova():
 def test_invalid_table_kind(factorial_fit):
     with pytest.raises(ValueError):
         anova(factorial_fit, 4)
+
+
+def _selector_statistic(model, columns):
+    """One explicit 0/1 selector-matrix Wald call: theta*[columns] = 0."""
+    constraint = np.zeros((len(columns), len(model.theta_star_labels)))
+    constraint[np.arange(len(columns)), columns] = 1.0
+    return wald_statistic(
+        model.theta_star, model.godambe_inv, constraint, np.zeros(len(columns))
+    )
+
+
+def _term_selector_columns(design, kind):
+    """Each table row's design columns, as the table types define them."""
+    spans = [design.term_spans[frozenset(t)] for t in design.terms]
+    rows = []
+    for i, term in enumerate(design.terms):
+        if kind == 1:
+            chosen = spans[i:]
+        elif kind == 3 or not term:
+            chosen = [spans[i]]
+        else:
+            chosen = [spans[i]] + [
+                spans[j]
+                for j, other in enumerate(design.terms)
+                if other and frozenset(other) > frozenset(term)
+            ]
+        rows.append([c for start, stop in chosen for c in range(start, stop)])
+    return rows
+
+
+def _assert_rows_match(rows, expected):
+    assert [row.df for row in rows] == [df for _, df in expected]
+    for row, (stat, df) in zip(rows, expected):
+        assert abs(row.statistic - stat) <= 1e-12 * stat
+        assert row.p_value == chisq_sf(row.statistic, row.df)
+
+
+@pytest.fixture(params=["factorial", "grouped"])
+def table_fit(request, factorial_fit, grouped_bivariate_fit):
+    if request.param == "factorial":
+        return factorial_fit
+    return grouped_bivariate_fit[0]
+
+
+@pytest.mark.parametrize("kind", [1, 2, 3])
+def test_fixed_effect_rows_match_selector_calls(table_fit, kind):
+    model = table_fit
+    for r, table in enumerate(anova(model, kind)):
+        start = model.beta_spans[r].start
+        cols = _term_selector_columns(model.design[r], kind)
+        expected = [_selector_statistic(model, [start + c for c in row]) for row in cols]
+        _assert_rows_match(table.rows, expected)
+    k = model.design[0].n_columns
+    h = len(model.theta_star_labels)
+    expected = []
+    for row in _term_selector_columns(model.design[0], kind):
+        single = np.zeros((len(row), k))
+        single[np.arange(len(row)), row] = 1.0
+        constraint = np.zeros((len(row) * model.n_responses, h))
+        constraint[:, : model.n_beta] = kron_hypothesis(np.eye(model.n_responses), single)
+        expected.append(
+            wald_statistic(
+                model.theta_star, model.godambe_inv, constraint, np.zeros(len(constraint))
+            )
+        )
+    _assert_rows_match(manova(model, kind).rows, expected)
+
+
+def test_dispersion_rows_match_selector_calls(table_fit):
+    model = table_fit
+    n_tau = len(model.lambda_hat.tau[0])
+    groups = list(range(n_tau))
+    names = [f"t{g}" for g in groups]
+    tables = anova_dispersion(model, [groups] * model.n_responses, [names] * model.n_responses)
+    for span, table in zip(model.tau_star_spans, tables):
+        _assert_rows_match(
+            table.rows, [_selector_statistic(model, [span.start + g]) for g in groups]
+        )
+    joint = manova_dispersion(model, groups, names)
+    _assert_rows_match(
+        joint.rows,
+        [
+            _selector_statistic(model, [span.start + g for span in model.tau_star_spans])
+            for g in groups
+        ],
+    )
+
+
+def test_one_wald_call_per_table_function(monkeypatch, factorial_fit):
+    model = factorial_fit
+    calls = []
+    real = tables_module.wald_statistic
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[2]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr("covglm.tables.wald_statistic", counted)
+    for kind in (1, 2, 3):
+        anova(model, kind)
+        assert calls == [5 * model.n_responses]
+        calls.clear()
+        manova(model, kind)
+        assert calls == [5]
+        calls.clear()
+    anova_dispersion(model, [[0]] * 3, [["a"], ["b"], ["c"]])
+    assert calls == [3]
+    calls.clear()
+    manova_dispersion(model, [0], ["a"])
+    assert calls == [1]
+
+
+def test_singular_block_error_names_the_row(factorial_fit):
+    model = factorial_fit
+    start, _ = model.design[1].span(("water", "pot"))
+    column = model.beta_spans[1].start + start + 1
+    j = model.joint_inverse.copy()
+    j[column, :] = j[:, column] = 0.0  # only water:pot of response 2 uses it
+    broken = dataclasses.replace(model, joint_inverse=j)
+    with pytest.raises(SingularHypothesisError) as info:
+        anova(broken, 3)
+    assert str(info.value).startswith("term water:pot (response 2): ")
+    with pytest.raises(SingularHypothesisError, match=r"^term water:pot \(all responses\): "):
+        manova(broken, 3)

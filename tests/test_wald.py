@@ -276,3 +276,62 @@ def test_row_scaling_leaves_statistic_unchanged(seed, m, s, scales):
         single, _ = wald_statistic(theta, j_inv, constraint[i], rhs[i])
         scaled_single, _ = wald_statistic(theta, j_inv, scaled[0][i], scaled[1][i])
         assert abs(scaled_single - single) <= 1e-10 * single
+
+
+def _selector(columns, h):
+    """The 0/1 constraint matrix whose rows pick ``columns`` of theta."""
+    constraint = np.zeros((len(columns), h))
+    constraint[np.arange(len(columns)), columns] = 1.0
+    return constraint
+
+
+def test_column_sets_match_selector_matrices():
+    rng = np.random.default_rng(47)
+    h = 11
+    theta = rng.normal(size=h)
+    j_inv = _spd(rng, h)
+    sets = [rng.choice(h, size=size, replace=False) for size in (1, 4, 2, 7, 1, 11)]
+    sets.append(list(range(3)))  # plain lists of ints are sets too
+    stats, df = wald_statistic(theta, j_inv, sets, None)
+    assert isinstance(stats, np.ndarray) and stats.shape == (len(sets),)
+    assert df.tolist() == [len(cols) for cols in sets]
+    loop = [
+        wald_statistic(theta, j_inv, _selector(cols, h), np.zeros(len(cols)))
+        for cols in sets
+    ]
+    assert df.tolist() == [d for _, d in loop]
+    assert _rel(stats, np.array([stat for stat, _ in loop])) <= 1e-12
+
+
+def test_column_set_zero_gap_over_singular_block_is_exactly_zero():
+    rng = np.random.default_rng(48)
+    h = 6
+    theta = rng.normal(size=h)
+    theta[[1, 4]] = 0.0
+    j_inv = _spd(rng, h)
+    j_inv[4, :] = j_inv[:, 4] = j_inv[1, :] = j_inv[:, 1] = 0.0  # J[S, S] = 0
+    stats, df = wald_statistic(theta, j_inv, [[0, 2, 3], [1, 4], [5]], None)
+    assert stats[1] == 0.0
+    assert stats[0] > 0 and stats[2] > 0
+    assert df.tolist() == [3, 2, 1]
+
+
+@pytest.mark.parametrize("bad", [[], [2, 0, 2]])
+def test_column_set_empty_or_repeated_raises_rank_error(bad):
+    rng = np.random.default_rng(49)
+    sets = [[0, 1], [3], bad]
+    with pytest.raises(RankError, match="stack entry 2") as info:
+        wald_statistic(rng.normal(size=4), _spd(rng, 4), sets, None)
+    assert info.value.index == 2
+
+
+def test_column_set_singular_block_raises_naming_entry():
+    rng = np.random.default_rng(50)
+    h = 5
+    theta = rng.normal(size=h) + 1.0
+    j_inv = _spd(rng, h)
+    j_inv[3, :] = j_inv[:, 3] = j_inv[:, 2] = j_inv[2, :] = 1.0  # J[{2,3},{2,3}] rank 1
+    with pytest.raises(SingularHypothesisError, match="stack entry 1") as info:
+        wald_statistic(theta, j_inv, [[0, 1], [2, 3], [4]], None)
+    assert info.value.index == 1
+
