@@ -196,58 +196,116 @@ def _chol(matrix, what):
         raise NotPositiveDefinite(f"{what} is not positive definite") from None
 
 
+_ROW_BLOCK = 32
+
+
+def tril_inverse(chol):
+    """L^-1 for a lower-triangular L, batched over leading axes.
+
+    Forward substitution, one batched row update per row, on blocks of up
+    to ``_ROW_BLOCK`` rows. A larger block splits in two,
+    [[A, 0], [B, D]]^-1 = [[A^-1, 0], [-D^-1 B A^-1, D^-1]], which keeps
+    the work of a large cluster in matrix products.
+    """
+    m = chol.shape[-1]
+    out = np.zeros_like(chol)
+    if m > _ROW_BLOCK:
+        h = m // 2
+        top = tril_inverse(chol[..., :h, :h])
+        bottom = tril_inverse(chol[..., h:, h:])
+        out[..., :h, :h] = top
+        out[..., h:, h:] = bottom
+        out[..., h:, :h] = -(bottom @ (chol[..., h:, :h] @ top))
+        return out
+    recip = 1.0 / np.diagonal(chol, axis1=-2, axis2=-1)
+    for i in range(m):
+        out[..., i, i] = 1.0
+        out[..., i, :i] -= (chol[..., i, None, :i] @ out[..., :i, :i])[..., 0, :]
+        out[..., i, : i + 1] *= recip[..., i, None]
+    return out
+
+
 @dataclass(frozen=True)
 class JointCovariance:
-    """Joint covariance blocks with their cached Cholesky factors.
+    """The joint covariance C = B (Sigma_b kron I) B^T, held as its factors.
 
-    For a stack of G clusters of m rows, ``C`` is (G, mR, mR); for plain
-    N x N per-response matrices it is the dense NR x NR matrix.
+    B = Bdiag(L_1..L_R) holds the per-response Cholesky factors
+    ``sigma_chols`` and ``sigma_b_chol`` is the Cholesky factor of the
+    correlation matrix ``sigma_b``. For a stack of G clusters of m rows each
+    L_r is (G, m, m) and C is (G, mR, mR); for plain N x N per-response
+    matrices C is the dense NR x NR matrix.
     """
 
-    C: np.ndarray
-    chol: np.ndarray
     sigma_chols: tuple
     sigma_b: np.ndarray
+    sigma_b_chol: np.ndarray
+
+    @property
+    def shape(self):
+        """The shape of C."""
+        chol = self.sigma_chols[0]
+        return chol.shape[:-2] + (chol.shape[-1] * len(self.sigma_chols),) * 2
+
+    @property
+    def diagonal(self):
+        """diag C, response-major: diag Sigma_r is the row sums of L_r^2."""
+        return np.concatenate([(c**2).sum(axis=-1) for c in self.sigma_chols], axis=-1)
+
+    @cached_property
+    def C(self):
+        """C assembled: block (r, s) is Sigma_b[r, s] L_r L_s^T."""
+        chols = self.sigma_chols
+        return _block_products(chols, [_t(c) for c in chols], self.sigma_b)
 
     @cached_property
     def inverse(self):
-        """C^-1 = L^-T L^-1 from the joint Cholesky factor."""
-        chol_inv = np.linalg.inv(self.chol)
-        return _t(chol_inv) @ chol_inv
+        """C^-1 = B^-T (Sigma_b^-1 kron I) B^-1: block (r, s) is
+        (Sigma_b^-1)[r, s] L_r^-T L_s^-1."""
+        invs = self.sigma_chol_invs
+        chol_b_inv = tril_inverse(self.sigma_b_chol)
+        return _block_products([_t(c) for c in invs], invs, chol_b_inv.T @ chol_b_inv)
 
     @cached_property
     def sigma_chol_invs(self):
         """L_r^-1 for every per-response Cholesky factor L_r."""
-        return tuple(np.linalg.inv(chol) for chol in self.sigma_chols)
+        return tuple(tril_inverse(chol) for chol in self.sigma_chols)
+
+
+def _block_products(lefts, rights, weights):
+    """The symmetric matrix whose block (r, s) is weights[r, s] A_r B_s,
+    given the A_r as ``lefts`` and the B_s as ``rights``; only blocks with
+    r <= s are multiplied, the others are their transposes."""
+    n_resp = len(lefts)
+    m = lefts[0].shape[-1]
+    rows = [slice(r * m, (r + 1) * m) for r in range(n_resp)]
+    out = np.empty(lefts[0].shape[:-2] + (n_resp * m,) * 2)
+    for r in range(n_resp):
+        for s in range(r, n_resp):
+            block = weights[r, s] * (lefts[r] @ rights[s])
+            out[..., rows[r], rows[s]] = block
+            if s != r:
+                out[..., rows[s], rows[r]] = _t(block)
+    return 0.5 * (out + _t(out))
 
 
 def build_joint_c(sigmas, rho):
     """Couple per-response covariances through the correlation matrix.
 
-    Computes Bdiag(L_1..L_R) (Sigma_b kron I) Bdiag(L_1^T..L_R^T) where L_r
+    Factors Bdiag(L_1..L_R) (Sigma_b kron I) Bdiag(L_1^T..L_R^T) where L_r
     is the lower Cholesky factor of the r-th covariance; block (r, s) is
     therefore Sigma_b[r, s] * L_r L_s^T and the diagonal blocks recover the
     per-response covariances exactly. Each sigma may be a (..., m, m)
-    stack of cluster blocks; the result is then a stack too.
+    stack of cluster blocks; the result then holds stacks too. B is
+    invertible, so C is positive definite exactly when Sigma_b is: the
+    factorisations of Sigma_b and of every Sigma_r are all the checks C
+    needs, and C itself is never factored.
     """
-    n_responses = len(sigmas)
-    n = sigmas[0].shape[-1]
-    chols = []
-    for r, sigma in enumerate(sigmas):
-        chols.append(_chol(sigma, f"covariance of response {r + 1}"))
-    sigma_b = correlation_matrix(np.asarray(rho, dtype=float), n_responses)
-    _chol(sigma_b, "between-response correlation matrix")
-    rows = [slice(r * n, (r + 1) * n) for r in range(n_responses)]
-    c = np.empty(sigmas[0].shape[:-2] + (n * n_responses,) * 2)
-    for r in range(n_responses):
-        for s in range(r, n_responses):
-            block = sigma_b[r, s] * (chols[r] @ _t(chols[s]))
-            c[..., rows[r], rows[s]] = block
-            if s != r:
-                c[..., rows[s], rows[r]] = _t(block)
-    c = 0.5 * (c + _t(c))
-    chol = _chol(c, "joint covariance")
-    return JointCovariance(C=c, chol=chol, sigma_chols=tuple(chols), sigma_b=sigma_b)
+    chols = tuple(
+        _chol(sigma, f"covariance of response {r + 1}") for r, sigma in enumerate(sigmas)
+    )
+    sigma_b = correlation_matrix(np.asarray(rho, dtype=float), len(sigmas))
+    chol_b = _chol(sigma_b, "between-response correlation matrix")
+    return JointCovariance(sigma_chols=chols, sigma_b=sigma_b, sigma_b_chol=chol_b)
 
 
 @dataclass(frozen=True)
@@ -318,10 +376,10 @@ class CovarianceModel:
 
     def _stack_derivatives(self, k, disp, block):
         n_resp = self.n_responses
-        m = block.C.shape[-1] // n_resp
+        m = block.shape[-1] // n_resp
         rows = [slice(r * m, (r + 1) * m) for r in range(n_resp)]
         chols = block.sigma_chols
-        out = np.zeros((disp.n_free,) + block.C.shape)
+        out = np.zeros((disp.n_free,) + block.shape)
         for d, (r, s) in zip(out, rho_pairs(n_resp)):
             product = chols[r] @ _t(chols[s])
             d[..., rows[r], rows[s]] = product
@@ -373,7 +431,7 @@ class CovarianceModel:
             (r, d) for r in range(n_resp) for d in range(len(self.z_blocks[k][r]))
         ]
         n_rho = n_resp * (n_resp - 1) // 2
-        m = block.C.shape[-1] // n_resp
+        m = block.shape[-1] // n_resp
         rows = [slice(r * m, (r + 1) * m) for r in range(n_resp)]
         chols = block.sigma_chols
         chol_invs = block.sigma_chol_invs

@@ -182,9 +182,8 @@ def _pearson_pieces(state):
     traces = np.zeros((state.disp.n_free,) * 2)
     for idx, block, stack in zip(state.index, state.joint, derivs):
         u = state.u[idx]
-        psi += np.einsum("gl,qglm,gm->q", u, stack, u)
-        for b_mat in stack:
-            np.matmul(block.inverse, b_mat, out=b_mat)
+        psi += stack.reshape(len(stack), -1) @ (u[:, :, None] * u[:, None, :]).ravel()
+        np.matmul(block.inverse, stack, out=stack)
         psi -= np.einsum("qgll->q", stack)
         traces += _kernels.pair_traces(stack)
     return psi, -traces, derivs
@@ -198,7 +197,7 @@ def _pearson_variability(state, sens, stacks, empirical_cumulants=True):
         for idx, block, stack in zip(state.index, state.joint, stacks):
             w_diag = np.einsum("qglm,gml->qgl", stack, block.inverse)
             w_diag = w_diag.reshape(len(stack), -1)
-            c_diag = np.diagonal(block.C, axis1=-2, axis2=-1)
+            c_diag = block.diagonal
             k4 = (state.resid[idx] ** 4 - 3.0 * c_diag**2).ravel()
             var += (w_diag * k4) @ w_diag.T
     return 0.5 * (var + var.T)
@@ -245,8 +244,7 @@ def cross_blocks(bound, beta, disp, state=None, pearson=None):
         u = state.u[idx]
         y = (stack @ u[..., None])[..., 0]
         ys[:, idx] = y
-        for e_mat in stack:
-            np.matmul(e_mat, block.inverse, out=e_mat)
+        np.matmul(stack, block.inverse, out=stack)
         stack -= u[:, :, None] * y[..., None, :]
         stack -= y[..., :, None] * u[:, None, :]
         h_blocks.append(u[:, :, None] * u[:, None, :] - block.inverse)

@@ -219,7 +219,11 @@ def wald_statistic(theta, inverse_information, constraint, rhs):
         raise ValueError(
             f"constraint matrix has {h} columns for {len(theta)} parameters"
         )
-    deficient = np.linalg.matrix_rank(constraint) < s
+    if s == 1:
+        # A single row has full rank exactly when it is nonzero.
+        deficient = ~constraint[:, 0].any(axis=1)
+    else:
+        deficient = np.linalg.matrix_rank(constraint) < s
     if deficient.any():
         raise _located(
             RankError,

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from conftest import PROPERTY_SETTINGS
+from covglm import covariance
 from covglm.covariance import (
     CovarianceModel,
     DispersionVector,
@@ -289,13 +293,13 @@ def test_per_response_factors_inverted_once(monkeypatch):
     model, disp = _random_covariance_model(rng, 3, 2, grouped=True)
     joint = model.build(disp)
     inverted = []
-    original = np.linalg.inv
+    original = covariance.tril_inverse
 
-    def counting_inv(a):
+    def counting_inverse(a):
         inverted.append(a)
         return original(a)
 
-    monkeypatch.setattr(np.linalg, "inv", counting_inv)
+    monkeypatch.setattr(covariance, "tril_inverse", counting_inverse)
     derivs = model.derivatives(disp, joint)
     cotangents = [0.5 * (d + np.swapaxes(d, -1, -2)) for d in derivs]
     h = [block.C for block in joint]
@@ -303,6 +307,81 @@ def test_per_response_factors_inverted_once(monkeypatch):
     factors = [chol for block in joint for chol in block.sigma_chols]
     assert len(inverted) == len(factors)
     assert all(any(a is f for f in factors) for a in inverted)
+
+
+def test_build_and_inverse_factor_only_per_response(monkeypatch):
+    # C^-1 comes from the factors of Sigma_b and of every Sigma_r: per
+    # stack, R + 1 Cholesky factorisations and no general inverse; the
+    # joint (G, mR, mR) stack is never factored.
+    n = 7
+    codes = (np.arange(n), np.arange(n) // 3)
+    model = _coded_model(
+        [np.linspace(1.0, 2.0, n), np.linspace(0.5, 1.5, n)],
+        [VarianceFn("tweedie", 1.0), VarianceFn("poisson_tweedie", 1.0)],
+        [None, None],
+        [codes, codes],
+    )
+    disp = DispersionVector(rho=np.array([0.3]), tau=(np.array([1.0, 0.2]),) * 2)
+    shapes = {"cholesky": [], "inv": []}
+    for name in shapes:
+
+        def counting(a, _name=name, _original=getattr(np.linalg, name)):
+            shapes[_name].append(a.shape)
+            return _original(a)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    joint = model.build(disp)
+    for block in joint:
+        block.inverse
+    assert len(joint) == 2
+    assert shapes["inv"] == []
+    expected = [block.sigma_chols[0].shape for block in joint for _ in range(2)]
+    assert sorted(shapes["cholesky"]) == sorted(expected + [(2, 2)] * len(joint))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (4,), (3, 1), (50, 6), (2, 33), (80,)])
+def test_tril_inverse_matches_general_inverse(shape):
+    # Sizes on both sides of the row-block split.
+    *lead, m = shape
+    rng = np.random.default_rng(m)
+    a = rng.normal(size=tuple(lead) + (m, m))
+    chol = np.linalg.cholesky(a @ np.swapaxes(a, -1, -2) + m * np.eye(m))
+    expected = np.linalg.inv(chol)
+    got = covariance.tril_inverse(chol)
+    assert np.array_equal(got, np.tril(got))
+    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+_KINDS = ["constant", "tweedie", "poisson_tweedie", "binomialP"]
+
+
+@PROPERTY_SETTINGS
+@given(
+    seed=st.integers(0, 2**16),
+    kinds=st.lists(st.sampled_from(_KINDS), min_size=1, max_size=4),
+    grouped=st.booleans(),
+)
+def test_structured_inverse_inverts_c(seed, kinds, grouped):
+    # For R = 1-4, every variance kind and identity or grouped Z:
+    # B^-T (Sigma_b^-1 kron I) B^-1 times C is I, and the triangular
+    # inverses of the per-response factors agree with a general inverse.
+    rng = np.random.default_rng(seed)
+    model, disp = _random_covariance_model(
+        rng,
+        len(kinds),
+        2 if grouped else 1,
+        kinds=kinds,
+        with_ntrials="binomialP" in kinds,
+        grouped=grouped,
+    )
+    # |rho| <= 0.2 keeps Sigma_b diagonally dominant, so positive definite.
+    disp = DispersionVector(rho=0.5 * disp.rho, tau=disp.tau)
+    for block in model.build(disp):
+        eye = np.eye(block.shape[-1])
+        assert np.abs(block.inverse @ block.C - eye).max() <= 1e-12
+        for chol, chol_inv in zip(block.sigma_chols, block.sigma_chol_invs):
+            expected = np.linalg.inv(chol)
+            assert np.abs(chol_inv - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 def test_single_response_tau_derivative_is_exact_form():

@@ -243,6 +243,22 @@ def test_stack_singular_middle_on_live_row_raises():
     assert info.value.index == 1
 
 
+def test_single_row_stack_checks_rank_without_svd(monkeypatch):
+    # A one-row constraint has full rank exactly when it is nonzero.
+    def no_svd(*args, **kwargs):
+        raise AssertionError("matrix_rank called on single-row constraints")
+
+    monkeypatch.setattr(np.linalg, "matrix_rank", no_svd)
+    constraint = np.zeros((3, 1, 4))
+    constraint[0, 0, 1] = 1.0
+    constraint[1, 0, 3] = 1e-150
+    stats, df = wald_statistic(np.ones(4), np.eye(4), constraint[:2], np.zeros((2, 1)))
+    assert df == 1 and stats[0] == pytest.approx(1.0)
+    with pytest.raises(RankError, match="stack entry 2") as info:
+        wald_statistic(np.ones(4), np.eye(4), constraint, np.zeros((3, 1)))
+    assert info.value.index == 2
+
+
 def test_single_hypothesis_errors_keep_their_message():
     with pytest.raises(RankError, match=r"rank below its 1 rows$"):
         wald_statistic(np.ones(3), np.eye(3), np.zeros((1, 3)), np.zeros(1))
