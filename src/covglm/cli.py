@@ -42,12 +42,7 @@ def _add_common(parser):
     parser.add_argument("--tol", type=float, default=1e-4)
     parser.add_argument("--alpha", type=float, default=1.0)
     parser.add_argument("--trace", help="write an iteration trace to this file")
-    parser.add_argument("--verbose", action="store_true")
-    parser.add_argument(
-        "--seed",
-        type=int,
-        help="reserved; fitting is deterministic and ignores it",
-    )
+    parser.add_argument("--verbose", action="store_true", help="log at DEBUG level")
 
 
 def build_parser():
@@ -92,9 +87,7 @@ def build_parser():
     p.add_argument(
         "--effects", required=True, help="comma-separated factor names"
     )
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--per-response", action="store_true", default=False)
-    mode.add_argument("--multivariate", action="store_true", default=False)
+    p.add_argument("--multivariate", action="store_true", help="one joint table")
 
     p = sub.add_parser("lht", help="general linear hypothesis test")
     _add_common(p)
@@ -107,15 +100,9 @@ def build_parser():
     return parser
 
 
-def _load_data(args):
-    column_types = {}
-    if args.model:
-        column_types = load_model_spec(args.model).column_types
-    return Dataset.from_csv(args.data, column_types)
-
-
 def _obtain_fit(args):
-    """A fitted model from --fit, or by fitting --data under --model."""
+    """``(model, data)``: a fitted model from --fit, or by fitting --data
+    under --model. ``data`` is the parsed --data of a fresh fit, else None."""
     if args.fit_path:
         model = load_fit(args.fit_path)
         if args.model:
@@ -124,7 +111,7 @@ def _obtain_fit(args):
                 raise CovglmError(
                     "the cached fit was produced under a different model spec"
                 )
-        return model
+        return model, None
     if not (args.data and args.model):
         raise CovglmError(
             "either --fit, or both --data and --model, must be given"
@@ -135,10 +122,9 @@ def _obtain_fit(args):
         max_iter=args.max_iter,
         tol=args.tol,
         alpha=args.alpha,
-        verbose=args.verbose,
         trace_path=args.trace,
     )
-    return fit(bind(spec, data), None, options)
+    return fit(bind(spec, data), None, options), data
 
 
 def _split_groups(text):
@@ -172,7 +158,7 @@ def _dispatch(args):
         if not args.data:
             raise CovglmError("multcomp needs --data (combinations come from it)")
         effects = _split_names(args.effects)
-    model = _obtain_fit(args)
+    model, data = _obtain_fit(args)
     if args.command == "fit":
         save_fit(model, args.save)
         output = (
@@ -191,7 +177,8 @@ def _dispatch(args):
     elif args.command == "manova-disp":
         output = render_report(manova_dispersion(model, groups, names))
     elif args.command == "multcomp":
-        data = _load_data(args)
+        if data is None:
+            data = Dataset.from_csv(args.data, model.spec.column_types)
         if args.multivariate:
             output = render_report(joint_multiple_comparisons(model, effects, data))
         else:
@@ -219,7 +206,7 @@ def _dispatch(args):
 def run(argv=None):
     args = build_parser().parse_args(argv)
     if args.verbose:
-        logging.basicConfig(level=logging.INFO)
+        logging.basicConfig(level=logging.DEBUG)
     try:
         return _dispatch(args)
     except CovglmError as exc:

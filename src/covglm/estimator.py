@@ -16,12 +16,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import qr
 
 from . import _kernels
 from .covariance import CovarianceModel, DispersionVector, rho_pairs
 from .errors import DomainError, NotPositiveDefinite, OptionError, RankError
-from .model import BoundModel, bind
+from .model import BoundModel, bind, redundant_columns
 
 log = logging.getLogger("covglm")
 
@@ -66,7 +65,6 @@ class FitOptions:
     max_iter: int = 100
     tol: float = 1e-4
     alpha: float = 1.0
-    verbose: bool = False
     trace_path: str = None
     empirical_cumulants: bool = True
 
@@ -126,9 +124,7 @@ def _evaluate(bound, beta, disp):
     for r in range(n_resp):
         design = bound.designs[r]
         resp = bound.spec.responses[r]
-        eta = design.X @ beta[spans[r]]
-        if bound.offsets[r] is not None:
-            eta = eta + bound.offsets[r]
+        eta = design.X @ beta[spans[r]] + bound.offsets[r]
         mu = resp.link.inverse(eta)
         dmu = resp.link.deriv(eta)
         mus.append(mu)
@@ -260,8 +256,7 @@ def _check_ranks(bound):
         x = design.X
         rank = np.linalg.matrix_rank(x)
         if rank < x.shape[1]:
-            _, _, pivots = qr(x, mode="economic", pivoting=True)
-            bad = [design.column_labels[p] for p in pivots[rank:]]
+            bad = [design.column_labels[j] for j in redundant_columns(x)]
             raise RankError(
                 f"design for response {design.formula.response!r} is rank "
                 f"deficient (rank {rank} of {x.shape[1]}); "
@@ -288,14 +283,10 @@ def _initial_beta(bound):
         y = bound.y[r]
         offset = bound.offsets[r]
         mu0 = _start_mean(y, resp.link.kind, bound.ntrials[r])
-        eta0 = resp.link.apply(mu0)
-        if offset is not None:
-            eta0 = eta0 - offset
+        eta0 = resp.link.apply(mu0) - offset
         b, *_ = np.linalg.lstsq(design.X, eta0, rcond=None)
         for _ in range(4):
-            eta = design.X @ b
-            if offset is not None:
-                eta = eta + offset
+            eta = design.X @ b + offset
             mu = resp.link.inverse(eta)
             grad = resp.link.deriv(eta)[:, None] * design.X
             try:
@@ -305,9 +296,7 @@ def _initial_beta(bound):
             if not np.isfinite(step).all():
                 break
             candidate = b + step
-            eta_next = design.X @ candidate
-            if offset is not None:
-                eta_next = eta_next + offset
+            eta_next = design.X @ candidate + offset
             # Refinement must not run the mean into a saturated link,
             # where the variance function loses its domain.
             if resp.link.kind != "identity" and np.max(np.abs(eta_next)) > 30.0:
@@ -414,9 +403,8 @@ class FittedModel:
 
 
 class _Trace:
-    def __init__(self, path, verbose):
+    def __init__(self, path):
         self.handle = open(path, "w", encoding="utf-8") if path else None
-        self.verbose = verbose
         if self.handle:
             self.handle.write("iter\tpsi_beta_inf\tpsi_lambda_inf\thalvings\n")
 
@@ -424,8 +412,7 @@ class _Trace:
         line = f"{iteration}\t{psi_b:.6e}\t{psi_l:.6e}\t{halvings}"
         if self.handle:
             self.handle.write(line + "\n")
-        if self.verbose:
-            log.info("iteration %s", line)
+        log.debug("iteration %s", line)
 
     def close(self):
         if self.handle:
@@ -480,7 +467,7 @@ def fit(spec, data, options=None):
     disp = DispersionVector.initial(
         bound.n_responses, [len(c) for c in bound.z_codes]
     )
-    trace = _Trace(opts.trace_path, opts.verbose)
+    trace = _Trace(opts.trace_path)
     state = _evaluate(bound, beta, disp)
     converged = False
     iteration = 0

@@ -197,29 +197,52 @@ def _pair_count(a, b):
     return float(np.sum(np.unique(a * (b.max() + 1) + b, return_counts=True)[1] ** 2))
 
 
+def redundant_columns(matrix):
+    """Indices of the columns that add no rank to the columns before them.
+
+    This is R's aliasing order. Every leading block is ranked at the whole
+    matrix's ``matrix_rank`` tolerance, so exactly as many columns are
+    named as the whole matrix lacks in rank.
+    """
+    tol = np.linalg.norm(matrix, 2) * max(matrix.shape) * np.finfo(float).eps
+    ranks = [0] + [
+        np.linalg.matrix_rank(matrix[:, :j], tol=tol) for j in range(1, matrix.shape[1] + 1)
+    ]
+    return [j for j in range(matrix.shape[1]) if ranks[j + 1] == ranks[j]]
+
+
 def _check_identifiable(name, components, codes):
     """Raise unless the Z_d of one response are linearly independent.
 
-    Z_d is redundant, and its tau not identifiable, when it leaves the rank
-    of the leading Gram matrix tr(Z_i Z_j) unchanged.
+    Z_d is redundant, and its tau not identifiable, when its column of the
+    Gram matrix tr(Z_i Z_j) adds no rank to the columns before it.
     """
     gram = np.array([[_pair_count(a, b) for b in codes] for a in codes])
-    ranks = [0] + [np.linalg.matrix_rank(gram[:d, :d]) for d in range(1, len(codes) + 1)]
-    labels = [c.kind if c.kind == "identity" else f"grouping({c.column})" for c in components]
-    redundant = [labels[d] for d in range(len(codes)) if ranks[d + 1] == ranks[d]]
-    if redundant:
+    rank = np.linalg.matrix_rank(gram)
+    if rank < len(codes):
+        labels = [c.kind if c.kind == "identity" else f"grouping({c.column})" for c in components]
+        redundant = [labels[d] for d in redundant_columns(gram)]
         raise ModelSpecError(
             f"response {name!r}: matrix predictor components {', '.join(labels)} "
-            f"are linearly dependent (rank {ranks[-1]} of {len(codes)}); "
+            f"are linearly dependent (rank {rank} of {len(codes)}); "
             f"redundant: {', '.join(redundant)}"
         )
+
+
+def _finite(data, name):
+    """A numeric column as floats, with an infinite value a DataError."""
+    values = np.asarray(data.numeric(name), dtype=float)
+    if not np.isfinite(values).all():
+        raise DataError(f"column {name!r} has non-finite values")
+    return values
 
 
 @dataclass(frozen=True)
 class BoundModel:
     """A model spec resolved against data: designs, responses, and Z_d of
     response r as ``z_codes[r][d]``, one level code per row (identity:
-    0..N-1; grouping: ``grouping_matrix``)."""
+    0..N-1; grouping: ``grouping_matrix``). A response without an offset
+    column has an offset of zeros."""
 
     spec: ModelSpec
     data: Dataset
@@ -276,14 +299,11 @@ def bind(spec, data):
     z_codes = []
     for resp in spec.responses:
         name = resp.formula.response
-        y = np.asarray(data.numeric(name), dtype=float)
+        y = _finite(data, name)
         designs.append(build_design(resp.formula, data))
-        if resp.offset_column:
-            offsets.append(np.asarray(data.numeric(resp.offset_column), dtype=float))
-        else:
-            offsets.append(None)
+        offsets.append(_finite(data, resp.offset_column) if resp.offset_column else np.zeros(n))
         if resp.ntrial_column:
-            nt = np.asarray(data.numeric(resp.ntrial_column), dtype=float)
+            nt = _finite(data, resp.ntrial_column)
             if not np.all(nt > 0) or not np.all(nt == np.round(nt)):
                 raise ModelSpecError(
                     f"response {name!r}: ntrial column must hold positive integers"

@@ -11,7 +11,6 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .chisq import chisq_sf
 from .errors import RankError, SingularHypothesisError, UnknownParameterError
@@ -156,13 +155,10 @@ def _quadratic_forms(middle, gap, stacked):
                 np.flatnonzero(live)[_failing_factor(middle)],
                 stacked,
             ) from None
-        # gap^T (C C^T)^-1 gap: one hypothesis uses LAPACK's Cholesky solve,
-        # a stack whitens every gap, |C^-1 gap|^2, in one batched solve.
-        if stacked:
-            whitened = np.linalg.solve(chol, gap[live][..., None])[..., 0]
-            stats[live] = np.einsum("ij,ij->i", whitened, whitened)
-        else:
-            stats[0] = max(gap[0] @ cho_solve((chol[0], True), gap[0]), 0.0)
+        # gap^T (C C^T)^-1 gap = |C^-1 gap|^2, every gap whitened in one
+        # batched solve; a single hypothesis is a stack of one.
+        whitened = np.linalg.solve(chol, gap[live][..., None])[..., 0]
+        stats[live] = np.einsum("ij,ij->i", whitened, whitened)
     return stats
 
 

@@ -62,7 +62,28 @@ def _correlation_toward_one():
     return columns, [_response("y1 ~ x"), _response("y2 ~ x")]
 
 
+def _infinite(column):
+    # "inf" parses as a number; bind must reject it, naming the column.
+    rng = np.random.default_rng(6)
+    columns = {
+        "y": rng.poisson(5.0, size=N).astype(float),
+        "x": rng.normal(size=N),
+        "lexp": np.zeros(N),
+        "trials": np.full(N, 10.0),
+    }
+    columns[column][N // 2] = np.inf
+    if column == "trials":
+        columns["y"] = rng.binomial(10, 0.4, size=N) / 10.0
+        response = dict(_response("y ~ x", "logit", "binomialP"), ntrial_column="trials")
+    else:
+        response = dict(_response("y ~ x", "log", "tweedie"), offset_column="lexp")
+    return columns, [response]
+
+
+INFINITE = {"inf-response": "y", "inf-offset": "lexp", "inf-trials": "trials"}
+
 CASES = {
+    **{case: (lambda column=column: _infinite(column)) for case, column in INFINITE.items()},
     "all-zero-tweedie": lambda: _all_zero_counts("tweedie"),
     "all-zero-poisson_tweedie": lambda: _all_zero_counts("poisson_tweedie"),
     "single-group": _single_group,
@@ -72,8 +93,8 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_degenerate_input_fits_or_fails_in_one_line(case, tmp_path, capsys):
+def _summary(case, tmp_path, capsys):
+    """Exit code and stderr of ``covglm summary`` on one case."""
     columns, responses = CASES[case]()
     names = list(columns)
     lines = [",".join(names)]
@@ -91,8 +112,20 @@ def test_degenerate_input_fits_or_fails_in_one_line(case, tmp_path, capsys):
             "--max-iter", "15",
         ]
     )
-    err = capsys.readouterr().err
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_degenerate_input_fits_or_fails_in_one_line(case, tmp_path, capsys):
+    code, err = _summary(case, tmp_path, capsys)
     assert code in (0, 1, 2)
     if code == 1:
         assert err.count("\n") == 1
         assert err.startswith("error [")
+
+
+@pytest.mark.parametrize("case", sorted(INFINITE))
+def test_non_finite_column_is_a_data_error_naming_it(case, tmp_path, capsys):
+    code, err = _summary(case, tmp_path, capsys)
+    assert code == 1
+    assert err == f"error [data]: column {INFINITE[case]!r} has non-finite values\n"

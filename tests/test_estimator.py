@@ -430,6 +430,26 @@ def test_rank_deficient_design_names_columns():
         fit(gaussian_spec("y ~ x1 + x2"), data)
 
 
+@pytest.mark.parametrize("scale", [100.0, 0.01])
+def test_redundant_column_is_the_later_one_whatever_its_scale(scale):
+    # R's aliasing order: the column that adds no rank to those before it.
+    rng = np.random.default_rng(9)
+    n = 30
+    x1 = rng.normal(size=n)
+    data = make_dataset({"y": rng.normal(size=n), "x1": x1, "x2": scale * x1})
+    with pytest.raises(RankError, match=r"\(rank 2 of 3\); redundant columns: x2$"):
+        fit(gaussian_spec("y ~ x1 + x2"), data)
+
+
+def test_sum_of_earlier_columns_is_the_only_redundant_one():
+    rng = np.random.default_rng(10)
+    n = 30
+    x1, x2 = rng.normal(size=(2, n))
+    data = make_dataset({"y": rng.normal(size=n), "x1": x1, "x2": x2, "x3": x1 + x2})
+    with pytest.raises(RankError, match=r"\(rank 3 of 4\); redundant columns: x3$"):
+        fit(gaussian_spec("y ~ x1 + x2 + x3"), data)
+
+
 def test_non_convergence_is_flagged_not_raised():
     data, _, _ = simulate_gaussian(5)
     model = fit(gaussian_spec("y ~ x1 + x2 + x3"), data, FitOptions(max_iter=1))

@@ -1,4 +1,5 @@
 import json
+import logging
 import subprocess
 import sys
 
@@ -15,11 +16,11 @@ from covglm.serialize import load_fit, save_fit
 from covglm.tables import anova
 
 
-def _write_inputs(tmp_path, seed=0, n=90):
+def _write_inputs(tmp_path, seed=0, n=90, levels=("a", "b", "c")):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=n)
-    f = np.array(["a", "b", "c"])[rng.integers(0, 3, size=n)]
-    y1 = 1.0 + 0.8 * x + (f == "b") * 0.7 + rng.normal(size=n)
+    f = np.array(levels)[rng.integers(0, 3, size=n)]
+    y1 = 1.0 + 0.8 * x + (f == levels[1]) * 0.7 + rng.normal(size=n)
     y2 = -0.5 + 0.3 * x + rng.normal(size=n)
     lines = ["y1,y2,x,f"]
     for row in zip(y1, y2, x, f):
@@ -40,7 +41,8 @@ def _write_inputs(tmp_path, seed=0, n=90):
                 "variance": "constant",
                 "matrix_pred": [{"kind": "identity"}],
             },
-        ]
+        ],
+        "column_types": {"f": "factor"},
     }
     spec_path = tmp_path / "model.json"
     spec_path.write_text(json.dumps(spec))
@@ -197,6 +199,31 @@ def test_cli_multcomp(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "Multiple comparisons test for each outcome" in out
     assert "a-b" in out
+
+
+@pytest.mark.parametrize("mode", [[], ["--multivariate"]])
+def test_cli_multcomp_reads_column_types_from_the_fit(tmp_path, capsys, mode):
+    # Levels that look numeric load as a factor only under the spec's types.
+    data_path, spec_path = _write_inputs(tmp_path, levels=("10", "20", "30"))
+    fit_path = tmp_path / "model.fit"
+    inputs = ["--data", str(data_path), "--model", str(spec_path)]
+    assert run(["fit", *inputs, "--save", str(fit_path)]) == 0
+    capsys.readouterr()
+    reports = []
+    cached = ["--fit", str(fit_path), "--data", str(data_path)]
+    for source in (inputs, cached, [*cached, "--model", str(spec_path)]):
+        assert run(["multcomp", *source, "--effects", "f", *mode]) == 0
+        reports.append(capsys.readouterr().out)
+    assert "10-20" in reports[0]
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+
+
+def test_cli_logs_each_iteration_at_debug(tmp_path, caplog):
+    data_path, spec_path = _write_inputs(tmp_path)
+    with caplog.at_level(logging.DEBUG, logger="covglm"):
+        assert run(["summary", "--data", str(data_path), "--model", str(spec_path)]) == 0
+    iterations = [r for r in caplog.records if r.getMessage().startswith("iteration 1\t")]
+    assert [r.levelno for r in iterations] == [logging.DEBUG]
 
 
 def test_cli_dispersion_tables(tmp_path, capsys):

@@ -1,9 +1,12 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import PROPERTY_SETTINGS, gaussian_spec, simulate_gaussian
+from conftest import PROPERTY_SETTINGS, gaussian_spec, simulate_gaussian, subprocess_env
 from covglm.chisq import chisq_sf
 from covglm.errors import (
     RankError,
@@ -257,6 +260,33 @@ def test_single_row_stack_checks_rank_without_svd(monkeypatch):
     with pytest.raises(RankError, match="stack entry 2") as info:
         wald_statistic(np.ones(4), np.eye(4), constraint, np.zeros((3, 1)))
     assert info.value.index == 2
+
+
+@pytest.mark.parametrize("s", [1, 2, 4])
+def test_single_hypothesis_is_a_stack_of_one(s):
+    # One solve path: the 2-D form is bit-identical to its one-entry stack.
+    rng = np.random.default_rng(50 + s)
+    h = 8
+    for _ in range(20):
+        theta = rng.normal(size=h)
+        j_inv = _spd(rng, h)
+        constraint = rng.normal(size=(s, h))
+        rhs = rng.normal(size=s)
+        single, df = wald_statistic(theta, j_inv, constraint, rhs)
+        stack, _ = wald_statistic(theta, j_inv, constraint[None], rhs[None])
+        assert isinstance(single, float) and df == s
+        assert single == stack[0]
+
+
+def test_import_loads_no_scipy_linalg():
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, covglm; print('scipy.linalg' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=subprocess_env(),
+        check=True,
+    )
+    assert result.stdout == "False\n"
 
 
 def test_single_hypothesis_errors_keep_their_message():
