@@ -48,6 +48,14 @@ class DesignInfo:
         return tuple(v for v, k in self.var_kinds.items() if k == "factor")
 
 
+def finite_numeric(data, name):
+    """A numeric column as floats, with an infinite value a DataError."""
+    values = np.asarray(data.numeric(name), dtype=float)
+    if not np.isfinite(values).all():
+        raise DataError(f"column {name!r} has non-finite values")
+    return values
+
+
 def _variable_order(formula):
     seen = []
     for term in formula.terms:
@@ -127,7 +135,7 @@ def build_design(formula, data):
             level_maps[var] = tuple(levels)
             var_data[var] = (kind, levels, values)
         else:
-            var_data[var] = (kind, None, data.numeric(var))
+            var_data[var] = (kind, None, finite_numeric(data, var))
     X, terms, spans, labels = _assemble(formula, var_data, data.n_rows)
     if not np.isfinite(X).all():
         raise DataError("design matrix contains non-finite entries")

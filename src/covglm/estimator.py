@@ -126,7 +126,7 @@ def _evaluate(bound, beta, disp):
         resp = bound.spec.responses[r]
         eta = design.X @ beta[spans[r]] + bound.offsets[r]
         mu = resp.link.inverse(eta)
-        dmu = resp.link.deriv(eta)
+        dmu = resp.link.deriv(mu)
         mus.append(mu)
         rows = slice(r * n, (r + 1) * n)
         d_matrix[rows, spans[r]] = dmu[:, None] * design.X
@@ -288,7 +288,7 @@ def _initial_beta(bound):
         for _ in range(4):
             eta = design.X @ b + offset
             mu = resp.link.inverse(eta)
-            grad = resp.link.deriv(eta)[:, None] * design.X
+            grad = resp.link.deriv(mu)[:, None] * design.X
             try:
                 step = np.linalg.solve(grad.T @ grad, grad.T @ (y - mu))
             except np.linalg.LinAlgError:

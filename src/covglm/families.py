@@ -3,7 +3,6 @@
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import DomainError
 
@@ -21,7 +20,8 @@ class Link:
 
     ``apply`` maps the mean scale to the linear-predictor scale, ``inverse``
     maps back, and ``deriv`` is d mu / d eta, the derivative of the inverse
-    link (the factor that scales design columns in the mean gradient).
+    link (the factor that scales design columns in the mean gradient),
+    written in terms of the mean mu = inverse(eta).
     """
 
     kind: str
@@ -54,16 +54,17 @@ class Link:
             return eta.copy()
         if self.kind == "log":
             return np.exp(eta)
-        return expit(eta)
+        # The logistic function from exp(-|eta|), which cannot overflow.
+        e = np.exp(-np.abs(eta))
+        return np.where(eta >= 0.0, 1.0, e) / (1.0 + e)
 
-    def deriv(self, eta):
-        """Elementwise d mu / d eta evaluated at eta."""
-        eta = np.asarray(eta, dtype=float)
+    def deriv(self, mu):
+        """Elementwise d mu / d eta, given the mean mu = inverse(eta)."""
+        mu = np.asarray(mu, dtype=float)
         if self.kind == "identity":
-            return np.ones_like(eta)
+            return np.ones_like(mu)
         if self.kind == "log":
-            return np.exp(eta)
-        mu = expit(eta)
+            return mu
         return mu * (1.0 - mu)
 
 

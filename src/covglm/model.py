@@ -15,7 +15,7 @@ import numpy as np
 
 from .covariance import RowClusters
 from .data import Dataset
-from .design import build_design
+from .design import build_design, finite_numeric
 from .errors import DataError, MissingColumnError, ModelSpecError
 from .families import LINK_KINDS, VARIANCE_KINDS, Link, VarianceFn
 from .formula import Formula, parse_formula
@@ -229,14 +229,6 @@ def _check_identifiable(name, components, codes):
         )
 
 
-def _finite(data, name):
-    """A numeric column as floats, with an infinite value a DataError."""
-    values = np.asarray(data.numeric(name), dtype=float)
-    if not np.isfinite(values).all():
-        raise DataError(f"column {name!r} has non-finite values")
-    return values
-
-
 @dataclass(frozen=True)
 class BoundModel:
     """A model spec resolved against data: designs, responses, and Z_d of
@@ -299,11 +291,12 @@ def bind(spec, data):
     z_codes = []
     for resp in spec.responses:
         name = resp.formula.response
-        y = _finite(data, name)
+        y = finite_numeric(data, name)
         designs.append(build_design(resp.formula, data))
-        offsets.append(_finite(data, resp.offset_column) if resp.offset_column else np.zeros(n))
+        offset = resp.offset_column
+        offsets.append(finite_numeric(data, offset) if offset else np.zeros(n))
         if resp.ntrial_column:
-            nt = _finite(data, resp.ntrial_column)
+            nt = finite_numeric(data, resp.ntrial_column)
             if not np.all(nt > 0) or not np.all(nt == np.round(nt)):
                 raise ModelSpecError(
                     f"response {name!r}: ntrial column must hold positive integers"

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -122,3 +123,29 @@ def test_array_df_with_one_bad_entry_rejected(bad):
         chisq_sf(np.array([1.0, 2.0, 3.0]), np.array([1, bad, 3]))
     with pytest.raises(ValueError, match="df must be a positive integer"):
         chisq_sf(1.0, bad)
+
+
+# Up to df 2001 and statistic 1600 the tail sums run long, and past a
+# statistic of 1400 e^-x underflows, so the terms carry e^-x in pieces.
+LARGE_DF = [1, 2, 3, 49, 57, 58, 199, 200, 601, 1000, 1200, 1201, 2000, 2001]
+
+
+@pytest.mark.parametrize("df", LARGE_DF)
+def test_matches_scipy_to_large_df_and_statistics(df):
+    from scipy.stats import chi2
+
+    w = np.concatenate([np.linspace(0.0, 1600.0, 321), [1400.5, 1492.0, 1500.0]])
+    got = chisq_sf(w, df)
+    expected = chi2.sf(w, df)
+    keep = expected > 1e-280
+    assert np.all(np.abs(got[keep] - expected[keep]) <= 1e-12 * expected[keep])
+    assert np.all((got >= 0.0) & (got <= 1.0))
+
+
+def test_huge_statistics_are_zero_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert chisq_sf(2.45e5, 57) == 0.0
+        big = np.array([2.45e5, 1e200, 1.7e308, np.inf])
+        for df in (1, 2, 3, 57, 2001):
+            assert chisq_sf(big, df).tolist() == [0.0] * 4

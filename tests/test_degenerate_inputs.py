@@ -80,7 +80,12 @@ def _infinite(column):
     return columns, [response]
 
 
-INFINITE = {"inf-response": "y", "inf-offset": "lexp", "inf-trials": "trials"}
+INFINITE = {
+    "inf-response": "y",
+    "inf-offset": "lexp",
+    "inf-trials": "trials",
+    "inf-covariate": "x",
+}
 
 CASES = {
     **{case: (lambda column=column: _infinite(column)) for case, column in INFINITE.items()},

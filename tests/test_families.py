@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -20,8 +22,9 @@ def test_log_inverse_at_zero_is_one():
 
 
 def test_identity_deriv_is_one():
+    link = Link("identity")
     eta = np.linspace(-5, 5, 11)
-    assert np.all(Link("identity").deriv(eta) == 1.0)
+    assert np.all(link.deriv(link.inverse(eta)) == 1.0)
 
 
 @pytest.mark.parametrize("kind", ["identity", "log", "logit"])
@@ -38,7 +41,21 @@ def test_deriv_matches_central_difference(kind):
     eta = LINK_GRIDS[kind]
     h = 1e-6
     numeric = (link.inverse(eta + h) - link.inverse(eta - h)) / (2 * h)
-    assert np.max(np.abs(link.deriv(eta) - numeric)) < 1e-5
+    assert np.max(np.abs(link.deriv(link.inverse(eta)) - numeric)) < 1e-5
+
+
+def test_logit_inverse_saturates_without_overflow():
+    from scipy.special import expit
+
+    eta = np.array([-800.0, -40.0, 0.0, 40.0, 800.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mu = Link("logit").inverse(eta)
+    assert np.all((mu >= 0.0) & (mu <= 1.0))
+    expected = expit(eta)
+    keep = expected > 1e-300
+    assert np.all(np.abs(mu[keep] - expected[keep]) <= 2 * np.spacing(expected[keep]))
+    assert mu[0] == 0.0 and mu[2] == 0.5 and mu[4] == 1.0
 
 
 def test_link_domain_errors_name_index():
