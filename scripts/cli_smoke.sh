@@ -2,8 +2,10 @@
 # The README's command-line forms through the installed `covglm` entry
 # point, on Hunting- and soya-shaped data from covbench/datagen.py. Every
 # command must exit 0; multcomp gets no --model, so the factor types come
-# from the fit file. Run from the repository root: bash scripts/cli_smoke.sh
+# from the fit file. A raw numpy RuntimeWarning is an error, as in the
+# tests. Run from the repository root: bash scripts/cli_smoke.sh
 set -euo pipefail
+export PYTHONWARNINGS=error::RuntimeWarning
 dir=$(mktemp -d)
 trap 'rm -rf "$dir"' EXIT
 python3 - "$dir" <<'PY'

@@ -358,18 +358,16 @@ class CovarianceModel:
             out.append(build_joint_c(sigmas, disp.rho))
         return tuple(out)
 
-    def derivatives(self, disp, joint=None):
+    def derivatives(self, disp, joint):
         """dC/dlambda_i for every free dispersion parameter, in flat order.
 
-        One (q, G, mR, mR) array per cluster stack. Closed form; given
-        ``joint``, nothing is rebuilt. rho_rs enters linearly: L_r L_s^T in
-        block (r, s), its transpose in (s, r). For tau_rd, block (r, r) is
-        dSigma_r = V^(1/2) Z_d V^(1/2) (diag(mu) does not move with tau)
-        and block (r, s) is Sigma_b[r, s] dL_r L_s^T, dL_r from Murray
-        2016; no block outside row and column r moves.
+        One (q, G, mR, mR) array per cluster stack, closed form from the
+        factors in ``joint`` (``build(disp)``). rho_rs enters linearly:
+        L_r L_s^T in block (r, s), its transpose in (s, r). For tau_rd,
+        block (r, r) is dSigma_r = V^(1/2) Z_d V^(1/2) (diag(mu) does not
+        move with tau) and block (r, s) is Sigma_b[r, s] dL_r L_s^T, dL_r
+        from Murray 2016; no block outside row and column r moves.
         """
-        if joint is None:
-            joint = self.build(disp)
         return tuple(
             self._stack_derivatives(k, disp, block) for k, block in enumerate(joint)
         )

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DegenerateFactor, MissingColumnError
-from .formula import Formula, term_label
+from .formula import Formula
 
 
 @dataclass(frozen=True)
@@ -43,9 +43,6 @@ class DesignInfo:
 
     def span(self, term):
         return self.term_spans[frozenset(term)]
-
-    def factors(self):
-        return tuple(v for v, k in self.var_kinds.items() if k == "factor")
 
 
 def finite_numeric(data, name):
@@ -82,14 +79,19 @@ def _var_encoding(var, kind, levels, values):
 
 
 def _term_columns(term, var_data):
-    """All columns of one term: the cross product of its variables' columns."""
+    """All columns of one term: the cross product of its variables' columns.
+
+    A product of finite values may overflow; ``build_design`` rejects the
+    non-finite entries that leaves, so numpy's warning is silenced here.
+    """
     encodings = [_var_encoding(v, *var_data[v]) for v in term]
     columns = []
     labels = []
     for parts in itertools.product(*[list(zip(c, l)) for c, l in encodings]):
         col = parts[0][0].copy()
         for other, _ in parts[1:]:
-            col = col * other
+            with np.errstate(over="ignore", invalid="ignore"):
+                col = col * other
         columns.append(col)
         labels.append(":".join(label for _, label in parts))
     return columns, labels
@@ -179,8 +181,3 @@ def encode_combinations(design, assignments, numeric_values=None):
 def encode_combination(design, assignment, numeric_values=None):
     """One row of :func:`encode_combinations`: a length-k vector."""
     return encode_combinations(design, [assignment], numeric_values)[0]
-
-
-def term_labels(design):
-    """Printable term names in table order (intercept first)."""
-    return tuple(term_label(t) for t in design.terms)

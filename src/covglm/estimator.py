@@ -57,16 +57,13 @@ class FitOptions:
     """Knobs of the alternating estimation loop.
 
     ``tol`` is the max-abs change of the stacked parameter vector between
-    iterations; ``alpha`` damps the dispersion update. Setting
-    ``empirical_cumulants`` to False drops the empirical third/fourth
-    cumulant corrections from the variability matrices (Gaussian moments).
+    iterations; ``alpha`` damps the dispersion update.
     """
 
     max_iter: int = 100
     tol: float = 1e-4
     alpha: float = 1.0
     trace_path: str = None
-    empirical_cumulants: bool = True
 
     def __post_init__(self):
         if self.max_iter < 1:
@@ -185,21 +182,20 @@ def _pearson_pieces(state):
     return psi, -traces, derivs
 
 
-def _pearson_variability(state, sens, stacks, empirical_cumulants=True):
+def _pearson_variability(state, sens, stacks):
     """V_lambda = 2 tr(W_i W_j) + sum_l (W_i C^-1)_ll k4_l (W_j C^-1)_ll,
     k4 = r^4 - 3 diag(C)^2 the empirical fourth-cumulant correction."""
     var = -2.0 * sens
-    if empirical_cumulants:
-        for idx, block, stack in zip(state.index, state.joint, stacks):
-            w_diag = np.einsum("qglm,gml->qgl", stack, block.inverse)
-            w_diag = w_diag.reshape(len(stack), -1)
-            c_diag = block.diagonal
-            k4 = (state.resid[idx] ** 4 - 3.0 * c_diag**2).ravel()
-            var += (w_diag * k4) @ w_diag.T
+    for idx, block, stack in zip(state.index, state.joint, stacks):
+        w_diag = np.einsum("qglm,gml->qgl", stack, block.inverse)
+        w_diag = w_diag.reshape(len(stack), -1)
+        c_diag = block.diagonal
+        k4 = (state.resid[idx] ** 4 - 3.0 * c_diag**2).ravel()
+        var += (w_diag * k4) @ w_diag.T
     return 0.5 * (var + var.T)
 
 
-def pearson_fn(bound, beta, disp, empirical_cumulants=True):
+def pearson_fn(bound, beta, disp):
     """Pearson estimating function, sensitivity and variability.
 
     Returns ``(psi_lambda, S_lambda, V_lambda)`` over the free dispersion
@@ -207,11 +203,12 @@ def pearson_fn(bound, beta, disp, empirical_cumulants=True):
     """
     state = _evaluate(bound, beta, disp)
     psi, sens, stacks = _pearson_pieces(state)
-    return psi, sens, _pearson_variability(state, sens, stacks, empirical_cumulants)
+    return psi, sens, _pearson_variability(state, sens, stacks)
 
 
 def cross_blocks(bound, beta, disp, state=None, pearson=None):
-    """Cross sensitivity and variability blocks at a parameter point.
+    """Cross sensitivity blocks ``(S_lambda_beta, S_beta_lambda)`` at a
+    parameter point.
 
     Both sensitivities are exact. With u = C^-1 r, F_i = C^-1 B_i C^-1
     (B_i = dC/dlambda_i) and y_i = F_i r, column i of S_beta_lambda is
@@ -220,11 +217,7 @@ def cross_blocks(bound, beta, disp, state=None, pearson=None):
     psi_lambda_i in the means:
     -2 y_i + d/dmu [<F_i - u y_i^T - y_i u^T, C> + <u u^T - C^-1, B_i>]
     (``CovarianceModel.mean_gradient``). Every term is a sum over the
-    row clusters. The cross variability is taken as zero: its third-moment
-    plug-in estimate is noise of the same order as its Cauchy-Schwarz
-    bound and routinely makes the assembled variability matrix indefinite,
-    which would break the positive semi-definiteness contract of the
-    inverse information.
+    row clusters.
 
     ``fit`` passes its own evaluation at (beta, disp) as ``state`` and the
     stacks C^-1 B_i of its last ``_pearson_pieces`` as ``pearson``, so
@@ -247,8 +240,7 @@ def cross_blocks(bound, beta, disp, state=None, pearson=None):
     sens_bl = -(ys @ state.D).T
     grad = state.covmodel.mean_gradient(state.disp, state.joint, pearson, h_blocks)
     sens_lb = (grad - 2.0 * ys) @ state.D
-    var_lb = np.zeros_like(sens_lb)
-    return sens_lb, sens_bl, var_lb
+    return sens_lb, sens_bl
 
 
 def _check_ranks(bound):
@@ -510,18 +502,20 @@ def fit(spec, data, options=None):
     # Sandwich information assembled once, at the solution.
     psi_b, sens_b, var_b = _quasi_pieces(state)
     psi_l, sens_l, stacks = _pearson_pieces(state)
-    var_l = _pearson_variability(state, sens_l, stacks, opts.empirical_cumulants)
-    sens_lb, sens_bl, var_lb = cross_blocks(
-        bound, beta, disp, state=state, pearson=stacks
-    )
-    k_total = len(beta)
-    q = disp.n_free
+    var_l = _pearson_variability(state, sens_l, stacks)
+    sens_lb, sens_bl = cross_blocks(bound, beta, disp, state=state, pearson=stacks)
     sens = np.block([[sens_b, sens_bl], [sens_lb, sens_l]])
-    var = np.block([[var_b, var_lb.T], [var_lb, var_l]])
+    # V is block diagonal: the cross variability is taken as zero. Its
+    # third-moment plug-in estimate is noise of the same order as its
+    # Cauchy-Schwarz bound and routinely makes V indefinite, which would
+    # break the positive semi-definiteness of the inverse information.
+    k = len(beta)
+    var = np.zeros_like(sens)
+    var[:k, :k] = var_b
+    var[k:, k:] = var_l
     half = _solve(sens, var, "sandwich")
     joint_inverse = _solve(sens, half.T, "sandwich").T
     joint_inverse = 0.5 * (joint_inverse + joint_inverse.T)
-    assert joint_inverse.shape == (k_total + q, k_total + q)
     return FittedModel(
         spec=bound.spec,
         design=bound.designs,

@@ -61,8 +61,7 @@ class Formula:
 
     response: str
     terms: tuple
-    text: str = field(default="", compare=False)
-    intercept: bool = True
+    text: str = field(compare=False)
 
 
 def _expand_star(variables):

@@ -14,7 +14,6 @@ from functools import cached_property
 import numpy as np
 
 from .covariance import RowClusters
-from .data import Dataset
 from .design import build_design, finite_numeric
 from .errors import DataError, MissingColumnError, ModelSpecError
 from .families import LINK_KINDS, VARIANCE_KINDS, Link, VarianceFn
@@ -159,7 +158,7 @@ def model_spec_json(spec):
     entries = []
     for resp in spec.responses:
         entry = {
-            "formula": resp.formula.text or _formula_text(resp.formula),
+            "formula": resp.formula.text,
             "link": resp.link.kind,
             "variance": resp.variance.kind,
             "power": resp.variance.power,
@@ -177,11 +176,6 @@ def model_spec_json(spec):
     if spec.column_types:
         doc["column_types"] = dict(sorted(spec.column_types.items()))
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
-def _formula_text(formula):
-    parts = [":".join(t) for t in formula.terms]
-    return f"{formula.response} ~ {' + '.join(parts)}"
 
 
 def grouping_matrix(values):
@@ -237,7 +231,6 @@ class BoundModel:
     column has an offset of zeros."""
 
     spec: ModelSpec
-    data: Dataset
     designs: tuple
     y: tuple
     offsets: tuple
@@ -318,7 +311,6 @@ def bind(spec, data):
         ys.append(y)
     return BoundModel(
         spec=spec,
-        data=data,
         designs=tuple(designs),
         y=tuple(ys),
         offsets=tuple(offsets),

@@ -24,14 +24,20 @@ def _aligned(header, cells):
     return header.rjust(width), [c.rjust(width) for c in cells]
 
 
-def _rows_block(label_header, rows):
-    idx_h, idx_c = _aligned("", [str(i + 1) for i in range(len(rows))])
-    lab_h, lab_c = _aligned(label_header, [r.label for r in rows])
-    df_h, df_c = _aligned("Df", [str(r.df) for r in rows])
-    chi_h, chi_c = _aligned("Chi", [fmt_stat(r.statistic) for r in rows])
-    p_h, p_c = _aligned("Pr(>Chi)", [fmt_p(r.p_value) for r in rows])
-    lines = [" ".join([idx_h, lab_h, df_h, chi_h, p_h]).rstrip()]
-    for cells in zip(idx_c, lab_c, df_c, chi_c, p_c):
+def _rows_block(rows, label_header=None):
+    """Numbered Df/Chi/Pr(>Chi) rows, with a label column when
+    ``label_header`` is given."""
+    columns = [("", [str(i + 1) for i in range(len(rows))])]
+    if label_header is not None:
+        columns.append((label_header, [r.label for r in rows]))
+    columns += [
+        ("Df", [str(r.df) for r in rows]),
+        ("Chi", [fmt_stat(r.statistic) for r in rows]),
+        ("Pr(>Chi)", [fmt_p(r.p_value) for r in rows]),
+    ]
+    aligned = [_aligned(header, cells) for header, cells in columns]
+    lines = [" ".join(header for header, _ in aligned).rstrip()]
+    for cells in zip(*(cells for _, cells in aligned)):
         lines.append(" ".join(cells).rstrip())
     return lines
 
@@ -39,7 +45,7 @@ def _rows_block(label_header, rows):
 def render_table(table):
     """One table with its Call line (no title)."""
     lines = [f"Call: {table.caption}", ""]
-    lines.extend(_rows_block(table.label_header, table.rows))
+    lines.extend(_rows_block(table.rows, table.label_header))
     return "\n".join(lines)
 
 
@@ -61,12 +67,7 @@ def render_linear_hypothesis(hypothesis, result):
     for i, row in enumerate(hypothesis.row_labels, start=1):
         lines.append(f"{i} {row}")
     lines.extend(["", "Results:"])
-    idx_h, idx_c = _aligned("", ["1"])
-    df_h, df_c = _aligned("Df", [str(result.df)])
-    chi_h, chi_c = _aligned("Chi", [fmt_stat(result.statistic)])
-    p_h, p_c = _aligned("Pr(>Chi)", [fmt_p(result.p_value)])
-    lines.append(" ".join([idx_h, df_h, chi_h, p_h]).rstrip())
-    lines.append(" ".join([idx_c[0], df_c[0], chi_c[0], p_c[0]]).rstrip())
+    lines.extend(_rows_block([result]))
     return "\n".join(lines) + "\n"
 
 

@@ -33,10 +33,6 @@ class Hypothesis:
         self.L.flags.writeable = False
         self.c.flags.writeable = False
 
-    @property
-    def n_constraints(self):
-        return self.L.shape[0]
-
 
 @dataclass(frozen=True)
 class TestResult:

@@ -19,7 +19,7 @@ from conftest import (
 )
 from covglm.chisq import chisq_sf
 from covglm.data import Dataset
-from covglm.estimator import FitOptions, fit
+from covglm.estimator import fit
 from covglm.model import load_model_spec
 from covglm.multcomp import contrast_set, joint_multiple_comparisons, multiple_comparisons
 from covglm.tables import anova, manova, anova_dispersion, manova_dispersion
@@ -61,11 +61,7 @@ def test_criterion_2_ols_reduction():
     start = time.perf_counter()
     for seed in range(5):
         data, design, y = simulate_gaussian(seed, n=100, p=3)
-        model = fit(
-            gaussian_spec("y ~ x1 + x2 + x3"),
-            data,
-            FitOptions(empirical_cumulants=False),
-        )
+        model = fit(gaussian_spec("y ~ x1 + x2 + x3"), data)
         coefs = np.linalg.solve(design.T @ design, design.T @ y)
         rss = float(np.sum((y - design @ coefs) ** 2))
         tau = rss / len(y)

@@ -156,7 +156,7 @@ def test_clustered_evaluation_matches_dense_reference():
     dense = _dense_reference(bound, beta, disp)
     psi_b, sens_b, var_b = quasi_score(bound, beta, disp)
     psi_l, sens_l, var_l = pearson_fn(bound, beta, disp)
-    sens_lb, sens_bl, _ = cross_blocks(bound, beta, disp)
+    sens_lb, sens_bl = cross_blocks(bound, beta, disp)
     assert _rel(psi_b, dense["psi_b"]) < 1e-10
     assert _rel(var_b, dense["var_b"]) < 1e-10
     assert _rel(sens_b, -dense["var_b"]) < 1e-10
@@ -174,7 +174,7 @@ def test_clustered_evaluation_matches_dense_reference():
     )
     bound = dataclasses.replace(bound)  # no cached clusters or Z blocks
     object.__setattr__(bound, "clusters", one)
-    one_lb, one_bl, _ = cross_blocks(bound, beta, disp)
+    one_lb, one_bl = cross_blocks(bound, beta, disp)
     assert _rel(sens_bl, one_bl) < 1e-10
     assert _rel(sens_lb, one_lb) < 1e-10
 

@@ -213,6 +213,8 @@ def _dense_c(model, disp):
 
 def _dense_derivatives(model, disp, joint=None):
     """(q, NR, NR) dC/dlambda, scattered from its cluster blocks."""
+    if joint is None:
+        joint = model.build(disp)
     return _scatter(model, model.derivatives(disp, joint))
 
 

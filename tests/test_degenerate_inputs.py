@@ -80,6 +80,14 @@ def _infinite(column):
     return columns, [response]
 
 
+def _overflowing_interaction():
+    # x and z are finite, but their product overflows in one row.
+    rng = np.random.default_rng(7)
+    columns = {"y": rng.normal(size=N), "x": rng.normal(size=N), "z": rng.normal(size=N)}
+    columns["x"][N // 2] = columns["z"][N // 2] = 1e200
+    return columns, [_response("y ~ x * z")]
+
+
 INFINITE = {
     "inf-response": "y",
     "inf-offset": "lexp",
@@ -95,6 +103,7 @@ CASES = {
     "logit-separation": _logit_separation,
     "constant-covariate": _constant_covariate,
     "rho-toward-one": _correlation_toward_one,
+    "overflow-interaction": _overflowing_interaction,
 }
 
 
@@ -127,6 +136,12 @@ def test_degenerate_input_fits_or_fails_in_one_line(case, tmp_path, capsys):
     if code == 1:
         assert err.count("\n") == 1
         assert err.startswith("error [")
+
+
+def test_overflowing_interaction_is_a_data_error(tmp_path, capsys):
+    code, err = _summary("overflow-interaction", tmp_path, capsys)
+    assert code == 1
+    assert err == "error [data]: design matrix contains non-finite entries\n"
 
 
 @pytest.mark.parametrize("case", sorted(INFINITE))

@@ -76,16 +76,6 @@ def test_pearson_root_is_mean_squared_residual():
     assert psi_low[0] > 0
 
 
-def test_pearson_variability_is_twice_sensitivity_without_cumulants():
-    data, _, _ = simulate_gaussian(2)
-    bound = bind(gaussian_spec("y ~ x1 + x2 + x3"), data)
-    disp = DispersionVector(rho=np.zeros(0), tau=(np.array([1.4]),))
-    beta = np.zeros(4)
-    _, sens, var = pearson_fn(bound, beta, disp, empirical_cumulants=False)
-    assert np.allclose(np.abs(var), 2.0 * np.abs(sens))
-    assert np.allclose(sens, sens.T)
-
-
 def test_pearson_sensitivity_symmetric_multiparameter():
     rng = np.random.default_rng(9)
     n = 40
@@ -123,9 +113,7 @@ def test_gaussian_fit_matches_ols(seed):
 
 def test_sandwich_collapses_to_ols_covariance():
     data, design, y = simulate_gaussian(4)
-    model = fit(
-        gaussian_spec("y ~ x1 + x2 + x3"), data, FitOptions(empirical_cumulants=False)
-    )
+    model = fit(gaussian_spec("y ~ x1 + x2 + x3"), data)
     _, rss = ols(design, y)
     tau = rss / len(y)
     expected = tau * np.linalg.inv(design.T @ design)
@@ -158,12 +146,9 @@ def test_cross_blocks_shapes_and_symmetric_case():
     spec = gaussian_spec("y ~ x1 + x2")
     model = fit(spec, data)
     bound = bind(spec, data)
-    sens_lb, sens_bl, var_lb = cross_blocks(
-        bound, model.beta_hat, model.lambda_hat
-    )
+    sens_lb, sens_bl = cross_blocks(bound, model.beta_hat, model.lambda_hat)
     assert sens_lb.shape == (1, 3)
     assert sens_bl.shape == (3, 1)
-    assert var_lb.shape == (1, 3)
     # Identity link with identity dispersion: both cross sensitivities
     # vanish at the solution (the quasi-score root kills them).
     assert np.max(np.abs(sens_bl)) < 1e-3
@@ -195,7 +180,7 @@ def test_quasi_sensitivity_in_dispersion_matches_finite_differences():
     disp = DispersionVector(
         rho=np.array([0.3]), tau=(np.array([0.6, 0.1]), np.array([0.5]))
     )
-    _, sens_bl, _ = cross_blocks(bound, beta, disp)
+    _, sens_bl = cross_blocks(bound, beta, disp)
     flat = disp.flatten()
     numeric = np.empty_like(sens_bl)
     for i in range(len(flat)):
@@ -290,7 +275,7 @@ def test_pearson_sensitivity_in_coefficients_matches_finite_differences(kinds):
     # psi_lambda through the residual, C and every dC/dlambda_i.
     data, spec, beta, disp = _three_response_problem(kinds)
     bound = bind(spec, data)
-    sens_lb, _, _ = cross_blocks(bound, beta, disp)
+    sens_lb, _ = cross_blocks(bound, beta, disp)
     numeric = np.empty_like(sens_lb)
     for j in range(len(beta)):
         h = 1e-6 * max(1.0, abs(beta[j]))

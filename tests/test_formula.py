@@ -13,7 +13,6 @@ def test_star_expansion_order():
 def test_single_covariate():
     f = parse_formula("y ~ x")
     assert f.terms == (("x",),)
-    assert f.intercept
 
 
 def test_trailing_plus_is_syntax_error():

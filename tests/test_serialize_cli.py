@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 import subprocess
@@ -5,11 +6,14 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import subprocess_env
+from conftest import PROPERTY_SETTINGS, make_dataset, subprocess_env
 from covglm.cli import run
 from covglm.errors import FitFileError
-from covglm.estimator import fit
+from covglm.estimator import FitOptions, fit
+from covglm.families import Link
 from covglm.model import load_model_spec, parse_model_spec
 from covglm.report import render_report
 from covglm.serialize import load_fit, save_fit
@@ -58,19 +62,95 @@ def _fitted(tmp_path):
     return fit(spec, data), data_path, spec_path
 
 
-def test_round_trip_bit_for_bit(tmp_path):
-    model, _, _ = _fitted(tmp_path)
-    path = tmp_path / "model.fit"
-    save_fit(model, path)
-    loaded = load_fit(path)
-    assert loaded.beta_hat.tobytes() == model.beta_hat.tobytes()
-    assert loaded.lambda_hat.rho.tobytes() == model.lambda_hat.rho.tobytes()
-    for a, b in zip(loaded.lambda_hat.tau, model.lambda_hat.tau):
+# Per variance kind: its link and a response drawn around the mean.
+_KIND_LINKS = {
+    "constant": "identity",
+    "tweedie": "log",
+    "poisson_tweedie": "log",
+    "binomialP": "logit",
+}
+
+
+def _draw_response(rng, kind, mu):
+    if kind == "constant":
+        return mu + rng.normal(size=len(mu))
+    if kind == "tweedie":
+        return rng.gamma(2.0, mu / 2.0)
+    if kind == "poisson_tweedie":
+        return rng.poisson(mu).astype(float)
+    return rng.binomial(10, mu) / 10.0
+
+
+def _random_model(seed, kinds, grouped, offset, n=36):
+    """Data and spec of R = len(kinds) responses on ``x + f``."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=n)
+    f = np.array(["a", "b", "c"], dtype=object)[np.arange(n) % 3]
+    columns = {
+        "x": x,
+        "f": f,
+        "g": np.array([f"g{i % 6}" for i in range(n)], dtype=object),
+        "off": rng.uniform(-0.2, 0.2, size=n),
+        "trials": np.full(n, 10.0),
+    }
+    responses = []
+    for r, (kind, group) in enumerate(zip(kinds, grouped), start=1):
+        eta = 0.3 + 0.4 * x + 0.2 * (f == "b") + (columns["off"] if offset else 0.0)
+        mu = Link(_KIND_LINKS[kind]).inverse(eta)
+        columns[f"y{r}"] = _draw_response(rng, kind, mu)
+        entry = {
+            "formula": f"y{r} ~ x + f",
+            "link": _KIND_LINKS[kind],
+            "variance": kind,
+            "power": 2.0 if kind == "tweedie" else 1.0,
+            "matrix_pred": [{"kind": "identity"}]
+            + ([{"kind": "grouping", "column": "g"}] if group else []),
+        }
+        if offset:
+            entry["offset_column"] = "off"
+        if kind == "binomialP":
+            entry["ntrial_column"] = "trials"
+        responses.append(entry)
+    spec = parse_model_spec({"responses": responses, "column_types": {"f": "factor"}})
+    return make_dataset(columns), spec
+
+
+def _assert_same_bits(a, b):
+    """Equal values, every float and float array compared by its bytes."""
+    if dataclasses.is_dataclass(a):
+        assert type(a) is type(b)
+        for f in dataclasses.fields(a):
+            _assert_same_bits(getattr(a, f.name), getattr(b, f.name))
+    elif isinstance(a, np.ndarray):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
         assert a.tobytes() == b.tobytes()
-    assert loaded.joint_inverse.tobytes() == model.joint_inverse.tobytes()
-    assert loaded.theta_star_labels == model.theta_star_labels
-    assert loaded.converged == model.converged
-    assert loaded.iterations == model.iterations
+    elif isinstance(a, (tuple, list)):
+        assert isinstance(b, type(a)) and len(a) == len(b)
+        for x, y in zip(a, b):
+            _assert_same_bits(x, y)
+    elif isinstance(a, dict):
+        assert a.keys() == b.keys()
+        for key in a:
+            _assert_same_bits(a[key], b[key])
+    elif isinstance(a, float):
+        assert isinstance(b, float) and np.float64(a).tobytes() == np.float64(b).tobytes()
+    else:
+        assert type(a) is type(b) and a == b
+
+
+@PROPERTY_SETTINGS
+@given(
+    seed=st.integers(0, 2**16),
+    kinds=st.lists(st.sampled_from(sorted(_KIND_LINKS)), min_size=1, max_size=3),
+    grouped=st.lists(st.booleans(), min_size=3, max_size=3),
+    offset=st.booleans(),
+)
+def test_round_trip_bit_for_bit(tmp_path_factory, seed, kinds, grouped, offset):
+    data, spec = _random_model(seed, kinds, grouped, offset)
+    model = fit(spec, data, FitOptions(max_iter=10))
+    path = tmp_path_factory.mktemp("fit") / "model.fit"
+    save_fit(model, path)
+    _assert_same_bits(model, load_fit(path))
 
 
 def test_truncated_file_fails_checksum(tmp_path):
