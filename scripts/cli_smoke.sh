@@ -34,3 +34,5 @@ smoke() {  # shape effects anova-disp-groups names manova-disp-groups names
 }
 smoke hunting METHOD,SEX '0,1;0,1' 'tau10,tau11;tau20,tau21' '0,1' 'tau0,tau1'
 smoke soya water,pot '0;0;0' 'tau10;tau20;tau30' '0' 'tau0'
+# A fit file of format version 1, which also stored the design matrices.
+covglm summary --fit fixtures/hunting_tiny_v1.fit

@@ -8,19 +8,9 @@ multiple comparisons.
 """
 
 from .chisq import chisq_sf
-from .covariance import (
-    DispersionVector,
-    build_joint_c,
-    build_omega,
-    build_sigma_r,
-)
+from .covariance import DispersionVector
 from .data import Dataset
-from .design import (
-    DesignInfo,
-    build_design,
-    encode_combination,
-    encode_combinations,
-)
+from .design import DesignInfo, build_design, encode_combinations
 from .errors import (
     CovglmError,
     DataError,
@@ -57,7 +47,6 @@ from .model import (
 )
 from .multcomp import (
     ContrastSet,
-    adjusted_means,
     contrast_set,
     joint_multiple_comparisons,
     multiple_comparisons,
@@ -68,7 +57,6 @@ from .tables import TestTable, anova, anova_dispersion, manova, manova_dispersio
 from .wald import (
     Hypothesis,
     TestResult,
-    kron_hypothesis,
     parse_hypothesis,
     wald_statistic,
     wald_test,
@@ -106,22 +94,16 @@ __all__ = [
     "TestTable",
     "UnknownParameterError",
     "VarianceFn",
-    "adjusted_means",
     "anova",
     "anova_dispersion",
     "bind",
     "build_design",
-    "build_joint_c",
-    "build_omega",
-    "build_sigma_r",
     "chisq_sf",
     "contrast_set",
     "cross_blocks",
-    "encode_combination",
     "encode_combinations",
     "fit",
     "joint_multiple_comparisons",
-    "kron_hypothesis",
     "load_fit",
     "load_model_spec",
     "manova",

@@ -349,12 +349,15 @@ class CovarianceModel:
         """One ``JointCovariance`` per cluster stack."""
         out = []
         for stack in self.blocks:
-            sigmas = [
-                build_sigma_r(mu, var, build_omega(tau, z_blocks), ntrial)
-                for (mu, ntrial, z_blocks), var, tau in zip(
-                    stack, self.variances, disp.tau
-                )
-            ]
+            # An infinite mean or variance leaves non-finite entries, which
+            # build_sigma_r rejects.
+            with np.errstate(over="ignore", invalid="ignore"):
+                sigmas = [
+                    build_sigma_r(mu, var, build_omega(tau, z_blocks), ntrial)
+                    for (mu, ntrial, z_blocks), var, tau in zip(
+                        stack, self.variances, disp.tau
+                    )
+                ]
             out.append(build_joint_c(sigmas, disp.rho))
         return tuple(out)
 

@@ -18,15 +18,16 @@ from .formula import Formula
 
 @dataclass(frozen=True)
 class DesignInfo:
-    """A built design matrix plus the metadata needed to reuse its coding.
+    """The coding of a design: its terms, columns and factor levels.
 
     ``term_spans`` maps each term (the intercept is the empty tuple) to a
     ``(start, stop)`` column range; spans partition the columns in term
     order. ``level_maps`` records the ordered levels of every factor so
-    that single observations can be re-encoded consistently later.
+    that synthetic observations can be encoded consistently later. The
+    matrix itself stays with the data it was built from
+    (``BoundModel.x``).
     """
 
-    X: np.ndarray
     formula: Formula
     terms: tuple
     term_spans: dict
@@ -34,12 +35,9 @@ class DesignInfo:
     level_maps: dict
     var_kinds: dict
 
-    def __post_init__(self):
-        self.X.flags.writeable = False
-
     @property
     def n_columns(self):
-        return self.X.shape[1]
+        return len(self.column_labels)
 
     def span(self, term):
         return self.term_spans[frozenset(term)]
@@ -113,7 +111,8 @@ def _assemble(formula, var_data, n):
 
 
 def build_design(formula, data):
-    """Build the design matrix for a formula over a dataset.
+    """The coding and the read-only design matrix of a formula over a
+    dataset, as ``(DesignInfo, X)``.
 
     The dataset must already be restricted to complete rows for the bound
     columns; factors need at least two observed levels.
@@ -141,8 +140,8 @@ def build_design(formula, data):
     X, terms, spans, labels = _assemble(formula, var_data, data.n_rows)
     if not np.isfinite(X).all():
         raise DataError("design matrix contains non-finite entries")
-    return DesignInfo(
-        X=X,
+    X.flags.writeable = False
+    design = DesignInfo(
         formula=formula,
         terms=terms,
         term_spans=spans,
@@ -150,6 +149,7 @@ def build_design(formula, data):
         level_maps=level_maps,
         var_kinds=var_kinds,
     )
+    return design, X
 
 
 def encode_combinations(design, assignments, numeric_values=None):
@@ -176,8 +176,3 @@ def encode_combinations(design, assignments, numeric_values=None):
             var_data[var] = (kind, None, np.full(n, value))
     X, _, _, _ = _assemble(design.formula, var_data, n)
     return X
-
-
-def encode_combination(design, assignment, numeric_values=None):
-    """One row of :func:`encode_combinations`: a length-k vector."""
-    return encode_combinations(design, [assignment], numeric_values)[0]

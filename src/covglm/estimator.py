@@ -20,7 +20,7 @@ import numpy as np
 from . import _kernels
 from .covariance import CovarianceModel, DispersionVector, rho_pairs
 from .errors import DomainError, NotPositiveDefinite, OptionError, RankError
-from .model import BoundModel, bind, redundant_columns
+from .model import BoundModel, bind, rank_tolerance, redundant_columns
 
 log = logging.getLogger("covglm")
 
@@ -119,14 +119,14 @@ def _evaluate(bound, beta, disp):
     d_matrix = np.zeros((n * n_resp, k_total))
     resid = np.empty(n * n_resp)
     for r in range(n_resp):
-        design = bound.designs[r]
+        x = bound.x[r]
         resp = bound.spec.responses[r]
-        eta = design.X @ beta[spans[r]] + bound.offsets[r]
+        eta = x @ beta[spans[r]] + bound.offsets[r]
         mu = resp.link.inverse(eta)
         dmu = resp.link.deriv(mu)
         mus.append(mu)
         rows = slice(r * n, (r + 1) * n)
-        d_matrix[rows, spans[r]] = dmu[:, None] * design.X
+        d_matrix[rows, spans[r]] = dmu[:, None] * x
         resid[rows] = bound.y[r] - mu
     covmodel = CovarianceModel(
         mus=tuple(mus),
@@ -175,7 +175,10 @@ def _pearson_pieces(state):
     traces = np.zeros((state.disp.n_free,) * 2)
     for idx, block, stack in zip(state.index, state.joint, derivs):
         u = state.u[idx]
-        psi += stack.reshape(len(stack), -1) @ (u[:, :, None] * u[:, None, :]).ravel()
+        # u u^T overflows for residuals past about 1e154; the non-finite psi
+        # then fails the covariance checks at the next step.
+        with np.errstate(over="ignore", invalid="ignore"):
+            psi += stack.reshape(len(stack), -1) @ (u[:, :, None] * u[:, None, :]).ravel()
         np.matmul(block.inverse, stack, out=stack)
         psi -= np.einsum("qgll->q", stack)
         traces += _kernels.pair_traces(stack)
@@ -244,16 +247,25 @@ def cross_blocks(bound, beta, disp, state=None, pearson=None):
 
 
 def _check_ranks(bound):
-    for r, design in enumerate(bound.designs):
-        x = design.X
+    for design, x in zip(bound.designs, bound.x):
         rank = np.linalg.matrix_rank(x)
-        if rank < x.shape[1]:
-            bad = [design.column_labels[j] for j in redundant_columns(x)]
+        if rank == x.shape[1]:
+            continue
+        where = f"design for response {design.formula.response!r}"
+        # A nonzero column whose norm is under the tolerance bounds the
+        # smallest singular value there: its scale alone fails the test.
+        norms = np.hypot.reduce(x, axis=0)
+        if np.any((norms > 0) & (norms <= rank_tolerance(x))):
             raise RankError(
-                f"design for response {design.formula.response!r} is rank "
-                f"deficient (rank {rank} of {x.shape[1]}); "
-                f"redundant columns: {', '.join(bad)}"
+                f"{where}: its columns differ in scale by more than the rank "
+                f"test can resolve (column norms {norms[norms > 0].min():.3g} "
+                f"to {norms.max():.3g}); rescale the covariates"
             )
+        bad = [design.column_labels[j] for j in redundant_columns(x)]
+        raise RankError(
+            f"{where} is rank deficient (rank {rank} of {x.shape[1]}); "
+            f"redundant columns: {', '.join(bad)}"
+        )
 
 
 def _start_mean(y, link_kind, ntrial):
@@ -270,25 +282,27 @@ def _initial_beta(bound):
     followed by a few Gauss-Newton refinements with identity covariance."""
     blocks = []
     for r in range(bound.n_responses):
-        design = bound.designs[r]
+        x = bound.x[r]
         resp = bound.spec.responses[r]
         y = bound.y[r]
         offset = bound.offsets[r]
         mu0 = _start_mean(y, resp.link.kind, bound.ntrials[r])
         eta0 = resp.link.apply(mu0) - offset
-        b, *_ = np.linalg.lstsq(design.X, eta0, rcond=None)
+        b, *_ = np.linalg.lstsq(x, eta0, rcond=None)
         for _ in range(4):
-            eta = design.X @ b + offset
+            eta = x @ b + offset
             mu = resp.link.inverse(eta)
-            grad = resp.link.deriv(mu)[:, None] * design.X
+            grad = resp.link.deriv(mu)[:, None] * x
             try:
-                step = np.linalg.solve(grad.T @ grad, grad.T @ (y - mu))
+                # An overflowing normal system ends the refinement below.
+                with np.errstate(over="ignore", invalid="ignore"):
+                    step = np.linalg.solve(grad.T @ grad, grad.T @ (y - mu))
             except np.linalg.LinAlgError:
                 break
             if not np.isfinite(step).all():
                 break
             candidate = b + step
-            eta_next = design.X @ candidate + offset
+            eta_next = x @ candidate + offset
             # Refinement must not run the mean into a saturated link,
             # where the variance function loses its domain.
             if resp.link.kind != "identity" and np.max(np.abs(eta_next)) > 30.0:

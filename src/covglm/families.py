@@ -53,7 +53,10 @@ class Link:
         if self.kind == "identity":
             return eta.copy()
         if self.kind == "log":
-            return np.exp(eta)
+            # Past eta ~ 709 the mean overflows to inf, for the finite
+            # checks downstream to reject.
+            with np.errstate(over="ignore"):
+                return np.exp(eta)
         # The logistic function from exp(-|eta|), which cannot overflow.
         e = np.exp(-np.abs(eta))
         return np.where(eta >= 0.0, 1.0, e) / (1.0 + e)

@@ -191,6 +191,11 @@ def _pair_count(a, b):
     return float(np.sum(np.unique(a * (b.max() + 1) + b, return_counts=True)[1] ** 2))
 
 
+def rank_tolerance(matrix):
+    """``np.linalg.matrix_rank``'s default tolerance for ``matrix``."""
+    return np.linalg.norm(matrix, 2) * max(matrix.shape) * np.finfo(float).eps
+
+
 def redundant_columns(matrix):
     """Indices of the columns that add no rank to the columns before them.
 
@@ -198,7 +203,7 @@ def redundant_columns(matrix):
     matrix's ``matrix_rank`` tolerance, so exactly as many columns are
     named as the whole matrix lacks in rank.
     """
-    tol = np.linalg.norm(matrix, 2) * max(matrix.shape) * np.finfo(float).eps
+    tol = rank_tolerance(matrix)
     ranks = [0] + [
         np.linalg.matrix_rank(matrix[:, :j], tol=tol) for j in range(1, matrix.shape[1] + 1)
     ]
@@ -225,13 +230,15 @@ def _check_identifiable(name, components, codes):
 
 @dataclass(frozen=True)
 class BoundModel:
-    """A model spec resolved against data: designs, responses, and Z_d of
+    """A model spec resolved against data: the coding of each response's
+    design and its read-only design matrix ``x[r]``, responses, and Z_d of
     response r as ``z_codes[r][d]``, one level code per row (identity:
     0..N-1; grouping: ``grouping_matrix``). A response without an offset
     column has an offset of zeros."""
 
     spec: ModelSpec
     designs: tuple
+    x: tuple
     y: tuple
     offsets: tuple
     ntrials: tuple
@@ -278,6 +285,7 @@ def bind(spec, data):
     if n == 0:
         raise DataError("no rows after missing-data removal")
     designs = []
+    xs = []
     ys = []
     offsets = []
     ntrials = []
@@ -285,7 +293,9 @@ def bind(spec, data):
     for resp in spec.responses:
         name = resp.formula.response
         y = finite_numeric(data, name)
-        designs.append(build_design(resp.formula, data))
+        design, x = build_design(resp.formula, data)
+        designs.append(design)
+        xs.append(x)
         offset = resp.offset_column
         offsets.append(finite_numeric(data, offset) if offset else np.zeros(n))
         if resp.ntrial_column:
@@ -312,6 +322,7 @@ def bind(spec, data):
     return BoundModel(
         spec=spec,
         designs=tuple(designs),
+        x=tuple(xs),
         y=tuple(ys),
         offsets=tuple(offsets),
         ntrials=tuple(ntrials),

@@ -57,16 +57,6 @@ def _observed_combos(design, factors, data):
     return combos
 
 
-def adjusted_means(model, response, factors, data):
-    """Rows of design encodings, one per observed factor-level combination.
-
-    Combinations run in Cartesian order, first factor slowest, levels in
-    design order. Returns ``(matrix, labels)``.
-    """
-    cs = contrast_set(model, response, factors, data)
-    return cs.means, cs.combo_labels
-
-
 def pairwise_contrasts(means):
     """Differences of every unordered pair of rows (i < j), stacked.
 

@@ -4,7 +4,8 @@ A fit file is a single JSON document: a small envelope carrying the model
 spec, a payload with every array base64-encoded from its raw float64 bytes
 (bit-for-bit round-trips), and a SHA-256 checksum of the canonical payload
 text. The envelope also records the model-spec hash so a cached fit can be
-matched against the spec it came from.
+matched against the spec it came from. A design is stored as its coding
+only: no Wald procedure reads the design matrix.
 """
 
 import base64
@@ -21,7 +22,9 @@ from .formula import parse_formula
 from .model import model_spec_json, parse_model_spec
 
 FORMAT_NAME = "covglm-fit"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+# Version 1 also stored each design matrix as "x"; loading ignores it.
+READABLE_VERSIONS = (1, 2)
 
 
 def _encode_array(arr):
@@ -50,7 +53,6 @@ def _design_payload(design):
         "column_labels": list(design.column_labels),
         "level_maps": {k: list(v) for k, v in design.level_maps.items()},
         "var_kinds": dict(design.var_kinds),
-        "x": _encode_array(design.X),
     }
 
 
@@ -61,7 +63,6 @@ def _design_from_payload(obj):
         frozenset(term): tuple(span) for term, span in zip(terms, obj["spans"])
     }
     return DesignInfo(
-        X=_decode_array(obj["x"]),
         formula=formula,
         terms=terms,
         term_spans=spans,
@@ -103,8 +104,9 @@ def save_fit(model, path):
 def load_fit(path):
     """Read a fit file back into a :class:`FittedModel`.
 
-    Raises :class:`FitFileError` on version mismatch or when the checksum
-    does not match (truncated or corrupted file).
+    Reads format versions 1 and 2. Raises :class:`FitFileError` on any
+    other version or when the checksum does not match (truncated or
+    corrupted file).
     """
     try:
         with open(path, encoding="utf-8") as handle:
@@ -116,10 +118,10 @@ def load_fit(path):
         ) from None
     if not isinstance(document, dict) or document.get("format") != FORMAT_NAME:
         raise FitFileError(f"{path}: not a {FORMAT_NAME} file")
-    if document.get("version") != FORMAT_VERSION:
+    if document.get("version") not in READABLE_VERSIONS:
         raise FitFileError(
             f"{path}: unsupported fit file version {document.get('version')!r} "
-            f"(expected {FORMAT_VERSION})"
+            f"(expected one of {', '.join(map(str, READABLE_VERSIONS))})"
         )
     payload = document.get("payload")
     payload_text = json.dumps(payload, sort_keys=True, separators=(",", ":"))

@@ -106,16 +106,6 @@ def parse_hypothesis(lines, model):
     )
 
 
-def kron_hypothesis(g, f):
-    """Kronecker expansion of a per-response constraint matrix.
-
-    With g the response-selection matrix (identity to test all responses)
-    and f the single-response constraint matrix, returns the stacked-
-    parameter constraint matrix g kron f.
-    """
-    return np.kron(np.asarray(g, dtype=float), np.asarray(f, dtype=float))
-
-
 def _located(error, message, index, stacked):
     """``error(message)``; in a stack, it names and records the failing entry."""
     exc = error(f"{message} (stack entry {index})" if stacked else message)

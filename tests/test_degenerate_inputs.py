@@ -88,6 +88,43 @@ def _overflowing_interaction():
     return columns, [_response("y ~ x * z")]
 
 
+def _huge_response():
+    # Residuals of order 1e300 overflow u u^T in the Pearson function.
+    rng = np.random.default_rng(8)
+    columns = {"y": 1e300 * (1.0 + 0.1 * rng.normal(size=N)), "x": rng.normal(size=N)}
+    return columns, [_response("y ~ x")]
+
+
+def _huge_log_mean():
+    # The starting Gauss-Newton system overflows for means of order 1e300.
+    rng = np.random.default_rng(13)
+    columns = {"y": 1e300 * rng.uniform(1.0, 2.0, size=N), "x": rng.normal(size=N)}
+    return columns, [_response("y ~ x", "log", "tweedie")]
+
+
+def _negative_counts():
+    # A log-link step toward the negative counts overflows exp(eta).
+    rng = np.random.default_rng(12)
+    columns = {"y": -rng.poisson(5.0, size=N).astype(float), "x": rng.normal(size=N)}
+    return columns, [_response("y ~ x", "log", "poisson_tweedie")]
+
+
+def _huge_tweedie_power():
+    # mu**400 overflows for means past about 6.
+    rng = np.random.default_rng(10)
+    columns = {"y": rng.uniform(5.0, 25.0, size=N), "x": rng.normal(size=N)}
+    return columns, [dict(_response("y ~ x", "log", "tweedie"), power=400.0)]
+
+
+def _unresolvable_scale():
+    # Half the covariate is of order 1e200: the intercept's column norm is
+    # under the rank test's tolerance, though the columns are independent.
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=N)
+    x[: N // 2] *= 1e200
+    return {"y": rng.normal(size=N), "x": x}, [_response("y ~ x")]
+
+
 INFINITE = {
     "inf-response": "y",
     "inf-offset": "lexp",
@@ -104,6 +141,11 @@ CASES = {
     "constant-covariate": _constant_covariate,
     "rho-toward-one": _correlation_toward_one,
     "overflow-interaction": _overflowing_interaction,
+    "huge-response": _huge_response,
+    "huge-log-mean": _huge_log_mean,
+    "negative-counts": _negative_counts,
+    "tweedie-power-400": _huge_tweedie_power,
+    "unresolvable-scale": _unresolvable_scale,
 }
 
 
@@ -149,3 +191,11 @@ def test_non_finite_column_is_a_data_error_naming_it(case, tmp_path, capsys):
     code, err = _summary(case, tmp_path, capsys)
     assert code == 1
     assert err == f"error [data]: column {INFINITE[case]!r} has non-finite values\n"
+
+
+def test_unresolvable_column_scale_is_named_as_such(tmp_path, capsys):
+    code, err = _summary("unresolvable-scale", tmp_path, capsys)
+    assert code == 1
+    assert err.startswith("error [estimator]: design for response 'y': its columns differ ")
+    assert "in scale by more than the rank test can resolve" in err
+    assert "redundant" not in err

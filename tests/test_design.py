@@ -1,37 +1,38 @@
 import numpy as np
 import pytest
 
-from conftest import factorial_data, make_dataset
-from covglm.design import build_design, encode_combination, encode_combinations
+from conftest import factorial_data, gaussian_spec, make_dataset
+from covglm.design import build_design, encode_combinations
 from covglm.errors import DataError, DegenerateFactor, MissingColumnError
 from covglm.formula import parse_formula
+from covglm.model import bind
 
 
 def test_four_level_factor_treatment_coding():
     data = make_dataset(
         {"y": np.zeros(8), "X": ["A", "B", "C", "D", "A", "B", "C", "D"]}
     )
-    design = build_design(parse_formula("y ~ X"), data)
+    design, X = build_design(parse_formula("y ~ X"), data)
     assert design.n_columns == 4
     assert design.column_labels == ("Intercept", "X=B", "X=C", "X=D")
     # A reference-level row encodes as (1, 0, 0, 0).
-    assert np.allclose(design.X[0], [1, 0, 0, 0])
-    assert np.allclose(design.X[1], [1, 1, 0, 0])
-    assert np.allclose(design.X[3], [1, 0, 0, 1])
+    assert np.allclose(X[0], [1, 0, 0, 0])
+    assert np.allclose(X[1], [1, 1, 0, 0])
+    assert np.allclose(X[3], [1, 0, 0, 1])
 
 
 def test_numeric_only():
     data = make_dataset({"y": np.zeros(4), "x": [0.5, 1.5, -2.0, 3.0]})
-    design = build_design(parse_formula("y ~ x"), data)
+    design, X = build_design(parse_formula("y ~ x"), data)
     assert design.column_labels == ("Intercept", "x")
-    assert np.allclose(design.X[:, 1], [0.5, 1.5, -2.0, 3.0])
+    assert np.allclose(X[:, 1], [0.5, 1.5, -2.0, 3.0])
 
 
 def test_factorial_column_count_and_spans():
     data = factorial_data()
-    design = build_design(parse_formula("y1 ~ block + water * pot"), data)
+    design, X = build_design(parse_formula("y1 ~ block + water * pot"), data)
     # 1 + 4 + 2 + 4 + 8
-    assert design.n_columns == 19
+    assert design.n_columns == X.shape[1] == 19
     spans = [design.term_spans[frozenset(t)] for t in design.terms]
     assert spans == [(0, 1), (1, 5), (5, 7), (7, 11), (11, 19)]
     # Spans partition the columns in term order.
@@ -41,8 +42,8 @@ def test_factorial_column_count_and_spans():
 
 def test_dummy_rows_sum_at_most_one():
     data = factorial_data()
-    design = build_design(parse_formula("y1 ~ block + water * pot"), data)
-    block_cols = design.X[:, 1:5]
+    _, X = build_design(parse_formula("y1 ~ block + water * pot"), data)
+    block_cols = X[:, 1:5]
     sums = block_cols.sum(axis=1)
     assert set(sums.tolist()) <= {0.0, 1.0}
     # Reference-level rows have an all-zero dummy block.
@@ -52,35 +53,35 @@ def test_dummy_rows_sum_at_most_one():
 
 def test_interaction_columns_are_products():
     data = factorial_data()
-    design = build_design(parse_formula("y1 ~ water * pot"), data)
+    design, X = build_design(parse_formula("y1 ~ water * pot"), data)
     water_span = design.term_spans[frozenset(("water",))]
     pot_span = design.term_spans[frozenset(("pot",))]
     inter_span = design.term_spans[frozenset(("water", "pot"))]
-    water_cols = design.X[:, water_span[0] : water_span[1]]
-    pot_cols = design.X[:, pot_span[0] : pot_span[1]]
+    water_cols = X[:, water_span[0] : water_span[1]]
+    pot_cols = X[:, pot_span[0] : pot_span[1]]
     expected = []
     for i in range(water_cols.shape[1]):
         for j in range(pot_cols.shape[1]):
             expected.append(water_cols[:, i] * pot_cols[:, j])
-    assert np.allclose(design.X[:, inter_span[0] : inter_span[1]], np.array(expected).T)
+    assert np.allclose(X[:, inter_span[0] : inter_span[1]], np.array(expected).T)
 
 
 def test_numeric_by_factor_interaction():
     data = make_dataset(
         {"y": np.zeros(6), "x": [1.0, 2, 3, 4, 5, 6], "f": ["a", "b", "a", "b", "a", "b"]}
     )
-    design = build_design(parse_formula("y ~ x * f"), data)
+    design, X = build_design(parse_formula("y ~ x * f"), data)
     assert design.column_labels == ("Intercept", "x", "f=b", "x:f=b")
-    assert np.allclose(design.X[:, 3], design.X[:, 1] * design.X[:, 2])
+    assert np.allclose(X[:, 3], X[:, 1] * X[:, 2])
 
 
 def test_rebuild_is_byte_identical():
     data = factorial_data()
     formula = parse_formula("y1 ~ block + water * pot")
-    a = build_design(formula, data)
-    b = build_design(formula, data)
-    assert a.X.tobytes() == b.X.tobytes()
-    assert a.column_labels == b.column_labels
+    a, a_matrix = build_design(formula, data)
+    b, b_matrix = build_design(formula, data)
+    assert a_matrix.tobytes() == b_matrix.tobytes()
+    assert a == b
 
 
 def test_missing_column():
@@ -97,40 +98,42 @@ def test_degenerate_factor():
 
 def test_encode_combination_matches_rows():
     data = factorial_data()
-    design = build_design(parse_formula("y1 ~ block + water * pot"), data)
+    design, X = build_design(parse_formula("y1 ~ block + water * pot"), data)
     block = data.factor("block")
     water = data.factor("water")
     pot = data.factor("pot")
     for row_index in (0, 7, 33, 74):
-        row = encode_combination(
+        row = encode_combinations(
             design,
-            {
-                "block": block[row_index],
-                "water": water[row_index],
-                "pot": pot[row_index],
-            },
-        )
-        assert np.allclose(row, design.X[row_index])
+            [
+                {
+                    "block": block[row_index],
+                    "water": water[row_index],
+                    "pot": pot[row_index],
+                }
+            ],
+        )[0]
+        assert np.allclose(row, X[row_index])
 
 
 def test_encode_combinations_stacks_single_rows():
     data = factorial_data()
-    design = build_design(parse_formula("y1 ~ block + water * pot"), data)
+    design, _ = build_design(parse_formula("y1 ~ block + water * pot"), data)
     assignments = [
         {"water": w, "pot": p} for w in ("W1", "W3") for p in ("P1", "P2", "P5")
     ] + [{"block": "B4"}, {}]
     matrix = encode_combinations(design, assignments)
     assert matrix.shape == (len(assignments), design.n_columns)
     for row, assignment in zip(matrix, assignments):
-        assert np.array_equal(row, encode_combination(design, assignment))
+        assert np.array_equal(row, encode_combinations(design, [assignment])[0])
     with pytest.raises(DataError, match="unknown level 'W9' for factor 'water'"):
         encode_combinations(design, assignments + [{"water": "W9"}])
     with pytest.raises(DataError, match="unknown level"):
-        encode_combination(design, {"pot": "P0"})
+        encode_combinations(design, [{"pot": "P0"}])
 
 
 def test_design_matrix_is_read_only():
     data = make_dataset({"y": np.zeros(3), "x": [1.0, 2, 3]})
-    design = build_design(parse_formula("y ~ x"), data)
+    bound = bind(gaussian_spec("y ~ x"), data)
     with pytest.raises(ValueError):
-        design.X[0, 0] = 5.0
+        bound.x[0][0, 0] = 5.0

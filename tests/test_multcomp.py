@@ -10,7 +10,6 @@ from covglm import multcomp
 from covglm.errors import DataError, RankError
 from covglm.estimator import fit
 from covglm.multcomp import (
-    adjusted_means,
     contrast_set,
     joint_multiple_comparisons,
     multiple_comparisons,
@@ -44,7 +43,8 @@ def _two_factor_fit(seed=1, n=160):
 
 def test_four_level_adjusted_means_matrix():
     model, data = _factor_fit(["A", "B", "C", "D"])
-    means, labels = adjusted_means(model, 0, ["X"], data)
+    cs = contrast_set(model, 0, ["X"], data)
+    means, labels = cs.means, cs.combo_labels
     expected = np.array(
         [
             [1, 0, 0, 0],
@@ -94,7 +94,8 @@ def test_contrast_count(g):
 
 def test_two_factor_combination_rows():
     model, data = _two_factor_fit()
-    means, labels = adjusted_means(model, 0, ["METHOD", "SEX"], data)
+    cs = contrast_set(model, 0, ["METHOD", "SEX"], data)
+    means, labels = cs.means, cs.combo_labels
     assert labels == (
         "Escopeta:Female",
         "Escopeta:Male",

@@ -3,6 +3,7 @@ import json
 import logging
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,9 +16,12 @@ from covglm.errors import FitFileError
 from covglm.estimator import FitOptions, fit
 from covglm.families import Link
 from covglm.model import load_model_spec, parse_model_spec
-from covglm.report import render_report
-from covglm.serialize import load_fit, save_fit
-from covglm.tables import anova
+from covglm.report import render_linear_hypothesis, render_report, render_summary
+from covglm.serialize import FORMAT_VERSION, load_fit, save_fit
+from covglm.tables import anova, anova_dispersion, manova, manova_dispersion
+from covglm.wald import parse_hypothesis, wald_test
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def _write_inputs(tmp_path, seed=0, n=90, levels=("a", "b", "c")):
@@ -183,6 +187,52 @@ def test_version_mismatch(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(FitFileError, match="version"):
         load_fit(path)
+
+
+def test_fit_file_stores_no_design_matrix(tmp_path):
+    model, _, _ = _fitted(tmp_path)
+    path = tmp_path / "model.fit"
+    save_fit(model, path)
+    doc = json.loads(path.read_text())
+    assert doc["version"] == FORMAT_VERSION == 2
+    coding = {"formula", "terms", "spans", "column_labels", "level_maps", "var_kinds"}
+    assert [set(d) for d in doc["payload"]["designs"]] == [coding, coding]
+
+
+def _hunting_reports(model):
+    """The summary, every table of the Hunting analysis that needs no data,
+    and an lht block, as one text."""
+    tables = []
+    for kind in (1, 2, 3):
+        tables.extend(anova(model, kind))
+        tables.append(manova(model, kind))
+    tables.extend(
+        anova_dispersion(
+            model, [[0, 1], [0, 1]], [["tau10", "tau11"], ["tau20", "tau21"]]
+        )
+    )
+    tables.append(manova_dispersion(model, [0, 1], ["tau0", "tau1"]))
+    hypothesis = parse_hypothesis(["beta11 = 0", "beta21 = 0"], model)
+    return (
+        render_summary(model)
+        + render_report(tables)
+        + render_linear_hypothesis(hypothesis, wald_test(model, hypothesis))
+    )
+
+
+def test_version_1_fit_file_gives_its_reports(tmp_path):
+    # Written by format version 1, which also stored each design matrix;
+    # the reports were rendered from it by the same version.
+    path = FIXTURES / "hunting_tiny_v1.fit"
+    doc = json.loads(path.read_text())
+    assert doc["version"] == 1
+    assert all("x" in d for d in doc["payload"]["designs"])
+    model = load_fit(path)
+    assert _hunting_reports(model) == (FIXTURES / "hunting_tiny_v1_reports.txt").read_text()
+    resaved = tmp_path / "resaved.fit"
+    save_fit(model, resaved)
+    assert json.loads(resaved.read_text())["version"] == FORMAT_VERSION
+    _assert_same_bits(model, load_fit(resaved))
 
 
 def test_load_then_tables_match_fit_then_tables(tmp_path):

@@ -9,7 +9,7 @@ from covglm.chisq import chisq_sf
 from covglm.errors import PredictorMismatch, SingularHypothesisError
 from covglm.estimator import fit
 from covglm.tables import anova, anova_dispersion, manova, manova_dispersion
-from covglm.wald import kron_hypothesis, parse_hypothesis, wald_statistic, wald_test
+from covglm.wald import parse_hypothesis, wald_statistic, wald_test
 
 SOYA_DF = {
     1: [19, 18, 14, 12, 8],
@@ -234,7 +234,7 @@ def test_fixed_effect_rows_match_selector_calls(table_fit, kind):
         single = np.zeros((len(row), k))
         single[np.arange(len(row)), row] = 1.0
         constraint = np.zeros((len(row) * model.n_responses, h))
-        constraint[:, : model.n_beta] = kron_hypothesis(np.eye(model.n_responses), single)
+        constraint[:, : model.n_beta] = np.kron(np.eye(model.n_responses), single)
         expected.append(
             wald_statistic(
                 model.theta_star, model.godambe_inv, constraint, np.zeros(len(constraint))
