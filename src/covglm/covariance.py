@@ -8,6 +8,8 @@ function and the sandwich, are closed form; the tau derivatives go through
 the derivative of a Cholesky factor (Murray 2016, "Differentiation of the
 Cholesky decomposition", arXiv:1602.07527). So does the pullback of C and
 those derivatives to the means, which the sandwich's S_lambda_beta needs.
+The estimation loop reads the tau derivatives only in whitened form,
+L_r^-1 (dSigma_r/dtau) L_r^-T (``CovarianceModel.whitened_tau``).
 
 Every matrix here is block diagonal over the connected components of the
 rows (``RowClusters``), so C, dC/dlambda and C^-1 are held as stacks of
@@ -16,7 +18,7 @@ over the clusters of a stack.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -139,7 +141,10 @@ class RowClusters:
         matrices Z_d, 1.0 where two rows of a cluster share a level."""
         stacked = [np.stack(codes) for codes in z_codes]
         return tuple(
-            tuple((c[:, rows, None] == c[:, rows[:, None, :]]).astype(float) for c in stacked)
+            tuple(
+                (c[:, rows, None] == c[:, rows[:, None, :]]).astype(float, order="C")
+                for c in stacked
+            )
             for rows in self.rows
         )
 
@@ -218,10 +223,12 @@ def tril_inverse(chol):
         out[..., h:, :h] = -(bottom @ (chol[..., h:, :h] @ top))
         return out
     recip = 1.0 / np.diagonal(chol, axis1=-2, axis2=-1)
-    for i in range(m):
-        out[..., i, i] = 1.0
-        out[..., i, :i] -= (chol[..., i, None, :i] @ out[..., :i, :i])[..., 0, :]
-        out[..., i, : i + 1] *= recip[..., i, None]
+    diag = np.arange(m)
+    out[..., diag, diag] = recip
+    neg_recip = -recip[..., None]
+    for i in range(1, m):
+        row = (chol[..., i, None, :i] @ out[..., :i, :i])[..., 0, :]
+        out[..., i, :i] = row * neg_recip[..., i, :]
     return out
 
 
@@ -262,13 +269,39 @@ class JointCovariance:
         """C^-1 = B^-T (Sigma_b^-1 kron I) B^-1: block (r, s) is
         (Sigma_b^-1)[r, s] L_r^-T L_s^-1."""
         invs = self.sigma_chol_invs
-        chol_b_inv = tril_inverse(self.sigma_b_chol)
-        return _block_products([_t(c) for c in invs], invs, chol_b_inv.T @ chol_b_inv)
+        return _block_products([_t(c) for c in invs], invs, self.sigma_b_inverse)
 
     @cached_property
     def sigma_chol_invs(self):
         """L_r^-1 for every per-response Cholesky factor L_r."""
         return tuple(tril_inverse(chol) for chol in self.sigma_chols)
+
+    @cached_property
+    def sigma_b_inverse(self):
+        """Sigma_b^-1, from the inverse of its Cholesky factor."""
+        chol_inv = tril_inverse(self.sigma_b_chol)
+        return chol_inv.T @ chol_inv
+
+    def whiten(self, x):
+        """B^-1 x for a (..., mR, k) array: response r's rows times L_r^-1."""
+        return _by_response(self.sigma_chol_invs, x)
+
+    def whiten_t(self, x):
+        """B^-T x for a (..., mR, k) array: response r's rows times L_r^-T."""
+        return _by_response([_t(c) for c in self.sigma_chol_invs], x)
+
+    def sigma_b_solve(self, x):
+        """(Sigma_b^-1 kron I) x for a (..., mR, k) array."""
+        blocks = x.reshape(x.shape[:-2] + (len(self.sigma_chols), -1))
+        return (self.sigma_b_inverse @ blocks).reshape(x.shape)
+
+
+def _by_response(mats, x):
+    """Bdiag(mats) x: the m rows of response r in x times mats[r]."""
+    m = mats[0].shape[-1]
+    return np.concatenate(
+        [a @ x[..., r * m : (r + 1) * m, :] for r, a in enumerate(mats)], axis=-2
+    )
 
 
 def _block_products(lefts, rights, weights):
@@ -375,6 +408,21 @@ class CovarianceModel:
             self._stack_derivatives(k, disp, block) for k, block in enumerate(joint)
         )
 
+    def whitened_tau(self, joint):
+        """M = L_r^-1 (dSigma_r/dtau_rd) L_r^-T for every tau_rd, in flat
+        order: one (q_tau, G, m, m) array per cluster stack of ``joint``.
+        The Cholesky factor moves by dL_r = L_r Phi(M) (Murray 2016)."""
+        return tuple(self._stack_whitened(k, block) for k, block in enumerate(joint))
+
+    def _stack_whitened(self, k, block):
+        out = []
+        for r, chol_inv in enumerate(block.sigma_chol_invs):
+            # L^-1 V^(1/2), so that M = (L^-1 V^(1/2)) Z_d (L^-1 V^(1/2))^T
+            # for the whole (D, G, m, m) stack of Z_d blocks at once.
+            scaled = chol_inv * self._sqrt_variance(k, r)[..., None, :]
+            out.append(scaled @ self.blocks[k][r][2] @ _t(scaled))
+        return np.concatenate(out)
+
     def _stack_derivatives(self, k, disp, block):
         n_resp = self.n_responses
         m = block.shape[-1] // n_resp
@@ -385,18 +433,16 @@ class CovarianceModel:
             product = chols[r] @ _t(chols[s])
             d[..., rows[r], rows[s]] = product
             d[..., rows[s], rows[r]] = _t(product)
-        i = n_resp * (n_resp - 1) // 2
+        n_rho = n_resp * (n_resp - 1) // 2
+        whitened = self._stack_whitened(k, block)
+        i = n_rho
         for r in range(n_resp):
             sqrt_v = self._sqrt_variance(k, r)
-            chol_inv = block.sigma_chol_invs[r] if n_resp > 1 else None
             for z in self.blocks[k][r][2]:
                 d = out[i]
+                d[..., rows[r], rows[r]] = _scale(sqrt_v, z)
+                d_chol = chols[r] @ _phi(whitened[i - n_rho])
                 i += 1
-                d_sigma = _scale(sqrt_v, z)
-                d[..., rows[r], rows[r]] = d_sigma
-                if n_resp == 1:
-                    continue
-                d_chol = chols[r] @ _phi(_whiten(chol_inv, d_sigma))
                 for s in range(n_resp):
                     if s != r:
                         product = block.sigma_b[r, s] * (d_chol @ _t(chols[s]))
@@ -438,11 +484,7 @@ class CovarianceModel:
         chol_invs = block.sigma_chol_invs
         sigma_b = block.sigma_b
         sqrt_vs = [self._sqrt_variance(k, r) for r in range(n_resp)]
-        whitened = {
-            (r, d): _whiten(chol_invs[r], _scale(sqrt_vs[r], z))
-            for r in range(n_resp)
-            for d, z in enumerate(self.blocks[k][r][2])
-        }
+        whitened = self._stack_whitened(k, block)
         out = np.zeros(g_stack.shape[:-1])
         for a in range(n_resp):
             chol, chol_inv, s = chols[a], chol_invs[a], sqrt_vs[a]
@@ -475,7 +517,7 @@ class CovarianceModel:
                         y_bar += 2.0 * h_chol[t]
                 else:
                     r, d = params[i]
-                    white = whitened[(r, d)]
+                    white = whitened[i - n_rho]
                     if r == a:
                         y_bar += 2.0 * (w @ _t(_phi(white)) - v_back @ white)
                         grad_s += _spread(h_aa + 2.0 * u_w, z_blocks[d], s)
@@ -492,17 +534,17 @@ class CovarianceModel:
         return out
 
 
+@lru_cache(maxsize=64)
+def _phi_weights(m):
+    weights = np.tril(np.ones((m, m)))
+    np.fill_diagonal(weights, 0.5)
+    weights.flags.writeable = False
+    return weights
+
+
 def _phi(x):
     """Lower triangle with the diagonal halved; self-adjoint in <., .>."""
-    phi = np.tril(x)
-    diag = np.arange(x.shape[-1])
-    phi[..., diag, diag] *= 0.5
-    return phi
-
-
-def _whiten(chol_inv, sym):
-    """L^-1 S L^-T for a symmetric S, given L^-1."""
-    return chol_inv @ sym @ _t(chol_inv)
+    return x * _phi_weights(x.shape[-1])
 
 
 def _cholesky_derivative_adjoint(chol, chol_inv, y):

@@ -12,9 +12,15 @@ class CovglmError(Exception):
 
 
 class DomainError(CovglmError):
-    """A value fell outside the domain of a link or variance function."""
+    """A value fell outside the domain of a link or variance function, or
+    out of floating-point range; ``origin`` overrides the default tag."""
 
     origin = "families"
+
+    def __init__(self, message, origin=None):
+        super().__init__(message)
+        if origin is not None:
+            self.origin = origin
 
 
 class FormulaSyntaxError(CovglmError):

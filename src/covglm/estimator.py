@@ -8,7 +8,10 @@ S^-1 V S^-T assembled from the block sensitivity/variability matrices at
 the solution. Every block is closed form: dC/dlambda and its pullback to
 the means as in ``covariance``, after Murray 2016. C is block diagonal over
 the row clusters (``covariance.RowClusters``), so every estimating
-function, sensitivity and variability is a sum over the clusters.
+function, sensitivity and variability is a sum over the clusters. The
+iteration works in the coordinates that C's factors whiten (``_State``,
+``_pearson_pieces``); C^-1 and the dC/dlambda stacks are formed once, at
+the solution, for the sandwich.
 """
 
 import logging
@@ -18,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _kernels
-from .covariance import CovarianceModel, DispersionVector, rho_pairs
+from .covariance import CovarianceModel, DispersionVector, _phi, rho_pairs
 from .errors import DomainError, NotPositiveDefinite, OptionError, RankError
 from .model import BoundModel, bind, rank_tolerance, redundant_columns
 
@@ -88,17 +91,34 @@ class _State:
     def index(self):
         return self.covmodel.clusters.index
 
-    def solve(self, x):
-        """C^-1 x for an (NR, k) array, one cluster stack at a time."""
-        out = np.empty_like(x)
-        for idx, block in zip(self.index, self.joint):
-            out[idx] = block.inverse @ x[idx]
-        return out
+    @cached_property
+    def whitened(self):
+        """Per cluster stack, the (G, mR) arrays e = B^-1 r and z = S^-1 e,
+        C = B S B^T as in ``JointCovariance``."""
+        out = []
+        # Residuals past about 1e154 overflow here and in the products of
+        # e and z; ``_solve`` then rejects the non-finite system.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for idx, block in zip(self.index, self.joint):
+                e = block.whiten(self.resid[idx][..., None])
+                out.append((e[..., 0], block.sigma_b_solve(e)[..., 0]))
+        return tuple(out)
+
+    @cached_property
+    def d_whitened(self):
+        """Per cluster stack, the (G, mR, k) array B^-1 D."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return tuple(
+                block.whiten(self.D[idx]) for idx, block in zip(self.index, self.joint)
+            )
 
     @cached_property
     def u(self):
-        """C^-1 r."""
-        return self.solve(self.resid[:, None])[:, 0]
+        """C^-1 r = B^-T z."""
+        u = np.empty_like(self.resid)
+        for idx, block, (_, z) in zip(self.index, self.joint, self.whitened):
+            u[idx] = block.whiten_t(z[..., None])[..., 0]
+        return u
 
 
 def _beta_spans(designs):
@@ -148,8 +168,16 @@ def _evaluate(bound, beta, disp):
 
 
 def _quasi_pieces(state):
-    psi = state.D.T @ state.u
-    variability = state.D.T @ state.solve(state.D)
+    """psi_beta = D^T C^-1 r and D^T C^-1 D, summed over the cluster stacks
+    as D~^T z and D~^T S^-1 D~ with D~ = B^-1 D."""
+    k = state.D.shape[1]
+    psi = np.zeros(k)
+    variability = np.zeros((k, k))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block, (_, z), d_white in zip(state.joint, state.whitened, state.d_whitened):
+            flat = d_white.reshape(-1, k)
+            psi += flat.T @ z.ravel()
+            variability += flat.T @ block.sigma_b_solve(d_white).reshape(-1, k)
     variability = 0.5 * (variability + variability.T)
     return psi, -variability, variability
 
@@ -164,25 +192,79 @@ def quasi_score(bound, beta, disp):
 
 
 def _pearson_pieces(state):
-    """psi_lambda and S_lambda, plus the stacks W_i = C^-1 dC/dlambda_i.
+    """psi_lambda and S_lambda over the free dispersion parameters.
 
-    Both are sums over the clusters: psi_lambda_i = u^T B_i u - tr(W_i)
-    and S_lambda[i, j] = -tr(W_i W_j), with u = C^-1 r and B_i = dC/dlambda_i.
-    Each B_i stack is overwritten by W_i.
+    With C = B S B^T, B = Bdiag(L_r) and S = Sigma_b kron I, each
+    B_i = dC/dlambda_i whitens to A_i = B^-1 B_i B^-T: (E_rs + E_sr) kron I
+    for rho_rs, and P S + S P^T for tau_rd, with P = Phi(M) in block (r, r)
+    and M = L_r^-1 (dSigma_r/dtau_rd) L_r^-T. Then
+    psi_lambda_i = z^T A_i z - tr(S^-1 A_i) and
+    S_lambda[i, j] = -tr(S^-1 A_i S^-1 A_j), which reduce to sums of m x m
+    cluster blocks (N rows, K = Sigma_b^-1):
+
+    - psi for rho_rs: 2 z_r . z_s - 2 N K_rs;
+    - psi for tau_rd: 2 z_r^T P e_r - tr M;
+    - S for rho_rs, rho_tu: -N tr(K E_rs K E_tu) = -2 N (K_rt K_su + K_ru K_st),
+      E_rs = e_r e_s^T + e_s e_r^T;
+    - S for rho_rs, tau_td: -(K E_rs)_tt tr M, where (K E_rs)_tt is K_rs for
+      t in {r, s} and 0 otherwise;
+    - S for tau_i in response r, tau_j in response s:
+      -2 delta_rs tr(P_i P_j) - 2 K_rs (Sigma_b)_rs tr(P_i P_j^T).
     """
-    derivs = state.covmodel.derivatives(state.disp, state.joint)
-    psi = np.zeros(state.disp.n_free)
-    traces = np.zeros((state.disp.n_free,) * 2)
-    for idx, block, stack in zip(state.index, state.joint, derivs):
-        u = state.u[idx]
-        # u u^T overflows for residuals past about 1e154; the non-finite psi
-        # then fails the covariance checks at the next step.
-        with np.errstate(over="ignore", invalid="ignore"):
-            psi += stack.reshape(len(stack), -1) @ (u[:, :, None] * u[:, None, :]).ravel()
+    n_resp = len(state.disp.tau)
+    rho_r, rho_s = np.array(rho_pairs(n_resp), dtype=int).reshape(-1, 2).T
+    owner = np.repeat(np.arange(n_resp), [len(t) for t in state.disp.tau])
+    q_tau = len(owner)
+    gram = np.zeros((n_resp, n_resp))
+    trace_m = np.zeros(q_tau)
+    psi_tau = np.zeros(q_tau)
+    same = np.zeros((q_tau, q_tau))
+    cross = np.zeros((q_tau, q_tau))
+    ms_stacks = state.covmodel.whitened_tau(state.joint)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (e, z), ms in zip(state.whitened, ms_stacks):
+            # (R, G, m) views of the (G, mR) whitened residuals.
+            e = e.reshape(len(e), n_resp, -1).swapaxes(0, 1)
+            z = z.reshape(len(z), n_resp, -1).swapaxes(0, 1)
+            flat_z = z.reshape(n_resp, -1)
+            gram += flat_z @ flat_z.T
+            ps = _phi(ms)
+            trace_m += np.einsum("qgll->q", ms)
+            pe = (ps @ e[owner][..., None])[..., 0]
+            psi_tau += 2.0 * np.einsum("qgl,qgl->q", z[owner], pe)
+            same += _kernels.pair_traces(ps)
+            flat_p = ps.reshape(q_tau, -1)
+            cross += flat_p @ flat_p.T
+    block = state.joint[0]
+    k_inv = block.sigma_b_inverse
+    n = state.covmodel.clusters.n_obs
+    n_rho = len(rho_r)
+    psi_rho = 2.0 * (gram[rho_r, rho_s] - n * k_inv[rho_r, rho_s])
+    r, s = rho_r[:, None], rho_s[:, None]
+    touches = (owner == r) | (owner == s)
+    sens = np.empty((n_rho + q_tau,) * 2)
+    sens[:n_rho, :n_rho] = -2.0 * n * (
+        k_inv[r, rho_r] * k_inv[s, rho_s] + k_inv[r, rho_s] * k_inv[s, rho_r]
+    )
+    sens[:n_rho, n_rho:] = -(touches * k_inv[r, s]) * trace_m
+    sens[n_rho:, :n_rho] = sens[:n_rho, n_rho:].T
+    sens[n_rho:, n_rho:] = -2.0 * (
+        (owner[:, None] == owner) * same
+        + (k_inv * block.sigma_b)[owner[:, None], owner] * cross
+    )
+    return np.concatenate([psi_rho, psi_tau - trace_m]), sens
+
+
+def _inverse_stacks(state):
+    """W_i = C^-1 dC/dlambda_i, one (q, G, mR, mR) array per cluster stack.
+
+    Formed once per fit, at the solution, for V_lambda's fourth-cumulant
+    term and ``cross_blocks``.
+    """
+    stacks = state.covmodel.derivatives(state.disp, state.joint)
+    for block, stack in zip(state.joint, stacks):
         np.matmul(block.inverse, stack, out=stack)
-        psi -= np.einsum("qgll->q", stack)
-        traces += _kernels.pair_traces(stack)
-    return psi, -traces, derivs
+    return stacks
 
 
 def _pearson_variability(state, sens, stacks):
@@ -193,8 +275,11 @@ def _pearson_variability(state, sens, stacks):
         w_diag = np.einsum("qglm,gml->qgl", stack, block.inverse)
         w_diag = w_diag.reshape(len(stack), -1)
         c_diag = block.diagonal
-        k4 = (state.resid[idx] ** 4 - 3.0 * c_diag**2).ravel()
-        var += (w_diag * k4) @ w_diag.T
+        # r^4 overflows for residuals past about 1e77; ``_solve`` then
+        # rejects the non-finite sandwich.
+        with np.errstate(over="ignore", invalid="ignore"):
+            k4 = (state.resid[idx] ** 4 - 3.0 * c_diag**2).ravel()
+            var += (w_diag * k4) @ w_diag.T
     return 0.5 * (var + var.T)
 
 
@@ -205,11 +290,11 @@ def pearson_fn(bound, beta, disp):
     parameters (correlations first, then per-response taus).
     """
     state = _evaluate(bound, beta, disp)
-    psi, sens, stacks = _pearson_pieces(state)
-    return psi, sens, _pearson_variability(state, sens, stacks)
+    psi, sens = _pearson_pieces(state)
+    return psi, sens, _pearson_variability(state, sens, _inverse_stacks(state))
 
 
-def cross_blocks(bound, beta, disp, state=None, pearson=None):
+def cross_blocks(bound, beta, disp, state=None, stacks=None):
     """Cross sensitivity blocks ``(S_lambda_beta, S_beta_lambda)`` at a
     parameter point.
 
@@ -222,17 +307,17 @@ def cross_blocks(bound, beta, disp, state=None, pearson=None):
     (``CovarianceModel.mean_gradient``). Every term is a sum over the
     row clusters.
 
-    ``fit`` passes its own evaluation at (beta, disp) as ``state`` and the
-    stacks C^-1 B_i of its last ``_pearson_pieces`` as ``pearson``, so
-    nothing is rebuilt; the stacks are overwritten.
+    ``fit`` passes its own evaluation at (beta, disp) as ``state`` and its
+    ``_inverse_stacks`` C^-1 B_i as ``stacks``, so nothing is rebuilt; the
+    stacks are overwritten.
     """
     if state is None:
         state = _evaluate(bound, beta, disp)
-    if pearson is None:
-        pearson = _pearson_pieces(state)[2]
+    if stacks is None:
+        stacks = _inverse_stacks(state)
     ys = np.empty((state.disp.n_free, len(state.resid)))
     h_blocks = []
-    for idx, block, stack in zip(state.index, state.joint, pearson):
+    for idx, block, stack in zip(state.index, state.joint, stacks):
         u = state.u[idx]
         y = (stack @ u[..., None])[..., 0]
         ys[:, idx] = y
@@ -241,7 +326,7 @@ def cross_blocks(bound, beta, disp, state=None, pearson=None):
         stack -= y[..., :, None] * u[:, None, :]
         h_blocks.append(u[:, :, None] * u[:, None, :] - block.inverse)
     sens_bl = -(ys @ state.D).T
-    grad = state.covmodel.mean_gradient(state.disp, state.joint, pearson, h_blocks)
+    grad = state.covmodel.mean_gradient(state.disp, state.joint, stacks, h_blocks)
     sens_lb = (grad - 2.0 * ys) @ state.D
     return sens_lb, sens_bl
 
@@ -426,7 +511,14 @@ class _Trace:
 
 
 def _solve(a, b, what):
-    """np.linalg.solve, with a singular system reported as a typed error."""
+    """np.linalg.solve, with a singular or non-finite system reported as a
+    typed error."""
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise DomainError(
+            f"the {what} system has non-finite entries; the responses are too "
+            "large for this model's link and variance",
+            origin="estimator",
+        )
     try:
         return np.linalg.solve(a, b)
     except np.linalg.LinAlgError:
@@ -485,7 +577,7 @@ def fit(spec, data, options=None):
                 lambda b: _evaluate(bound, b, disp), beta, beta_step, iteration
             )
             beta_new = state_b.beta
-            psi_l, sens_l, _ = _pearson_pieces(state_b)
+            psi_l, sens_l = _pearson_pieces(state_b)
             lam_step = -opts.alpha * _solve(sens_l, psi_l, "dispersion Newton")
             flat = disp.flatten()
             state_new, halvings_l = _halved_step(
@@ -511,13 +603,12 @@ def fit(spec, data, options=None):
                 break
     finally:
         trace.close()
-    if not converged:
-        log.warning("estimation did not converge in %d iterations", opts.max_iter)
     # Sandwich information assembled once, at the solution.
     psi_b, sens_b, var_b = _quasi_pieces(state)
-    psi_l, sens_l, stacks = _pearson_pieces(state)
+    psi_l, sens_l = _pearson_pieces(state)
+    stacks = _inverse_stacks(state)
     var_l = _pearson_variability(state, sens_l, stacks)
-    sens_lb, sens_bl = cross_blocks(bound, beta, disp, state=state, pearson=stacks)
+    sens_lb, sens_bl = cross_blocks(bound, beta, disp, state=state, stacks=stacks)
     sens = np.block([[sens_b, sens_bl], [sens_lb, sens_l]])
     # V is block diagonal: the cross variability is taken as zero. Its
     # third-moment plug-in estimate is noise of the same order as its
@@ -530,6 +621,10 @@ def fit(spec, data, options=None):
     half = _solve(sens, var, "sandwich")
     joint_inverse = _solve(sens, half.T, "sandwich").T
     joint_inverse = 0.5 * (joint_inverse + joint_inverse.T)
+    # Warned only once the sandwich exists, so that a fit that fails there
+    # reports its error alone.
+    if not converged:
+        log.warning("estimation did not converge in %d iterations", opts.max_iter)
     return FittedModel(
         spec=bound.spec,
         design=bound.designs,

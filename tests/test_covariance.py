@@ -386,6 +386,66 @@ def test_structured_inverse_inverts_c(seed, kinds, grouped):
             assert np.abs(chol_inv - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
+def _stack_pearson_oracle(state):
+    """psi_lambda_i = u^T B_i u - tr W_i and S_lambda[i, j] = -tr(W_i W_j)
+    from the (q, G, mR, mR) stacks B_i = dC/dlambda_i and W_i = C^-1 B_i,
+    u = C^-1 r, with each cluster's C assembled and solved; also the
+    largest single-cluster term of each psi_lambda_i."""
+    q = state.disp.n_free
+    psi, sens, largest = np.zeros(q), np.zeros((q, q)), np.zeros(q)
+    derivs = state.covmodel.derivatives(state.disp, state.joint)
+    for idx, block, stack in zip(state.index, state.joint, derivs):
+        u = np.linalg.solve(block.C, state.resid[idx][..., None])[..., 0]
+        w = np.linalg.solve(block.C, stack)
+        quad = np.einsum("gi,qgij,gj->qg", u, stack, u)
+        trace = np.einsum("qgii->qg", w)
+        psi += (quad - trace).sum(axis=1)
+        sens -= np.einsum("agij,bgji->ab", w, w)
+        terms = np.concatenate([np.abs(quad), np.abs(trace)], axis=1)
+        largest = np.maximum(largest, terms.max(axis=1))
+    return psi, sens, largest
+
+
+@PROPERTY_SETTINGS
+@given(
+    seed=st.integers(0, 2**16),
+    kinds=st.lists(st.sampled_from(_KINDS), min_size=1, max_size=4),
+    n_z=st.integers(1, 2),
+    grouped=st.booleans(),
+)
+def test_whitened_pearson_pieces_match_the_derivative_stacks(seed, kinds, n_z, grouped):
+    # R = 1-4, every variance kind, identity, grouped (several cluster
+    # stacks) or dense Z: the whitened psi_lambda and S_lambda equal the
+    # forms built from dC/dlambda and C^-1.
+    from covglm.estimator import _pearson_pieces, _State
+
+    rng = np.random.default_rng(seed)
+    model, disp = _random_covariance_model(
+        rng,
+        len(kinds),
+        n_z,
+        n=int(rng.integers(7, 16)),
+        kinds=kinds,
+        with_ntrials="binomialP" in kinds,
+        grouped=grouped,
+    )
+    disp = DispersionVector(rho=0.5 * disp.rho, tau=disp.tau)
+    resid = rng.normal(scale=2.0, size=len(kinds) * model.clusters.n_obs)
+    state = _State(
+        beta=None,
+        disp=disp,
+        mus=model.mus,
+        resid=resid,
+        D=None,
+        covmodel=model,
+        joint=model.build(disp),
+    )
+    psi, sens = _pearson_pieces(state)
+    expected_psi, expected_sens, largest = _stack_pearson_oracle(state)
+    assert np.abs(sens - expected_sens).max() <= 1e-10 * np.abs(expected_sens).max()
+    assert np.all(np.abs(psi - expected_psi) <= 1e-10 * largest)
+
+
 def test_single_response_tau_derivative_is_exact_form():
     n = 5
     mu = np.linspace(1.0, 2.0, n)

@@ -14,6 +14,7 @@ import pytest
 from covglm.cli import run
 
 N = 40
+SHORT = 24
 IDENTITY = [{"kind": "identity"}]
 GROUPED = [{"kind": "identity"}, {"kind": "grouping", "column": "g"}]
 
@@ -109,6 +110,30 @@ def _negative_counts():
     return columns, [_response("y ~ x", "log", "poisson_tweedie")]
 
 
+def _huge_constant_variance_log_mean():
+    # Under the constant variance the covariance ignores the mean, so only
+    # the estimating functions, D^T C^-1 D of order 1e308, overflow.
+    rng = np.random.default_rng(14)
+    columns = {"y": 1e154 * rng.uniform(1.0, 2.0, size=SHORT), "x": rng.normal(size=SHORT)}
+    return columns, [_response("y ~ x", "log")]
+
+
+def _alternating_huge_response():
+    # Responses alternating 1e250 and 1 under a log link and the constant
+    # variance.
+    rng = np.random.default_rng(15)
+    y = np.where(np.arange(SHORT) % 2 == 0, 1e250, 1.0)
+    return {"y": y, "x": rng.normal(size=SHORT)}, [_response("y ~ x", "log")]
+
+
+def _huge_tweedie_response():
+    # The fit runs out of iterations and r^4 in the fourth-cumulant term
+    # overflows; the non-finite sandwich is the one reported line.
+    rng = np.random.default_rng(16)
+    columns = {"y": 1e100 * rng.uniform(1.0, 2.0, size=SHORT), "x": rng.normal(size=SHORT)}
+    return columns, [_response("y ~ x", "log", "tweedie")]
+
+
 def _huge_tweedie_power():
     # mu**400 overflows for means past about 6.
     rng = np.random.default_rng(10)
@@ -143,6 +168,9 @@ CASES = {
     "overflow-interaction": _overflowing_interaction,
     "huge-response": _huge_response,
     "huge-log-mean": _huge_log_mean,
+    "huge-log-mean-constant-variance": _huge_constant_variance_log_mean,
+    "alternating-huge-response": _alternating_huge_response,
+    "huge-tweedie-response": _huge_tweedie_response,
     "negative-counts": _negative_counts,
     "tweedie-power-400": _huge_tweedie_power,
     "unresolvable-scale": _unresolvable_scale,
@@ -199,3 +227,18 @@ def test_unresolvable_column_scale_is_named_as_such(tmp_path, capsys):
     assert err.startswith("error [estimator]: design for response 'y': its columns differ ")
     assert "in scale by more than the rank test can resolve" in err
     assert "redundant" not in err
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "huge-log-mean-constant-variance",
+        "alternating-huge-response",
+        "huge-tweedie-response",
+    ],
+)
+def test_overflowing_fit_systems_fail_in_one_line(case, tmp_path, capsys):
+    code, err = _summary(case, tmp_path, capsys)
+    assert code == 1
+    assert err.count("\n") == 1
+    assert "non-finite entries" in err

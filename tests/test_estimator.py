@@ -327,6 +327,46 @@ def test_cross_blocks_reuses_the_fit_state(monkeypatch):
     assert calls == {"cross_blocks": 1, "build": 0, "derivatives": 0}
 
 
+def test_iterations_form_no_derivative_stack_and_no_assembled_inverse(monkeypatch):
+    # The loop works in whitened coordinates; dC/dlambda and C^-1 are formed
+    # once, on the solution state, for V_lambda and cross_blocks.
+    from covglm import estimator
+    from covglm.covariance import CovarianceModel, JointCovariance
+
+    data, spec, _, _ = _three_response_problem(
+        ("constant", "tweedie", "poisson_tweedie")
+    )
+    differentiated = []
+    read = []
+    solutions = []
+    original_derivatives = CovarianceModel.derivatives
+    original_inverse = JointCovariance.inverse.func
+    original_cross_blocks = estimator.cross_blocks
+
+    def derivatives(self, disp, joint):
+        differentiated.append(joint)
+        return original_derivatives(self, disp, joint)
+
+    def inverse(self):
+        read.append(self)
+        return original_inverse(self)
+
+    def traced_cross_blocks(*args, **kwargs):
+        solutions.append(kwargs["state"])
+        return original_cross_blocks(*args, **kwargs)
+
+    monkeypatch.setattr(CovarianceModel, "derivatives", derivatives)
+    monkeypatch.setattr(JointCovariance, "inverse", property(inverse))
+    monkeypatch.setattr(estimator, "cross_blocks", traced_cross_blocks)
+    model = fit(spec, data, FitOptions(max_iter=3))
+    assert model.iterations == 3
+    (state,) = solutions
+    assert len(differentiated) == 1
+    assert differentiated[0] is state.joint
+    assert read
+    assert all(any(block is solved for solved in state.joint) for block in read)
+
+
 def test_pearson_variability_is_formed_once_per_fit(monkeypatch):
     # The iteration uses psi_lambda and S_lambda only; V_lambda, with its
     # fourth-cumulant term, is formed once, at the solution.

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import gaussian_spec, make_dataset, response_spec
 from covglm.covariance import DispersionVector
-from covglm.errors import NotPositiveDefinite, RankError
+from covglm.errors import DomainError, NotPositiveDefinite, RankError
 from covglm.estimator import FitOptions, _halved_step, fit, pearson_fn
 from covglm.model import MatrixComponent, ModelSpec, bind
 
@@ -106,6 +106,16 @@ def test_singular_newton_system_is_a_typed_error():
     bound = dataclasses.replace(bound, z_codes=((np.arange(n), np.arange(n)),))
     with pytest.raises(RankError, match="dispersion Newton system is singular"):
         fit(bound, None)
+
+
+def test_overflowing_fourth_cumulant_is_a_domain_error():
+    # r^4 in V_lambda's fourth-cumulant term overflows for residuals of
+    # order 1e77; the sandwich solve rejects it instead of returning NaN.
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=40)
+    data = make_dataset({"y": 1e77 * (1.0 + x + rng.normal(size=40)), "x": x})
+    with pytest.raises(DomainError, match="sandwich system has non-finite entries"):
+        fit(gaussian_spec("y ~ x"), data, FitOptions(max_iter=5))
 
 
 def test_separated_binary_data_aborts_with_diagnostics():
