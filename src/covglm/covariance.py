@@ -14,7 +14,10 @@ L_r^-1 (dSigma_r/dtau) L_r^-T (``CovarianceModel.whitened_tau``).
 Every matrix here is block diagonal over the connected components of the
 rows (``RowClusters``), so C, dC/dlambda and C^-1 are held as stacks of
 per-cluster blocks, one stack per cluster size, and all algebra is batched
-over the clusters of a stack.
+over the clusters of a stack. All responses share the clusters, so a
+stack's per-response pieces (V^(1/2), Sigma_r, L_r, L_r^-1) are each one
+(R, G, m[, m]) array, and each step is one batched call over the responses
+and clusters together.
 """
 
 from dataclasses import dataclass
@@ -137,14 +140,12 @@ class RowClusters:
         return cls(n_obs=n, rows=tuple(rows), index=tuple(index))
 
     def z_blocks(self, z_codes):
-        """Per stack, per response: the (D, G, m, m) cluster blocks of its D
-        matrices Z_d, 1.0 where two rows of a cluster share a level."""
-        stacked = [np.stack(codes) for codes in z_codes]
+        """Per stack: the (q_tau, G, m, m) cluster blocks of every Z_d of
+        every response, in flat tau order, 1.0 where two rows of a cluster
+        share a level."""
+        codes = np.stack([c for response in z_codes for c in response])
         return tuple(
-            tuple(
-                (c[:, rows, None] == c[:, rows[:, None, :]]).astype(float, order="C")
-                for c in stacked
-            )
+            (codes[:, rows, None] == codes[:, rows[:, None, :]]).astype(float, order="C")
             for rows in self.rows
         )
 
@@ -154,16 +155,13 @@ def _t(x):
     return np.swapaxes(x, -1, -2)
 
 
-def build_omega(tau_r, z_list):
-    """Omega = sum_d tau_d Z_d for one response (or a stack of its blocks)."""
-    if len(tau_r) != len(z_list):
-        raise ValueError(
-            f"got {len(tau_r)} dispersion coefficients for {len(z_list)} matrices"
-        )
-    omega = np.zeros_like(z_list[0])
-    for coef, z in zip(tau_r, z_list):
-        omega = omega + coef * z
-    return omega
+def build_omega(tau, z_list):
+    """Omega = sum_d tau_d Z_d for one response's taus and its Z_d (or
+    stacks of their blocks). With ``tau`` an (R, q) matrix whose row r
+    holds response r's taus at its Z_d's places, every response's Omega in
+    one contraction."""
+    tau, z = np.asarray(tau, dtype=float), np.asarray(z_list, dtype=float)
+    return (tau @ z.reshape(len(z), -1)).reshape(tau.shape[:-1] + z.shape[1:])
 
 
 def sqrt_variance(mu, var, ntrial=None):
@@ -185,10 +183,15 @@ def build_sigma_r(mu, var, omega, ntrial=None):
     ``mu`` (and ``ntrial``) may carry leading axes matching a stack of
     Omega blocks.
     """
-    sigma = _scale(sqrt_variance(mu, var, ntrial), omega)
-    if var.kind == "poisson_tweedie":
-        diag = np.arange(sigma.shape[-1])
-        sigma[..., diag, diag] += mu
+    counts = mu if var.kind == "poisson_tweedie" else 0.0
+    return _sigma(sqrt_variance(mu, var, ntrial), counts, omega)
+
+
+def _sigma(sqrt_v, counts, omega):
+    """diag(sqrt_v) Omega diag(sqrt_v) + diag(counts), batched over leading
+    axes; non-finite entries are rejected."""
+    sigma = _scale(sqrt_v, omega)
+    np.einsum("...ii->...i", sigma)[...] += counts
     if not np.isfinite(sigma).all():
         raise NotPositiveDefinite("per-response covariance has non-finite entries")
     return sigma
@@ -236,45 +239,48 @@ def tril_inverse(chol):
 class JointCovariance:
     """The joint covariance C = B (Sigma_b kron I) B^T, held as its factors.
 
-    B = Bdiag(L_1..L_R) holds the per-response Cholesky factors
-    ``sigma_chols`` and ``sigma_b_chol`` is the Cholesky factor of the
-    correlation matrix ``sigma_b``. For a stack of G clusters of m rows each
-    L_r is (G, m, m) and C is (G, mR, mR); for plain N x N per-response
-    matrices C is the dense NR x NR matrix.
+    B = Bdiag(L_1..L_R). ``sigma_chols`` holds every per-response Cholesky
+    factor L_r in one (R, ..., m, m) array: (R, G, m, m) for a stack of G
+    clusters of m rows each, whose C is (G, mR, mR), or (R, N, N) for plain
+    per-response matrices, whose C is the dense NR x NR matrix. Each
+    operation on the factors (inverse, whitening, diagonal) is one batched
+    call over all responses. ``sigma_b_chol`` is the Cholesky factor of the
+    correlation matrix ``sigma_b``.
     """
 
-    sigma_chols: tuple
+    sigma_chols: np.ndarray
     sigma_b: np.ndarray
     sigma_b_chol: np.ndarray
 
     @property
     def shape(self):
         """The shape of C."""
-        chol = self.sigma_chols[0]
-        return chol.shape[:-2] + (chol.shape[-1] * len(self.sigma_chols),) * 2
+        n_resp, *lead, m, _ = self.sigma_chols.shape
+        return tuple(lead) + (m * n_resp,) * 2
 
     @property
     def diagonal(self):
         """diag C, response-major: diag Sigma_r is the row sums of L_r^2."""
-        return np.concatenate([(c**2).sum(axis=-1) for c in self.sigma_chols], axis=-1)
+        diag = (self.sigma_chols**2).sum(axis=-1)
+        return np.moveaxis(diag, 0, -2).reshape(diag.shape[1:-1] + (-1,))
 
     @cached_property
     def C(self):
         """C assembled: block (r, s) is Sigma_b[r, s] L_r L_s^T."""
         chols = self.sigma_chols
-        return _block_products(chols, [_t(c) for c in chols], self.sigma_b)
+        return _coupled(chols[:, None] @ _t(chols)[None, :], self.sigma_b)
 
     @cached_property
     def inverse(self):
         """C^-1 = B^-T (Sigma_b^-1 kron I) B^-1: block (r, s) is
         (Sigma_b^-1)[r, s] L_r^-T L_s^-1."""
         invs = self.sigma_chol_invs
-        return _block_products([_t(c) for c in invs], invs, self.sigma_b_inverse)
+        return _coupled(_t(invs)[:, None] @ invs[None, :], self.sigma_b_inverse)
 
     @cached_property
     def sigma_chol_invs(self):
-        """L_r^-1 for every per-response Cholesky factor L_r."""
-        return tuple(tril_inverse(chol) for chol in self.sigma_chols)
+        """L_r^-1 of every response, one (R, ..., m, m) array."""
+        return tril_inverse(self.sigma_chols)
 
     @cached_property
     def sigma_b_inverse(self):
@@ -283,41 +289,25 @@ class JointCovariance:
         return chol_inv.T @ chol_inv
 
     def whiten(self, x):
-        """B^-1 x for a (..., mR, k) array: response r's rows times L_r^-1."""
-        return _by_response(self.sigma_chol_invs, x)
+        """B^-1 x for an (R, ..., m, k) array: x[r] times L_r^-1."""
+        return self.sigma_chol_invs @ x
 
     def whiten_t(self, x):
-        """B^-T x for a (..., mR, k) array: response r's rows times L_r^-T."""
-        return _by_response([_t(c) for c in self.sigma_chol_invs], x)
+        """B^-T x for an (R, ..., m, k) array: x[r] times L_r^-T."""
+        return _t(self.sigma_chol_invs) @ x
 
     def sigma_b_solve(self, x):
-        """(Sigma_b^-1 kron I) x for a (..., mR, k) array."""
-        blocks = x.reshape(x.shape[:-2] + (len(self.sigma_chols), -1))
-        return (self.sigma_b_inverse @ blocks).reshape(x.shape)
+        """(Sigma_b^-1 kron I) x for an (R, ...) array."""
+        return (self.sigma_b_inverse @ x.reshape(len(x), -1)).reshape(x.shape)
 
 
-def _by_response(mats, x):
-    """Bdiag(mats) x: the m rows of response r in x times mats[r]."""
-    m = mats[0].shape[-1]
-    return np.concatenate(
-        [a @ x[..., r * m : (r + 1) * m, :] for r, a in enumerate(mats)], axis=-2
-    )
-
-
-def _block_products(lefts, rights, weights):
-    """The symmetric matrix whose block (r, s) is weights[r, s] A_r B_s,
-    given the A_r as ``lefts`` and the B_s as ``rights``; only blocks with
-    r <= s are multiplied, the others are their transposes."""
-    n_resp = len(lefts)
-    m = lefts[0].shape[-1]
-    rows = [slice(r * m, (r + 1) * m) for r in range(n_resp)]
-    out = np.empty(lefts[0].shape[:-2] + (n_resp * m,) * 2)
-    for r in range(n_resp):
-        for s in range(r, n_resp):
-            block = weights[r, s] * (lefts[r] @ rights[s])
-            out[..., rows[r], rows[s]] = block
-            if s != r:
-                out[..., rows[s], rows[r]] = _t(block)
+def _coupled(products, weights):
+    """The symmetrised matrix whose block (r, s) is weights[r, s] times
+    block (r, s) of the (R, R, ..., m, m) array ``products``."""
+    n_resp, _, *lead, m, _ = products.shape
+    blocks = products * weights.reshape(weights.shape + (1,) * (products.ndim - 2))
+    # (r, s, ..., i, j) -> (..., r, i, s, j): response-major rows and columns.
+    out = np.moveaxis(blocks, (0, 1), (-4, -2)).reshape(tuple(lead) + (n_resp * m,) * 2)
     return 0.5 * (out + _t(out))
 
 
@@ -327,15 +317,21 @@ def build_joint_c(sigmas, rho):
     Factors Bdiag(L_1..L_R) (Sigma_b kron I) Bdiag(L_1^T..L_R^T) where L_r
     is the lower Cholesky factor of the r-th covariance; block (r, s) is
     therefore Sigma_b[r, s] * L_r L_s^T and the diagonal blocks recover the
-    per-response covariances exactly. Each sigma may be a (..., m, m)
-    stack of cluster blocks; the result then holds stacks too. B is
-    invertible, so C is positive definite exactly when Sigma_b is: the
-    factorisations of Sigma_b and of every Sigma_r are all the checks C
-    needs, and C itself is never factored.
+    per-response covariances exactly. ``sigmas`` is an (R, ..., m, m)
+    array, or R equal-shape matrices or stacks of cluster blocks, and all
+    of them are factored in one call. B is invertible, so C is positive
+    definite exactly when Sigma_b is: the factorisations of Sigma_b and of
+    every Sigma_r are all the checks C needs, and C itself is never
+    factored.
     """
-    chols = tuple(
-        _chol(sigma, f"covariance of response {r + 1}") for r, sigma in enumerate(sigmas)
-    )
+    sigmas = np.asarray(sigmas, dtype=float)
+    try:
+        chols = np.linalg.cholesky(sigmas)
+    except np.linalg.LinAlgError:
+        # Response by response, to name the first that fails.
+        for r, sigma in enumerate(sigmas):
+            _chol(sigma, f"covariance of response {r + 1}")
+        raise NotPositiveDefinite("per-response covariance is not positive definite")
     sigma_b = correlation_matrix(np.asarray(rho, dtype=float), len(sigmas))
     chol_b = _chol(sigma_b, "between-response correlation matrix")
     return JointCovariance(sigma_chols=chols, sigma_b=sigma_b, sigma_b_chol=chol_b)
@@ -345,17 +341,20 @@ def build_joint_c(sigmas, rho):
 class CovarianceModel:
     """C as a function of the dispersion parameters, at a fixed mean.
 
-    Bundles the means, variance functions, trial counts and Z_d cluster
-    blocks (``RowClusters.z_blocks``) of every response, so the estimator
-    can rebuild C and its dispersion derivatives at any dispersion value.
-    ``build``, ``derivatives`` and ``mean_gradient`` work on one stack of
-    equal-size clusters at a time (``RowClusters``).
+    Bundles the means, variance functions and trial counts of every
+    response with the Z_d cluster blocks of every stack
+    (``RowClusters.z_blocks``), ``owner`` giving the response of each Z_d,
+    so the estimator can rebuild C and its dispersion derivatives at any
+    dispersion value. ``build``, ``derivatives`` and ``mean_gradient`` work
+    on one stack of equal-size clusters at a time (``RowClusters``), with
+    all responses in each batched call.
     """
 
     mus: tuple
     variances: tuple
     ntrials: tuple
     z_blocks: tuple
+    owner: np.ndarray
     clusters: RowClusters
 
     @property
@@ -363,34 +362,37 @@ class CovarianceModel:
         return len(self.mus)
 
     @cached_property
-    def blocks(self):
-        """Per stack, per response: (means, trial counts, Z_d blocks) on
-        the stack's (G, m) cluster rows."""
-        return tuple(
-            tuple(
-                (mu[rows], None if ntrial is None else ntrial[rows], z_blocks)
-                for mu, ntrial, z_blocks in zip(self.mus, self.ntrials, stack)
-            )
-            for rows, stack in zip(self.clusters.rows, self.z_blocks)
-        )
+    def _row_terms(self):
+        """Per cluster stack, two (R, G, m) arrays: V^(1/2) of every
+        response, and the diagonal that diag(mu) adds to Sigma_r (the means
+        of ``poisson_tweedie`` responses, zero for the others). Each
+        variance function is evaluated once, on all rows."""
+        zero = np.zeros(self.clusters.n_obs)
+        counts = [var.kind == "poisson_tweedie" for var in self.variances]
+        # An infinite mean or variance leaves non-finite entries, which
+        # ``build`` rejects.
+        with np.errstate(over="ignore", invalid="ignore"):
+            roots = list(map(sqrt_variance, self.mus, self.variances, self.ntrials))
+        full = np.stack(roots + [mu if c else zero for mu, c in zip(self.mus, counts)])
+        stacks = (full[:, rows] for rows in self.clusters.rows)
+        return tuple((g[: self.n_responses], g[self.n_responses :]) for g in stacks)
 
-    def _sqrt_variance(self, k, r):
-        mu, ntrial, _ = self.blocks[k][r]
-        return sqrt_variance(mu, self.variances[r], ntrial)
+    def _omegas(self, k, disp):
+        """Omega_r of every response: one (R, G, m, m) contraction of stack
+        k's Z_d blocks."""
+        z = self.z_blocks[k]
+        weights = np.zeros((self.n_responses, len(z)))
+        weights[self.owner, np.arange(len(z))] = np.concatenate(disp.tau)
+        return build_omega(weights, z)
 
     def build(self, disp):
         """One ``JointCovariance`` per cluster stack."""
         out = []
-        for stack in self.blocks:
-            # An infinite mean or variance leaves non-finite entries, which
-            # build_sigma_r rejects.
+        for k in range(len(self.z_blocks)):
+            # An infinite mean, variance or tau leaves non-finite entries,
+            # which ``_sigma`` rejects.
             with np.errstate(over="ignore", invalid="ignore"):
-                sigmas = [
-                    build_sigma_r(mu, var, build_omega(tau, z_blocks), ntrial)
-                    for (mu, ntrial, z_blocks), var, tau in zip(
-                        stack, self.variances, disp.tau
-                    )
-                ]
+                sigmas = _sigma(*self._row_terms[k], self._omegas(k, disp))
             out.append(build_joint_c(sigmas, disp.rho))
         return tuple(out)
 
@@ -405,49 +407,54 @@ class CovarianceModel:
         from Murray 2016; no block outside row and column r moves.
         """
         return tuple(
-            self._stack_derivatives(k, disp, block) for k, block in enumerate(joint)
+            self._stack_derivatives(k, disp, block, white)
+            for k, (block, white) in enumerate(zip(joint, self.whitened_tau(joint)))
         )
 
     def whitened_tau(self, joint):
         """M = L_r^-1 (dSigma_r/dtau_rd) L_r^-T for every tau_rd, in flat
         order: one (q_tau, G, m, m) array per cluster stack of ``joint``.
-        The Cholesky factor moves by dL_r = L_r Phi(M) (Murray 2016)."""
-        return tuple(self._stack_whitened(k, block) for k, block in enumerate(joint))
+        The Cholesky factor moves by dL_r = L_r Phi(M) (Murray 2016). The
+        stacks of the last ``joint`` are kept, so that ``derivatives`` and
+        ``mean_gradient`` on the same factors do not form them again."""
+        memo = self._whitened_memo
+        if memo[0] is not joint:
+            memo[:] = joint, tuple(
+                self._stack_whitened(k, block) for k, block in enumerate(joint)
+            )
+        return memo[1]
+
+    @cached_property
+    def _whitened_memo(self):
+        return [None, None]
 
     def _stack_whitened(self, k, block):
-        out = []
-        for r, chol_inv in enumerate(block.sigma_chol_invs):
-            # L^-1 V^(1/2), so that M = (L^-1 V^(1/2)) Z_d (L^-1 V^(1/2))^T
-            # for the whole (D, G, m, m) stack of Z_d blocks at once.
-            scaled = chol_inv * self._sqrt_variance(k, r)[..., None, :]
-            out.append(scaled @ self.blocks[k][r][2] @ _t(scaled))
-        return np.concatenate(out)
+        # L_r^-1 V^(1/2), so that M = (L^-1 V^(1/2)) Z_d (L^-1 V^(1/2))^T
+        # for every Z_d of the stack in one product chain.
+        sqrt_v, _ = self._row_terms[k]
+        scaled = (block.sigma_chol_invs * sqrt_v[..., None, :])[self.owner]
+        return scaled @ self.z_blocks[k] @ _t(scaled)
 
-    def _stack_derivatives(self, k, disp, block):
+    def _stack_derivatives(self, k, disp, block, whitened):
         n_resp = self.n_responses
         m = block.shape[-1] // n_resp
         rows = [slice(r * m, (r + 1) * m) for r in range(n_resp)]
         chols = block.sigma_chols
+        sqrt_vs, _ = self._row_terms[k]
         out = np.zeros((disp.n_free,) + block.shape)
         for d, (r, s) in zip(out, rho_pairs(n_resp)):
             product = chols[r] @ _t(chols[s])
             d[..., rows[r], rows[s]] = product
             d[..., rows[s], rows[r]] = _t(product)
         n_rho = n_resp * (n_resp - 1) // 2
-        whitened = self._stack_whitened(k, block)
-        i = n_rho
-        for r in range(n_resp):
-            sqrt_v = self._sqrt_variance(k, r)
-            for z in self.blocks[k][r][2]:
-                d = out[i]
-                d[..., rows[r], rows[r]] = _scale(sqrt_v, z)
-                d_chol = chols[r] @ _phi(whitened[i - n_rho])
-                i += 1
-                for s in range(n_resp):
-                    if s != r:
-                        product = block.sigma_b[r, s] * (d_chol @ _t(chols[s]))
-                        d[..., rows[r], rows[s]] = product
-                        d[..., rows[s], rows[r]] = _t(product)
+        for d, r, z, white in zip(out[n_rho:], self.owner, self.z_blocks[k], whitened):
+            d[..., rows[r], rows[r]] = _scale(sqrt_vs[r], z)
+            d_chol = chols[r] @ _phi(white)
+            for s in range(n_resp):
+                if s != r:
+                    product = block.sigma_b[r, s] * (d_chol @ _t(chols[s]))
+                    d[..., rows[r], rows[s]] = product
+                    d[..., rows[s], rows[r]] = _t(product)
         return out
 
     def mean_gradient(self, disp, joint, c_cotangents, d_cotangent):
@@ -468,32 +475,31 @@ class CovarianceModel:
         K moves by dL P + L Phi(L^-1 dA L^-T - Q M - M Q^T), Q = L^-1 dL.
         """
         grad = np.zeros((disp.n_free, self.n_responses * self.clusters.n_obs))
-        for k, pieces in enumerate(zip(joint, c_cotangents, d_cotangent)):
-            grad[:, self.clusters.index[k]] = self._stack_mean_gradient(k, disp, *pieces)
+        pieces = zip(joint, c_cotangents, d_cotangent, self.whitened_tau(joint))
+        for k, piece in enumerate(pieces):
+            grad[:, self.clusters.index[k]] = self._stack_mean_gradient(k, disp, *piece)
         return grad
 
-    def _stack_mean_gradient(self, k, disp, block, g_stack, h):
+    def _stack_mean_gradient(self, k, disp, block, g_stack, h, whitened):
         n_resp = self.n_responses
-        params = rho_pairs(n_resp) + [
-            (r, d) for r in range(n_resp) for d in range(len(self.z_blocks[k][r]))
-        ]
-        n_rho = n_resp * (n_resp - 1) // 2
+        pairs = rho_pairs(n_resp)
+        n_rho = len(pairs)
         m = block.shape[-1] // n_resp
         rows = [slice(r * m, (r + 1) * m) for r in range(n_resp)]
+        cluster_rows = self.clusters.rows[k]
         chols = block.sigma_chols
         chol_invs = block.sigma_chol_invs
         sigma_b = block.sigma_b
-        sqrt_vs = [self._sqrt_variance(k, r) for r in range(n_resp)]
-        whitened = self._stack_whitened(k, block)
+        omegas = self._omegas(k, disp)
+        sqrt_vs, _ = self._row_terms[k]
         out = np.zeros(g_stack.shape[:-1])
         for a in range(n_resp):
             chol, chol_inv, s = chols[a], chol_invs[a], sqrt_vs[a]
-            mu, ntrial, z_blocks = self.blocks[k][a]
+            mu, ntrial = self.mus[a][cluster_rows], self.ntrials[a]
             dv = variance_deriv(self.variances[a], mu)
             if ntrial is not None:
-                dv = dv / ntrial
+                dv = dv / ntrial[cluster_rows]
             slope = dv / (2.0 * s)  # ds/dmu
-            omega = build_omega(disp.tau[a], z_blocks)
             others = [t for t in range(n_resp) if t != a]
             h_aa = h[..., rows[a], rows[a]]
             # For tau_ad, <H, d dC/dtau_ad> = <H[a, a] + 2 U, dA>
@@ -512,22 +518,22 @@ class CovarianceModel:
                     y_bar += 2.0 * sigma_b[a, t] * (g[..., rows[a], rows[t]] @ chols[t])
                 grad_s = np.zeros_like(s)
                 if i < n_rho:
-                    if a in params[i]:
-                        (t,) = [p for p in params[i] if p != a]
+                    if a in pairs[i]:
+                        (t,) = [p for p in pairs[i] if p != a]
                         y_bar += 2.0 * h_chol[t]
                 else:
-                    r, d = params[i]
-                    white = whitened[i - n_rho]
+                    r, white = self.owner[i - n_rho], whitened[i - n_rho]
                     if r == a:
                         y_bar += 2.0 * (w @ _t(_phi(white)) - v_back @ white)
-                        grad_s += _spread(h_aa + 2.0 * u_w, z_blocks[d], s)
+                        z = self.z_blocks[k][i - n_rho]
+                        grad_s += _spread(h_aa + 2.0 * u_w, z, s)
                     else:
                         k_mat = chols[r] @ _phi(white)
                         y_bar += 2.0 * sigma_b[r, a] * (h[..., rows[a], rows[r]] @ k_mat)
                 gamma = g[..., rows[a], rows[a]] + _cholesky_derivative_adjoint(
                     chol, chol_inv, y_bar
                 )
-                grad_s += _spread(gamma, omega, s)
+                grad_s += _spread(gamma, omegas[a], s)
                 out[i][..., rows[a]] = slope * grad_s
                 if self.variances[a].kind == "poisson_tweedie":
                     out[i][..., rows[a]] += np.diagonal(gamma, axis1=-2, axis2=-1)

@@ -91,33 +91,40 @@ class _State:
     def index(self):
         return self.covmodel.clusters.index
 
+    @property
+    def rows(self):
+        return self.covmodel.clusters.rows
+
     @cached_property
     def whitened(self):
-        """Per cluster stack, the (G, mR) arrays e = B^-1 r and z = S^-1 e,
+        """Per cluster stack, the (R, G, m) arrays e = B^-1 r and z = S^-1 e,
         C = B S B^T as in ``JointCovariance``."""
+        resid = self.resid.reshape(len(self.mus), -1)
         out = []
         # Residuals past about 1e154 overflow here and in the products of
         # e and z; ``_solve`` then rejects the non-finite system.
         with np.errstate(over="ignore", invalid="ignore"):
-            for idx, block in zip(self.index, self.joint):
-                e = block.whiten(self.resid[idx][..., None])
-                out.append((e[..., 0], block.sigma_b_solve(e)[..., 0]))
+            for rows, block in zip(self.rows, self.joint):
+                e = block.whiten(resid[:, rows, None])[..., 0]
+                out.append((e, block.sigma_b_solve(e)))
         return tuple(out)
 
     @cached_property
     def d_whitened(self):
-        """Per cluster stack, the (G, mR, k) array B^-1 D."""
+        """Per cluster stack, the (R, G, m, k) array B^-1 D."""
+        d = self.D.reshape(len(self.mus), -1, self.D.shape[1])
         with np.errstate(over="ignore", invalid="ignore"):
             return tuple(
-                block.whiten(self.D[idx]) for idx, block in zip(self.index, self.joint)
+                block.whiten(d[:, rows]) for rows, block in zip(self.rows, self.joint)
             )
 
     @cached_property
     def u(self):
         """C^-1 r = B^-T z."""
         u = np.empty_like(self.resid)
-        for idx, block, (_, z) in zip(self.index, self.joint, self.whitened):
-            u[idx] = block.whiten_t(z[..., None])[..., 0]
+        view = u.reshape(len(self.mus), -1)
+        for rows, block, (_, z) in zip(self.rows, self.joint, self.whitened):
+            view[:, rows] = block.whiten_t(z[..., None])[..., 0]
         return u
 
 
@@ -153,6 +160,7 @@ def _evaluate(bound, beta, disp):
         variances=tuple(resp.variance for resp in bound.spec.responses),
         ntrials=bound.ntrials,
         z_blocks=bound.z_blocks,
+        owner=bound.z_owner,
         clusters=bound.clusters,
     )
     joint = covmodel.build(disp)
@@ -213,7 +221,7 @@ def _pearson_pieces(state):
     """
     n_resp = len(state.disp.tau)
     rho_r, rho_s = np.array(rho_pairs(n_resp), dtype=int).reshape(-1, 2).T
-    owner = np.repeat(np.arange(n_resp), [len(t) for t in state.disp.tau])
+    owner = state.covmodel.owner
     q_tau = len(owner)
     gram = np.zeros((n_resp, n_resp))
     trace_m = np.zeros(q_tau)
@@ -223,9 +231,6 @@ def _pearson_pieces(state):
     ms_stacks = state.covmodel.whitened_tau(state.joint)
     with np.errstate(over="ignore", invalid="ignore"):
         for (e, z), ms in zip(state.whitened, ms_stacks):
-            # (R, G, m) views of the (G, mR) whitened residuals.
-            e = e.reshape(len(e), n_resp, -1).swapaxes(0, 1)
-            z = z.reshape(len(z), n_resp, -1).swapaxes(0, 1)
             flat_z = z.reshape(n_resp, -1)
             gram += flat_z @ flat_z.T
             ps = _phi(ms)

@@ -192,8 +192,11 @@ def _pair_count(a, b):
 
 
 def rank_tolerance(matrix):
-    """``np.linalg.matrix_rank``'s default tolerance for ``matrix``."""
-    return np.linalg.norm(matrix, 2) * max(matrix.shape) * np.finfo(float).eps
+    """``np.linalg.matrix_rank``'s default tolerance for ``matrix``; inf
+    when its largest singular value is within a factor max(shape) of
+    overflow."""
+    with np.errstate(over="ignore"):
+        return np.linalg.norm(matrix, 2) * max(matrix.shape) * np.finfo(float).eps
 
 
 def redundant_columns(matrix):
@@ -259,6 +262,11 @@ class BoundModel:
     def z_blocks(self):
         """The cluster blocks of every Z_d, formed once per bound model."""
         return self.clusters.z_blocks(self.z_codes)
+
+    @cached_property
+    def z_owner(self):
+        """The response of every Z_d, in the flat order of ``z_blocks``."""
+        return np.repeat(np.arange(self.n_responses), [len(c) for c in self.z_codes])
 
 
 def complete_rows(spec, data):

@@ -101,6 +101,57 @@ def test_joint_c_not_positive_definite_names_response():
         build_joint_c([np.eye(2), bad], np.zeros(1))
 
 
+def _stack_with_indefinite(responses):
+    """An R=3, G=4, m=3 stack of Sigma_r blocks, positive definite except
+    cluster 2 of each response numbered in ``responses``."""
+    rng = np.random.default_rng(21)
+    a = rng.normal(size=(3, 4, 3, 3))
+    sigmas = a @ np.swapaxes(a, -1, -2) + 3.0 * np.eye(3)
+    for r in responses:
+        sigmas[r - 1, 1] = [[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    return sigmas
+
+
+@pytest.mark.parametrize("responses, named", [((2,), 2), ((2, 3), 2), ((3,), 3)])
+def test_batched_factorisation_names_first_indefinite_response(responses, named):
+    # Every response is factored in one call; a failure names the first
+    # response with an indefinite block, as one call per response would.
+    with pytest.raises(
+        NotPositiveDefinite, match=f"covariance of response {named} is not positive"
+    ):
+        build_joint_c(_stack_with_indefinite(responses), np.zeros(3))
+
+
+def test_batched_factorisation_of_definite_stack_matches_per_response():
+    sigmas = _stack_with_indefinite(())
+    joint = build_joint_c(sigmas, np.array([0.1, -0.2, 0.3]))
+    assert joint.sigma_chols.shape == (3, 4, 3, 3)
+    for chol, sigma in zip(joint.sigma_chols, sigmas):
+        assert np.array_equal(chol, np.linalg.cholesky(sigma))
+
+
+def test_non_finite_covariance_fails_before_any_factorisation(monkeypatch):
+    # R=3 on four clusters of three rows: an infinite mean leaves Sigma_2
+    # non-finite, and build rejects it before np.linalg.cholesky runs.
+    n = 12
+    codes = (np.arange(n), np.arange(n) // 3)
+    mus = [np.linspace(1.0, 2.0, n) for _ in range(3)]
+    mus[1][4] = np.inf
+    model = _coded_model(mus, [VarianceFn("tweedie", 1.5)] * 3, [None] * 3, [codes] * 3)
+    disp = DispersionVector(rho=np.zeros(3), tau=(np.array([1.0, 0.2]),) * 3)
+    factored = []
+    original = np.linalg.cholesky
+
+    def cholesky(a):
+        factored.append(a)
+        return original(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+    with pytest.raises(NotPositiveDefinite, match="non-finite entries"):
+        model.build(disp)
+    assert factored == []
+
+
 def test_joint_c_bad_correlation():
     with pytest.raises(NotPositiveDefinite, match="correlation"):
         build_joint_c([np.eye(2), np.eye(2)], np.array([1.2]))
@@ -175,6 +226,7 @@ def _coded_model(mus, variances, ntrials, z_codes):
         variances=tuple(variances),
         ntrials=tuple(ntrials),
         z_blocks=clusters.z_blocks(tuple(z_codes)),
+        owner=_owner(z_codes),
         clusters=clusters,
     )
 
@@ -191,9 +243,15 @@ def _one_cluster_model(mus, variances, ntrials, z_lists):
         mus=tuple(mus),
         variances=tuple(variances),
         ntrials=tuple(ntrials),
-        z_blocks=(tuple(np.stack(zs)[:, None] for zs in z_lists),),
+        z_blocks=(np.stack([z for zs in z_lists for z in zs])[:, None],),
+        owner=_owner(z_lists),
         clusters=clusters,
     )
+
+
+def _owner(per_response):
+    """The response of every Z_d, in flat tau order."""
+    return np.repeat(np.arange(len(per_response)), [len(z) for z in per_response])
 
 
 def _scatter(model, stacks):
@@ -290,7 +348,8 @@ def test_derivatives_rebuild_no_covariance(monkeypatch):
 
 def test_per_response_factors_inverted_once(monkeypatch):
     # derivatives and then mean_gradient on one evaluated state share the
-    # per-response inverses L_r^-1: one inversion per factor, not two.
+    # per-response inverses L_r^-1: one inversion of each stack's (R, G,
+    # m, m) factors, not two.
     rng = np.random.default_rng(12)
     model, disp = _random_covariance_model(rng, 3, 2, grouped=True)
     joint = model.build(disp)
@@ -306,15 +365,15 @@ def test_per_response_factors_inverted_once(monkeypatch):
     cotangents = [0.5 * (d + np.swapaxes(d, -1, -2)) for d in derivs]
     h = [block.C for block in joint]
     model.mean_gradient(disp, joint, cotangents, h)
-    factors = [chol for block in joint for chol in block.sigma_chols]
+    factors = [block.sigma_chols for block in joint]
     assert len(inverted) == len(factors)
     assert all(any(a is f for f in factors) for a in inverted)
 
 
 def test_build_and_inverse_factor_only_per_response(monkeypatch):
     # C^-1 comes from the factors of Sigma_b and of every Sigma_r: per
-    # stack, R + 1 Cholesky factorisations and no general inverse; the
-    # joint (G, mR, mR) stack is never factored.
+    # stack, one Cholesky call on the (R, G, m, m) Sigma_r, one on Sigma_b
+    # and no general inverse; the joint (G, mR, mR) stack is never factored.
     n = 7
     codes = (np.arange(n), np.arange(n) // 3)
     model = _coded_model(
@@ -337,7 +396,7 @@ def test_build_and_inverse_factor_only_per_response(monkeypatch):
         block.inverse
     assert len(joint) == 2
     assert shapes["inv"] == []
-    expected = [block.sigma_chols[0].shape for block in joint for _ in range(2)]
+    expected = [block.sigma_chols.shape for block in joint]
     assert sorted(shapes["cholesky"]) == sorted(expected + [(2, 2)] * len(joint))
 
 

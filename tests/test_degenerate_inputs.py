@@ -6,10 +6,17 @@ warning) or 1, and an exit of 1 must come with exactly one stderr line. An
 exception other than ``CovglmError`` escapes ``run`` and fails the test.
 """
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import PROPERTY_SETTINGS
+from hypothesis import given
+from hypothesis import strategies as st
 
 from covglm.cli import run
 
@@ -150,6 +157,15 @@ def _unresolvable_scale():
     return {"y": rng.normal(size=N), "x": x}, [_response("y ~ x")]
 
 
+def _covariate_near_overflow():
+    # One covariate of 1e308: the rank test's tolerance, the largest
+    # singular value times the row count, overflows.
+    rng = np.random.default_rng(17)
+    x = rng.normal(size=N)
+    x[0] = 1e308
+    return {"y": rng.normal(size=N), "x": x}, [_response("y ~ x")]
+
+
 INFINITE = {
     "inf-response": "y",
     "inf-offset": "lexp",
@@ -174,6 +190,7 @@ CASES = {
     "negative-counts": _negative_counts,
     "tweedie-power-400": _huge_tweedie_power,
     "unresolvable-scale": _unresolvable_scale,
+    "covariate-near-overflow": _covariate_near_overflow,
 }
 
 
@@ -229,6 +246,14 @@ def test_unresolvable_column_scale_is_named_as_such(tmp_path, capsys):
     assert "redundant" not in err
 
 
+def test_covariate_near_overflow_is_an_unresolvable_scale(tmp_path, capsys):
+    # The overflowing rank tolerance reads as infinite, so the intercept's
+    # column is named as beyond the rank test's resolution.
+    code, err = _summary("covariate-near-overflow", tmp_path, capsys)
+    assert code == 1
+    assert "in scale by more than the rank test can resolve" in err
+
+
 @pytest.mark.parametrize(
     "case",
     [
@@ -242,3 +267,80 @@ def test_overflowing_fit_systems_fail_in_one_line(case, tmp_path, capsys):
     assert code == 1
     assert err.count("\n") == 1
     assert "non-finite entries" in err
+
+
+_LINK_RANGES = {"identity": (-1.0, 10.0), "log": (0.0, 10.0), "logit": (0.0, 1.0)}
+_VARIANCES = ["constant", "tweedie", "poisson_tweedie", "binomialP"]
+_POWERS = [-1.0, 0.0, 1.0, 1.0, 1.5, 2.0, 50.0, 400.0]
+# Mostly unscaled, so that a good share of the draws get as far as a fit.
+_SCALES = [1.0, 1.0, 1.0, 1e-300, 1e100, 1e154, 1e200, 1e300]
+_COVARIATE_SCALES = [1.0] * 6 + [1e-300, 1e300]
+_TOKENS = ["nan", "inf", "-inf", "", "NA", "1e308", "-1e308"]
+
+
+@st.composite
+def _cells(draw, values, scales=_SCALES):
+    """The values times one of ``scales`` as CSV cells, with at most one
+    cell replaced by NaN, infinity, empty or overflowing tokens."""
+    scale = draw(st.sampled_from(scales))
+    cells = [repr(float(v) * scale) for v in values]
+    for i, token in draw(
+        st.lists(st.tuples(st.integers(0, len(cells) - 1), st.sampled_from(_TOKENS)), max_size=1)
+    ):
+        cells[i] = token
+    return cells
+
+
+@st.composite
+def _csv_and_spec(draw):
+    """A CSV of 1-24 rows and a spec of 1-2 responses over it: any link,
+    variance kind and power, identity or grouped Z (a factor with empty
+    cells and levels that may hold one row)."""
+    n = draw(st.integers(1, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    links = draw(st.lists(st.sampled_from(sorted(_LINK_RANGES)), min_size=1, max_size=2))
+    columns = {
+        f"y{r}": draw(_cells(rng.uniform(*_LINK_RANGES[link], size=n)))
+        for r, link in enumerate(links)
+    }
+    columns["x"] = draw(_cells(rng.normal(size=n), _COVARIATE_SCALES))
+    columns["g"] = draw(st.lists(st.sampled_from(["a", "b", "c", ""]), min_size=n, max_size=n))
+    responses = [
+        {
+            "formula": f"y{r} ~ x",
+            "link": link,
+            "variance": draw(st.sampled_from(_VARIANCES)),
+            "power": draw(st.sampled_from(_POWERS)),
+            "matrix_pred": draw(st.sampled_from([IDENTITY, GROUPED])),
+        }
+        for r, link in enumerate(links)
+    ]
+    lines = [",".join(columns)] + [",".join(row) for row in zip(*columns.values())]
+    return "\n".join(lines) + "\n", {"responses": responses}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@PROPERTY_SETTINGS
+@given(case=_csv_and_spec())
+def test_any_csv_and_spec_fits_or_fails_in_one_line(case):
+    # ``run`` turns every CovglmError into exit 1 and one stderr line; any
+    # other exception, a raw RuntimeWarning included, escapes and fails.
+    csv_text, spec = case
+    with tempfile.TemporaryDirectory() as tmp:
+        data_path, spec_path = Path(tmp, "data.csv"), Path(tmp, "model.json")
+        data_path.write_text(csv_text)
+        spec_path.write_text(json.dumps(spec))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run(
+                [
+                    "summary",
+                    "--data", str(data_path),
+                    "--model", str(spec_path),
+                    "--max-iter", "5",
+                ]
+            )
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert err.getvalue().count("\n") == 1
+        assert err.getvalue().startswith("error [")

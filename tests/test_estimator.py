@@ -367,6 +367,59 @@ def test_iterations_form_no_derivative_stack_and_no_assembled_inverse(monkeypatc
     assert all(any(block is solved for solved in state.joint) for block in read)
 
 
+def test_each_state_factors_and_whitens_once_per_stack(monkeypatch):
+    # All responses share each batched call. Per evaluated state and
+    # cluster stack, tril_inverse runs twice: once on the (R, G, m, m)
+    # factors and once on Sigma_b. The M stacks are formed once per state
+    # whose Pearson pieces are read, and the sandwich at the solution
+    # reuses the ones formed there.
+    from covglm import covariance, estimator
+    from covglm.covariance import CovarianceModel
+
+    data, spec, _, _ = _three_response_problem(
+        ("constant", "tweedie", "poisson_tweedie")
+    )
+    evaluated, inverted, formed, solutions = [], [], [], []
+    original_evaluate = estimator._evaluate
+    original_tril_inverse = covariance.tril_inverse
+    original_whitened = CovarianceModel._stack_whitened
+    original_cross_blocks = estimator.cross_blocks
+
+    def evaluate(*args):
+        state = original_evaluate(*args)
+        evaluated.append(state)
+        return state
+
+    def tril_inverse(chol):
+        inverted.append(chol.shape)
+        return original_tril_inverse(chol)
+
+    def stack_whitened(self, k, block):
+        formed.append(block)
+        return original_whitened(self, k, block)
+
+    def traced_cross_blocks(*args, **kwargs):
+        solutions.append(kwargs["state"])
+        return original_cross_blocks(*args, **kwargs)
+
+    monkeypatch.setattr(estimator, "_evaluate", evaluate)
+    monkeypatch.setattr(covariance, "tril_inverse", tril_inverse)
+    monkeypatch.setattr(CovarianceModel, "_stack_whitened", stack_whitened)
+    monkeypatch.setattr(estimator, "cross_blocks", traced_cross_blocks)
+    model = fit(spec, data, FitOptions(max_iter=3))
+    assert model.iterations == 3
+    n_stacks = len(evaluated[0].joint)
+    assert len(inverted) == 2 * n_stacks * len(evaluated)
+    (solution,) = solutions
+    assert len(formed) == n_stacks * (model.iterations + 1)
+    assert len({id(block) for block in formed}) == len(formed)
+    assert sum(block is b for block in formed for b in solution.joint) == n_stacks
+    # Each stack's factors are inverted together, all three responses at once.
+    shapes = [block.sigma_chols.shape for block in evaluated[0].joint]
+    assert all(shape[0] == 3 for shape in shapes)
+    assert sorted(inverted) == sorted((shapes + [(3, 3)] * n_stacks) * len(evaluated))
+
+
 def test_pearson_variability_is_formed_once_per_fit(monkeypatch):
     # The iteration uses psi_lambda and S_lambda only; V_lambda, with its
     # fourth-cumulant term, is formed once, at the solution.

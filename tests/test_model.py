@@ -206,7 +206,8 @@ def test_bind_holds_no_n_by_n_array():
         tracemalloc.stop()
     assert bound.n_obs == n
     assert [stack.shape for stack in bound.clusters.rows] == [(n // 6, 6)]
-    assert blocks[0][0][1].shape == (n // 6, 6, 6)
+    # Two responses with two Z_d each: one (q_tau, G, m, m) stack.
+    assert blocks[0].shape == (4, n // 6, 6, 6)
     assert peak < 16e6
 
 
