@@ -4,20 +4,23 @@ The within-response covariance is V^(1/2) Omega(tau) V^(1/2) (plus diag(mu)
 for the count kind); responses are coupled through a correlation matrix by
 sandwiching the per-response Cholesky factors around the Kronecker-expanded
 correlation. The dispersion derivatives, which feed the Pearson estimating
-function and the sandwich, are closed form; the tau derivatives go through
-the derivative of a Cholesky factor (Murray 2016, "Differentiation of the
-Cholesky decomposition", arXiv:1602.07527). So does the pullback of C and
-those derivatives to the means, which the sandwich's S_lambda_beta needs.
-The estimation loop reads the tau derivatives only in whitened form,
-L_r^-1 (dSigma_r/dtau) L_r^-T (``CovarianceModel.whitened_tau``).
+function and the sandwich, are closed form and held only in whitened form:
+the tau derivatives as L_r^-1 (dSigma_r/dtau) L_r^-T
+(``CovarianceModel.derivatives``), which with the correlation matrix give
+every B^-1 (dC/dlambda) B^-T. They go through the derivative of a Cholesky
+factor (Murray 2016, "Differentiation of the Cholesky decomposition",
+arXiv:1602.07527). So does the pullback of C and those derivatives to the
+means, which the sandwich's S_lambda_beta needs.
 
 Every matrix here is block diagonal over the connected components of the
-rows (``RowClusters``), so C, dC/dlambda and C^-1 are held as stacks of
-per-cluster blocks, one stack per cluster size, and all algebra is batched
-over the clusters of a stack. All responses share the clusters, so a
-stack's per-response pieces (V^(1/2), Sigma_r, L_r, L_r^-1) are each one
-(R, G, m[, m]) array, and each step is one batched call over the responses
-and clusters together.
+rows (``RowClusters``), so C is held as stacks of per-cluster factors, one
+stack per cluster size, and all algebra is batched over the clusters of a
+stack. All responses share the clusters, so a stack's per-response pieces
+(V^(1/2), Sigma_r, L_r, L_r^-1, the whitened tau derivatives) are each one
+(R or q_tau, G, m[, m]) array, and each step is one batched call over the
+responses and clusters together. No (mR x mR) block of C, C^-1 or
+dC/dlambda is formed on the fit path; ``JointCovariance.C`` and
+``JointCovariance.inverse`` assemble them for reference.
 """
 
 from dataclasses import dataclass
@@ -74,6 +77,11 @@ def rho_pairs(n_responses):
     return [
         (r, s) for r in range(n_responses) for s in range(r + 1, n_responses)
     ]
+
+
+def rho_index(n_responses):
+    """``rho_pairs`` as two index arrays, every r and every s."""
+    return np.array(rho_pairs(n_responses), dtype=int).reshape(-1, 2).T
 
 
 def correlation_matrix(rho, n_responses):
@@ -172,11 +180,6 @@ def sqrt_variance(mu, var, ntrial=None):
     return np.sqrt(v)
 
 
-def _scale(s, x):
-    """diag(s) X diag(s), batched over leading axes."""
-    return s[..., :, None] * x * s[..., None, :]
-
-
 def build_sigma_r(mu, var, omega, ntrial=None):
     """Per-response covariance V^(1/2) Omega V^(1/2) (+ diag(mu) for counts).
 
@@ -190,7 +193,7 @@ def build_sigma_r(mu, var, omega, ntrial=None):
 def _sigma(sqrt_v, counts, omega):
     """diag(sqrt_v) Omega diag(sqrt_v) + diag(counts), batched over leading
     axes; non-finite entries are rejected."""
-    sigma = _scale(sqrt_v, omega)
+    sigma = sqrt_v[..., :, None] * omega * sqrt_v[..., None, :]
     np.einsum("...ii->...i", sigma)[...] += counts
     if not np.isfinite(sigma).all():
         raise NotPositiveDefinite("per-response covariance has non-finite entries")
@@ -245,7 +248,8 @@ class JointCovariance:
     per-response matrices, whose C is the dense NR x NR matrix. Each
     operation on the factors (inverse, whitening, diagonal) is one batched
     call over all responses. ``sigma_b_chol`` is the Cholesky factor of the
-    correlation matrix ``sigma_b``.
+    correlation matrix ``sigma_b``. ``C`` and ``inverse`` assemble C and
+    C^-1 as references; the fit never reads them.
     """
 
     sigma_chols: np.ndarray
@@ -253,16 +257,10 @@ class JointCovariance:
     sigma_b_chol: np.ndarray
 
     @property
-    def shape(self):
-        """The shape of C."""
-        n_resp, *lead, m, _ = self.sigma_chols.shape
-        return tuple(lead) + (m * n_resp,) * 2
-
-    @property
     def diagonal(self):
-        """diag C, response-major: diag Sigma_r is the row sums of L_r^2."""
-        diag = (self.sigma_chols**2).sum(axis=-1)
-        return np.moveaxis(diag, 0, -2).reshape(diag.shape[1:-1] + (-1,))
+        """diag Sigma_r of every response, one (R, ..., m) array: the row
+        sums of L_r^2."""
+        return (self.sigma_chols**2).sum(axis=-1)
 
     @cached_property
     def C(self):
@@ -291,10 +289,6 @@ class JointCovariance:
     def whiten(self, x):
         """B^-1 x for an (R, ..., m, k) array: x[r] times L_r^-1."""
         return self.sigma_chol_invs @ x
-
-    def whiten_t(self, x):
-        """B^-T x for an (R, ..., m, k) array: x[r] times L_r^-T."""
-        return _t(self.sigma_chol_invs) @ x
 
     def sigma_b_solve(self, x):
         """(Sigma_b^-1 kron I) x for an (R, ...) array."""
@@ -344,10 +338,10 @@ class CovarianceModel:
     Bundles the means, variance functions and trial counts of every
     response with the Z_d cluster blocks of every stack
     (``RowClusters.z_blocks``), ``owner`` giving the response of each Z_d,
-    so the estimator can rebuild C and its dispersion derivatives at any
-    dispersion value. ``build``, ``derivatives`` and ``mean_gradient`` work
-    on one stack of equal-size clusters at a time (``RowClusters``), with
-    all responses in each batched call.
+    so the estimator can rebuild C and its whitened dispersion derivatives
+    at any dispersion value. ``build``, ``derivatives`` and
+    ``mean_gradient`` work on one stack of equal-size clusters at a time
+    (``RowClusters``), with all responses in each batched call.
     """
 
     mus: tuple
@@ -396,148 +390,127 @@ class CovarianceModel:
             out.append(build_joint_c(sigmas, disp.rho))
         return tuple(out)
 
-    def derivatives(self, disp, joint):
-        """dC/dlambda_i for every free dispersion parameter, in flat order.
-
-        One (q, G, mR, mR) array per cluster stack, closed form from the
-        factors in ``joint`` (``build(disp)``). rho_rs enters linearly:
-        L_r L_s^T in block (r, s), its transpose in (s, r). For tau_rd,
-        block (r, r) is dSigma_r = V^(1/2) Z_d V^(1/2) (diag(mu) does not
-        move with tau) and block (r, s) is Sigma_b[r, s] dL_r L_s^T, dL_r
-        from Murray 2016; no block outside row and column r moves.
-        """
-        return tuple(
-            self._stack_derivatives(k, disp, block, white)
-            for k, (block, white) in enumerate(zip(joint, self.whitened_tau(joint)))
-        )
-
-    def whitened_tau(self, joint):
+    def derivatives(self, joint):
         """M = L_r^-1 (dSigma_r/dtau_rd) L_r^-T for every tau_rd, in flat
-        order: one (q_tau, G, m, m) array per cluster stack of ``joint``.
-        The Cholesky factor moves by dL_r = L_r Phi(M) (Murray 2016). The
-        stacks of the last ``joint`` are kept, so that ``derivatives`` and
-        ``mean_gradient`` on the same factors do not form them again."""
-        memo = self._whitened_memo
-        if memo[0] is not joint:
-            memo[:] = joint, tuple(
-                self._stack_whitened(k, block) for k, block in enumerate(joint)
-            )
-        return memo[1]
+        order: one (q_tau, G, m, m) array per cluster stack of ``joint``
+        (``build(disp)``).
 
-    @cached_property
-    def _whitened_memo(self):
-        return [None, None]
+        With Sigma_b these give every B_i = dC/dlambda_i in whitened form,
+        A_i = B^-1 B_i B^-T with C = B S B^T, B = Bdiag(L_r) and
+        S = Sigma_b kron I. For rho_rs, A_i = (E_rs + E_sr) kron I. For
+        tau_rd, L_r moves by L_r P with P = Phi(M) (Murray 2016), so block
+        (r, t) of A_i is P Sigma_b[r, t], block (t, r) its transpose, and no
+        other block moves. dSigma_r/dtau_rd = V^(1/2) Z_d V^(1/2) (diag(mu)
+        does not move with tau), so M = (L_r^-1 V^(1/2)) Z_d (L_r^-1
+        V^(1/2))^T, one product chain for every Z_d of a stack.
+        """
+        out = []
+        for (sqrt_v, _), z, block in zip(self._row_terms, self.z_blocks, joint):
+            scaled = (block.sigma_chol_invs * sqrt_v[..., None, :])[self.owner]
+            out.append(scaled @ z @ _t(scaled))
+        return tuple(out)
 
-    def _stack_whitened(self, k, block):
-        # L_r^-1 V^(1/2), so that M = (L^-1 V^(1/2)) Z_d (L^-1 V^(1/2))^T
-        # for every Z_d of the stack in one product chain.
-        sqrt_v, _ = self._row_terms[k]
-        scaled = (block.sigma_chol_invs * sqrt_v[..., None, :])[self.owner]
-        return scaled @ self.z_blocks[k] @ _t(scaled)
+    def mean_gradient(self, disp, joint, ms, residuals, weights):
+        """Row i: gradient in the stacked means of <G_i, C> + <H, B_i>, with
+        B_i = dC/dlambda_i, u = C^-1 r, y_i = C^-1 B_i u and the cotangents
+        G_i = C^-1 B_i C^-1 - u y_i^T - y_i u^T and H = u u^T - C^-1 held
+        fixed.
 
-    def _stack_derivatives(self, k, disp, block, whitened):
-        n_resp = self.n_responses
-        m = block.shape[-1] // n_resp
-        rows = [slice(r * m, (r + 1) * m) for r in range(n_resp)]
-        chols = block.sigma_chols
-        sqrt_vs, _ = self._row_terms[k]
-        out = np.zeros((disp.n_free,) + block.shape)
-        for d, (r, s) in zip(out, rho_pairs(n_resp)):
-            product = chols[r] @ _t(chols[s])
-            d[..., rows[r], rows[s]] = product
-            d[..., rows[s], rows[r]] = _t(product)
-        n_rho = n_resp * (n_resp - 1) // 2
-        for d, r, z, white in zip(out[n_rho:], self.owner, self.z_blocks[k], whitened):
-            d[..., rows[r], rows[r]] = _scale(sqrt_vs[r], z)
-            d_chol = chols[r] @ _phi(white)
-            for s in range(n_resp):
-                if s != r:
-                    product = block.sigma_b[r, s] * (d_chol @ _t(chols[s]))
-                    d[..., rows[r], rows[s]] = product
-                    d[..., rows[s], rows[r]] = _t(product)
-        return out
+        Per cluster stack, ``ms`` holds ``derivatives(joint)``,
+        ``residuals`` the (R, G, m) arrays e = B^-1 r and z = S^-1 e, and
+        ``weights`` the (q, R, G, m) array w_i = X_i e, X_i = S^-1 A_i S^-1
+        (C = B S B^T as in ``derivatives``), so that u = B^-T z and
+        y_i = B^-T w_i. Returns a (q, N R) array.
 
-    def mean_gradient(self, disp, joint, c_cotangents, d_cotangent):
-        """Row i: gradient in the stacked means of <G_i, C> + <H, dC/dlambda_i>.
-
-        Per cluster stack, ``c_cotangents`` holds symmetric blocks G_i as a
-        (q, G, mR, mR) array, one per free dispersion parameter, and
-        ``d_cotangent`` the blocks of a symmetric H; both are held fixed.
-        Returns a (q, N R) array. A mean of response a moves only Sigma_a
-        and L_a, so only block row and column a of C and of each
-        dC/dlambda_i move, and every contraction runs over m x m blocks.
-        Terms in dL_a are pulled back to dSigma_a through the adjoint of
-        dL = L Phi(L^-1 dSigma L^-T), and dSigma_a to the means through
+        With K = Sigma_b^-1, block (a, t) of G_i is L_a^-T G^_i[a, t] L_t^-1,
+        G^_i = X_i - z w_i^T - w_i z^T, and block (a, t) of H is
+        L_a^-T (z_a z_t^T - K_at I) L_t^-1. A mean of response a moves only
+        Sigma_a and L_a, so only block row and column a of C and of each B_i
+        move, and every contraction is over m x m blocks. A cotangent
+        L_a^-T Y of L_a pulls back through dL = L Phi(L^-1 dSigma L^-T) to
+        L_a^-T Phi(Y) L_a^-1 of Sigma_a, and Sigma_a to the means through
         dSigma = diag(ds) Omega diag(s) + diag(s) Omega diag(ds)
         (+ diag(dmu) for ``poisson_tweedie``), ds = s'(mu) dmu. For tau_ad,
-        block (a, a) is A = diag(s) Z_d diag(s) and block (a, t) is
-        Sigma_b[a, t] K L_t^T with K = L P, P = Phi(M), M = L^-1 A L^-T;
-        K moves by dL P + L Phi(L^-1 dA L^-T - Q M - M Q^T), Q = L^-1 dL.
+        B_i also moves with A = diag(s) Z_d diag(s) in block (a, a), and
+        block (a, t) is Sigma_b[a, t] L P L_t^T with P = Phi(M),
+        M = L^-1 A L^-T, which moves by dL P + L Phi(L^-1 dA L^-T - Q M - M Q^T),
+        Q = L^-1 dL.
         """
-        grad = np.zeros((disp.n_free, self.n_responses * self.clusters.n_obs))
-        pieces = zip(joint, c_cotangents, d_cotangent, self.whitened_tau(joint))
-        for k, piece in enumerate(pieces):
-            grad[:, self.clusters.index[k]] = self._stack_mean_gradient(k, disp, *piece)
+        q = len(weights[0])
+        grad = np.zeros((q, self.n_responses * self.clusters.n_obs))
+        for k, piece in enumerate(zip(joint, ms, residuals, weights)):
+            out = self._stack_mean_gradient(k, disp, *piece)
+            grad[:, self.clusters.index[k]] = np.moveaxis(out, 1, 2).reshape(
+                q, out.shape[2], -1
+            )
         return grad
 
-    def _stack_mean_gradient(self, k, disp, block, g_stack, h, whitened):
-        n_resp = self.n_responses
-        pairs = rho_pairs(n_resp)
-        n_rho = len(pairs)
-        m = block.shape[-1] // n_resp
-        rows = [slice(r * m, (r + 1) * m) for r in range(n_resp)]
+    def _stack_mean_gradient(self, k, disp, block, ms, residuals, w):
+        e, z = residuals
+        rho_r, rho_s = rho_index(self.n_responses)
+        n_rho = len(rho_r)
+        k_inv = block.sigma_b_inverse
+        eye = np.eye(z.shape[-1])
         cluster_rows = self.clusters.rows[k]
-        chols = block.sigma_chols
-        chol_invs = block.sigma_chol_invs
-        sigma_b = block.sigma_b
         omegas = self._omegas(k, disp)
         sqrt_vs, _ = self._row_terms[k]
-        out = np.zeros(g_stack.shape[:-1])
-        for a in range(n_resp):
-            chol, chol_inv, s = chols[a], chol_invs[a], sqrt_vs[a]
+        # The sums over t != a below are formed from the off-diagonal parts
+        # of Sigma_b and K directly: as differences such as e_a - z_a they
+        # would lose the digits of small correlations.
+        sigma_b_off = block.sigma_b - np.eye(self.n_responses)
+        k_off = k_inv - np.diag(np.diag(k_inv))
+        zetas = (sigma_b_off @ z.reshape(len(z), -1)).reshape(z.shape)
+        k_off_e = (k_off @ e.reshape(len(e), -1)).reshape(e.shape)
+        one_minus_k = np.einsum("at,ta->a", sigma_b_off, k_inv)  # 1 - K_aa
+        out = np.empty_like(w)
+        for a in range(self.n_responses):
+            chol_inv, s = block.sigma_chol_invs[a], sqrt_vs[a]
             mu, ntrial = self.mus[a][cluster_rows], self.ntrials[a]
             dv = variance_deriv(self.variances[a], mu)
             if ntrial is not None:
                 dv = dv / ntrial[cluster_rows]
             slope = dv / (2.0 * s)  # ds/dmu
-            others = [t for t in range(n_resp) if t != a]
-            h_aa = h[..., rows[a], rows[a]]
-            # For tau_ad, <H, d dC/dtau_ad> = <H[a, a] + 2 U, dA>
-            # + 2 <W P^T - L^-T (V + V^T) M, dL> with W = sum_t Sigma_b[a, t]
-            # H[a, t] L_t, V = Phi(L^T W) and U = L^-T V L^-1; only P, M
-            # and A depend on d.
-            h_chol = {t: h[..., rows[a], rows[t]] @ chols[t] for t in others}
-            w = sum((sigma_b[a, t] * h_chol[t] for t in others), np.zeros_like(h_aa))
-            v = _phi(_t(chol) @ w)
-            u_w = _t(chol_inv) @ v @ chol_inv
-            v_back = _t(chol_inv) @ (v + _t(v))
-            for i, g in enumerate(g_stack):
-                # Cotangents of Sigma_a (gamma), of L_a (y_bar) and of A.
-                y_bar = np.zeros_like(h_aa)
-                for t in others:
-                    y_bar += 2.0 * sigma_b[a, t] * (g[..., rows[a], rows[t]] @ chols[t])
-                grad_s = np.zeros_like(s)
-                if i < n_rho:
-                    if a in pairs[i]:
-                        (t,) = [p for p in pairs[i] if p != a]
-                        y_bar += 2.0 * h_chol[t]
-                else:
-                    r, white = self.owner[i - n_rho], whitened[i - n_rho]
-                    if r == a:
-                        y_bar += 2.0 * (w @ _t(_phi(white)) - v_back @ white)
-                        z = self.z_blocks[k][i - n_rho]
-                        grad_s += _spread(h_aa + 2.0 * u_w, z, s)
-                    else:
-                        k_mat = chols[r] @ _phi(white)
-                        y_bar += 2.0 * sigma_b[r, a] * (h[..., rows[a], rows[r]] @ k_mat)
-                gamma = g[..., rows[a], rows[a]] + _cholesky_derivative_adjoint(
-                    chol, chol_inv, y_bar
-                )
-                grad_s += _spread(gamma, omegas[a], s)
-                out[i][..., rows[a]] = slope * grad_s
-                if self.variances[a].kind == "poisson_tweedie":
-                    out[i][..., rows[a]] += np.diagonal(gamma, axis1=-2, axis2=-1)
+            mine = np.flatnonzero(self.owner == a)
+            own, m_own = n_rho + mine, ms[mine]
+            z_a, w_a = z[a], w[:, a]
+            zeta = zetas[a]  # sum over t != a of Sigma_b[a, t] z_t
+            # X_i[a, a]: 2 K_ar K_as I for rho_rs, K_aa M for tau_ad, zero
+            # for the taus of other responses.
+            x_rho = (2.0 * k_inv[a, rho_r] * k_inv[a, rho_s])[:, None, None, None] * eye
+            # The cotangent of L_a is L_a^-T Y_i, Y_i = 2 sum over t != a of
+            # Sigma_b[a, t] G^_i[a, t] plus the H terms of d B_i / d L_a:
+            # Y_i / 2 = z_a f_i^T - w_ia zeta^T - (X_i[a, a] for rho_rs)
+            # - (V + V^T) M for tau_ad, V = Phi(z_a zeta^T - (1 - K_aa) I),
+            # with f_i = w_ia except f_i = P (K_aa e_a - z_a) for tau_ad,
+            # K_aa e_a - z_a = -sum over t != a of K_at e_t.
+            f = w_a.copy()
+            f[own] = -(_phi(m_own) @ k_off_e[a][..., None])[..., 0]
+            y_half = _outer(z_a, f) - _outer(w_a, zeta)
+            y_half[:n_rho] -= x_rho
+            v = _phi(_outer(z_a, zeta) - one_minus_k[a] * eye)
+            y_half[own] -= (v + _t(v)) @ m_own
+            # The cotangent of Sigma_a, gamma_i = L_a^-T gamma^_i L_a^-1 with
+            # gamma^_i = G^_i[a, a] + Phi(Y_i). Only its symmetric part
+            # counts, dSigma_a being symmetric, so -z_a w_ia^T - w_ia z_a^T
+            # enters as -2 z_a w_ia^T.
+            gamma = 2.0 * (_phi(y_half) - _outer(z_a, w_a))
+            gamma[:n_rho] += x_rho
+            gamma[own] += k_inv[a, a] * m_own
+            gamma = _t(chol_inv) @ gamma @ chol_inv
+            grad_s = _spread(gamma, omegas[a], s)
+            # <H[a, a] + 2 L_a^-T V L_a^-1, dA> for tau_ad.
+            h_own = _outer(z_a, z_a) - k_inv[a, a] * eye + 2.0 * v
+            h_own = _t(chol_inv) @ h_own @ chol_inv
+            grad_s[own] += _spread(h_own, self.z_blocks[k][mine], s)
+            out[:, a] = slope * grad_s
+            if self.variances[a].kind == "poisson_tweedie":
+                out[:, a] += np.diagonal(gamma, axis1=-2, axis2=-1)
         return out
+
+
+def _outer(x, y):
+    """x y^T, batched over leading axes."""
+    return np.einsum("...i,...j->...ij", x, y)
 
 
 @lru_cache(maxsize=64)
@@ -551,11 +524,6 @@ def _phi_weights(m):
 def _phi(x):
     """Lower triangle with the diagonal halved; self-adjoint in <., .>."""
     return x * _phi_weights(x.shape[-1])
-
-
-def _cholesky_derivative_adjoint(chol, chol_inv, y):
-    """G with <Y, dL> = <G, dSigma>: G = L^-T Phi(L^T Y) L^-1."""
-    return _t(chol_inv) @ _phi(_t(chol) @ y) @ chol_inv
 
 
 def _spread(gamma, z, s):

@@ -5,13 +5,13 @@ parameters solve the Pearson (trace-matching) equation; the two are
 alternated with Newton-type steps until the parameter vector settles. The
 asymptotic covariance is the inverse Godambe information
 S^-1 V S^-T assembled from the block sensitivity/variability matrices at
-the solution. Every block is closed form: dC/dlambda and its pullback to
-the means as in ``covariance``, after Murray 2016. C is block diagonal over
-the row clusters (``covariance.RowClusters``), so every estimating
-function, sensitivity and variability is a sum over the clusters. The
-iteration works in the coordinates that C's factors whiten (``_State``,
-``_pearson_pieces``); C^-1 and the dC/dlambda stacks are formed once, at
-the solution, for the sandwich.
+the solution. Every block is closed form: the dispersion derivatives and
+their pullback to the means as in ``covariance``, after Murray 2016. C is
+block diagonal over the row clusters (``covariance.RowClusters``), so every
+estimating function, sensitivity and variability is a sum over the
+clusters. The iteration and the sandwich both work in the coordinates that
+C's factors whiten (``_State``): no C^-1 and no dC/dlambda_i is formed,
+only per-response m x m blocks of each cluster.
 """
 
 import logging
@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _kernels
-from .covariance import CovarianceModel, DispersionVector, _phi, rho_pairs
+from .covariance import CovarianceModel, DispersionVector, _phi, rho_index, rho_pairs
 from .errors import DomainError, NotPositiveDefinite, OptionError, RankError
 from .model import BoundModel, bind, rank_tolerance, redundant_columns
 
@@ -88,10 +88,6 @@ class _State:
     joint: tuple  # one JointCovariance per cluster stack
 
     @property
-    def index(self):
-        return self.covmodel.clusters.index
-
-    @property
     def rows(self):
         return self.covmodel.clusters.rows
 
@@ -119,13 +115,10 @@ class _State:
             )
 
     @cached_property
-    def u(self):
-        """C^-1 r = B^-T z."""
-        u = np.empty_like(self.resid)
-        view = u.reshape(len(self.mus), -1)
-        for rows, block, (_, z) in zip(self.rows, self.joint, self.whitened):
-            view[:, rows] = block.whiten_t(z[..., None])[..., 0]
-        return u
+    def whitened_tau(self):
+        """Per cluster stack, the (q_tau, G, m, m) whitened tau derivatives M
+        (``CovarianceModel.derivatives``)."""
+        return self.covmodel.derivatives(self.joint)
 
 
 def _beta_spans(designs):
@@ -220,7 +213,7 @@ def _pearson_pieces(state):
       -2 delta_rs tr(P_i P_j) - 2 K_rs (Sigma_b)_rs tr(P_i P_j^T).
     """
     n_resp = len(state.disp.tau)
-    rho_r, rho_s = np.array(rho_pairs(n_resp), dtype=int).reshape(-1, 2).T
+    rho_r, rho_s = rho_index(n_resp)
     owner = state.covmodel.owner
     q_tau = len(owner)
     gram = np.zeros((n_resp, n_resp))
@@ -228,9 +221,8 @@ def _pearson_pieces(state):
     psi_tau = np.zeros(q_tau)
     same = np.zeros((q_tau, q_tau))
     cross = np.zeros((q_tau, q_tau))
-    ms_stacks = state.covmodel.whitened_tau(state.joint)
     with np.errstate(over="ignore", invalid="ignore"):
-        for (e, z), ms in zip(state.whitened, ms_stacks):
+        for (e, z), ms in zip(state.whitened, state.whitened_tau):
             flat_z = z.reshape(n_resp, -1)
             gram += flat_z @ flat_z.T
             ps = _phi(ms)
@@ -260,31 +252,65 @@ def _pearson_pieces(state):
     return np.concatenate([psi_rho, psi_tau - trace_m]), sens
 
 
-def _inverse_stacks(state):
-    """W_i = C^-1 dC/dlambda_i, one (q, G, mR, mR) array per cluster stack.
+def _residual_weights(state):
+    """Per cluster stack, the (q, R, G, m) array w_i = X_i e with
+    X_i = S^-1 A_i S^-1 (``_pearson_pieces``), so that
+    C^-1 B_i C^-1 r = B^-T w_i.
 
-    Formed once per fit, at the solution, for V_lambda's fourth-cumulant
-    term and ``cross_blocks``.
+    With K = Sigma_b^-1, block (a, t) of X_i is (K (E_rs + E_sr) K)_at I
+    for rho_rs, and K_ar delta_rt P + delta_ar K_rt P^T for tau of response
+    r. So w_ia = K_ar z_s + K_as z_r for rho_rs, and
+    w_ia = K_ar P e_r + delta_ar P^T z_r for tau.
     """
-    stacks = state.covmodel.derivatives(state.disp, state.joint)
-    for block, stack in zip(state.joint, stacks):
-        np.matmul(block.inverse, stack, out=stack)
-    return stacks
+    rho_r, rho_s = rho_index(len(state.disp.tau))
+    owner = state.covmodel.owner
+    out = []
+    for block, (e, z), ms in zip(state.joint, state.whitened, state.whitened_tau):
+        k_inv = block.sigma_b_inverse
+        w_rho = _weighted(k_inv[rho_r], z[rho_s]) + _weighted(k_inv[rho_s], z[rho_r])
+        ps = _phi(ms)
+        w_tau = _weighted(k_inv[owner], (ps @ e[owner][..., None])[..., 0])
+        w_tau[np.arange(len(owner)), owner] += (
+            np.swapaxes(ps, -1, -2) @ z[owner][..., None]
+        )[..., 0]
+        out.append(np.concatenate([w_rho, w_tau]))
+    return tuple(out)
 
 
-def _pearson_variability(state, sens, stacks):
-    """V_lambda = 2 tr(W_i W_j) + sum_l (W_i C^-1)_ll k4_l (W_j C^-1)_ll,
-    k4 = r^4 - 3 diag(C)^2 the empirical fourth-cumulant correction."""
+def _weighted(weights, x):
+    """The (q, R, G, m) array weights[i, a] x[i]."""
+    return weights[..., None, None] * x[:, None]
+
+
+def _pearson_variability(state, sens):
+    """V_lambda = 2 tr(W_i W_j) + sum_l F_i,ll k4_l F_j,ll with W_i = C^-1 B_i,
+    F_i = W_i C^-1 and k4 = r^4 - 3 diag(C)^2 the empirical fourth-cumulant
+    correction. The trace term is -2 S_lambda. F_i = B^-T X_i B^-1, so on
+    response a's rows diag F_i is diag(L_a^-T X_i[a, a] L_a^-1): 2 K_ar K_as
+    times the column sums of squares of L_a^-1 for rho_rs, and for tau of
+    response r, K_rr diag(L_r^-T M L_r^-1) on r's rows and zero elsewhere.
+    """
+    rho_r, rho_s = rho_index(len(state.disp.tau))
+    owner = state.covmodel.owner
+    taus = len(rho_r) + np.arange(len(owner))
+    resid = state.resid.reshape(len(state.mus), -1)
     var = -2.0 * sens
-    for idx, block, stack in zip(state.index, state.joint, stacks):
-        w_diag = np.einsum("qglm,gml->qgl", stack, block.inverse)
-        w_diag = w_diag.reshape(len(stack), -1)
-        c_diag = block.diagonal
+    for rows, block, ms in zip(state.rows, state.joint, state.whitened_tau):
+        k_inv = block.sigma_b_inverse
+        invs = block.sigma_chol_invs
+        diag = np.zeros((len(var),) + invs.shape[:-1])
+        weights = 2.0 * k_inv[rho_r] * k_inv[rho_s]
+        diag[: len(rho_r)] = weights[..., None, None] * (invs**2).sum(axis=-2)
+        own = invs[owner]
+        diag[taus, owner] = k_inv[owner, owner][:, None, None] * np.einsum(
+            "qgjl,qgjl->qgl", ms @ own, own
+        )
+        flat = diag.reshape(len(diag), -1)
         # r^4 overflows for residuals past about 1e77; ``_solve`` then
         # rejects the non-finite sandwich.
         with np.errstate(over="ignore", invalid="ignore"):
-            k4 = (state.resid[idx] ** 4 - 3.0 * c_diag**2).ravel()
-            var += (w_diag * k4) @ w_diag.T
+            k4 = (resid[:, rows] ** 4 - 3.0 * block.diagonal**2).ravel()
+            var += (flat * k4) @ flat.T
     return 0.5 * (var + var.T)
 
 
@@ -296,44 +322,40 @@ def pearson_fn(bound, beta, disp):
     """
     state = _evaluate(bound, beta, disp)
     psi, sens = _pearson_pieces(state)
-    return psi, sens, _pearson_variability(state, sens, _inverse_stacks(state))
+    return psi, sens, _pearson_variability(state, sens)
 
 
-def cross_blocks(bound, beta, disp, state=None, stacks=None):
+def cross_blocks(bound, beta, disp, state=None):
     """Cross sensitivity blocks ``(S_lambda_beta, S_beta_lambda)`` at a
     parameter point.
 
-    Both sensitivities are exact. With u = C^-1 r, F_i = C^-1 B_i C^-1
-    (B_i = dC/dlambda_i) and y_i = F_i r, column i of S_beta_lambda is
-    -D^T y_i. S_lambda_beta, an observed derivative through the mean
-    dependence of r, C and B_i, is G D with row i of G the gradient of
-    psi_lambda_i in the means:
-    -2 y_i + d/dmu [<F_i - u y_i^T - y_i u^T, C> + <u u^T - C^-1, B_i>]
-    (``CovarianceModel.mean_gradient``). Every term is a sum over the
-    row clusters.
+    Both sensitivities are exact. With u = C^-1 r, B_i = dC/dlambda_i and
+    y_i = C^-1 B_i u = B^-T w_i (``_residual_weights``), column i of
+    S_beta_lambda is -D^T y_i = -D~^T w_i, D~ = B^-1 D. S_lambda_beta, an
+    observed derivative through the mean dependence of r, C and B_i, is
+    G D with row i of G the gradient of psi_lambda_i in the means:
+    -2 y_i + d/dmu [<C^-1 B_i C^-1 - u y_i^T - y_i u^T, C> + <u u^T - C^-1, B_i>]
+    (``CovarianceModel.mean_gradient``). Every term is a sum of per-response
+    m x m blocks over the row clusters; neither C^-1 nor any B_i is formed.
 
-    ``fit`` passes its own evaluation at (beta, disp) as ``state`` and its
-    ``_inverse_stacks`` C^-1 B_i as ``stacks``, so nothing is rebuilt; the
-    stacks are overwritten.
+    ``fit`` passes its own evaluation at (beta, disp) as ``state``, so
+    nothing is rebuilt.
     """
     if state is None:
         state = _evaluate(bound, beta, disp)
-    if stacks is None:
-        stacks = _inverse_stacks(state)
-    ys = np.empty((state.disp.n_free, len(state.resid)))
-    h_blocks = []
-    for idx, block, stack in zip(state.index, state.joint, stacks):
-        u = state.u[idx]
-        y = (stack @ u[..., None])[..., 0]
-        ys[:, idx] = y
-        np.matmul(stack, block.inverse, out=stack)
-        stack -= u[:, :, None] * y[..., None, :]
-        stack -= y[..., :, None] * u[:, None, :]
-        h_blocks.append(u[:, :, None] * u[:, None, :] - block.inverse)
-    sens_bl = -(ys @ state.D).T
-    grad = state.covmodel.mean_gradient(state.disp, state.joint, stacks, h_blocks)
-    sens_lb = (grad - 2.0 * ys) @ state.D
-    return sens_lb, sens_bl
+    k = state.D.shape[1]
+    # Residuals past about 1e154 overflow in these products; ``_solve`` then
+    # rejects the non-finite sandwich.
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = _residual_weights(state)
+        w_d = sum(
+            w.reshape(len(w), -1) @ d.reshape(-1, k)
+            for w, d in zip(weights, state.d_whitened)
+        )
+        grad = state.covmodel.mean_gradient(
+            state.disp, state.joint, state.whitened_tau, state.whitened, weights
+        )
+        return grad @ state.D - 2.0 * w_d, -w_d.T
 
 
 def _check_ranks(bound):
@@ -571,10 +593,10 @@ def fit(spec, data, options=None):
         bound.n_responses, [len(c) for c in bound.z_codes]
     )
     trace = _Trace(opts.trace_path)
-    state = _evaluate(bound, beta, disp)
     converged = False
     iteration = 0
     try:
+        state = _evaluate(bound, beta, disp)
         for iteration in range(1, opts.max_iter + 1):
             psi_b, _, var_b = _quasi_pieces(state)
             beta_step = _solve(var_b, psi_b, "coefficient Newton")
@@ -611,9 +633,8 @@ def fit(spec, data, options=None):
     # Sandwich information assembled once, at the solution.
     psi_b, sens_b, var_b = _quasi_pieces(state)
     psi_l, sens_l = _pearson_pieces(state)
-    stacks = _inverse_stacks(state)
-    var_l = _pearson_variability(state, sens_l, stacks)
-    sens_lb, sens_bl = cross_blocks(bound, beta, disp, state=state, stacks=stacks)
+    var_l = _pearson_variability(state, sens_l)
+    sens_lb, sens_bl = cross_blocks(bound, beta, disp, state=state)
     sens = np.block([[sens_b, sens_bl], [sens_lb, sens_l]])
     # V is block diagonal: the cross variability is taken as zero. Its
     # third-moment plug-in estimate is noise of the same order as its

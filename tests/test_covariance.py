@@ -12,6 +12,7 @@ from covglm.covariance import (
     build_joint_c,
     build_omega,
     build_sigma_r,
+    _phi,
     correlation_matrix,
     rho_pairs,
 )
@@ -269,11 +270,43 @@ def _dense_c(model, disp):
     return _scatter(model, [joint.C for joint in model.build(disp)])
 
 
+def _derivative_stack(block, ms, owner):
+    """dC/dlambda_i = B A_i B^T of every cluster of a stack, (q, G, mR, mR),
+    from the whitened tau derivatives M that ``derivatives`` returns:
+    A_i = (E_rs + E_sr) kron I for rho_rs, and for tau of response r,
+    P Sigma_b[r, t] in block (r, t) plus its transpose in (t, r), P = Phi(M).
+    """
+    chols = block.sigma_chols
+    n_resp, g, m, _ = chols.shape
+    whitened = []
+    for r, s in rho_pairs(n_resp):
+        a = np.zeros((n_resp, n_resp, g, m, m))
+        a[r, s] = a[s, r] = np.eye(m)
+        whitened.append(a)
+    for r, p in zip(owner, _phi(ms)):
+        a = np.zeros((n_resp, n_resp, g, m, m))
+        a[r] += block.sigma_b[r][:, None, None, None] * p
+        a[:, r] += block.sigma_b[:, r, None, None, None] * np.swapaxes(p, -1, -2)
+        whitened.append(a)
+    # Block (a, t) of B A B^T is L_a A[a, t] L_t^T.
+    products = chols[:, None] @ np.array(whitened) @ np.swapaxes(chols, -1, -2)[None, :]
+    out = np.moveaxis(products, (1, 2), (-4, -2))
+    return out.reshape(len(whitened), g, n_resp * m, n_resp * m)
+
+
+def _derivative_stacks(model, joint):
+    """Per cluster stack, the (q, G, mR, mR) dC/dlambda blocks."""
+    return [
+        _derivative_stack(block, ms, model.owner)
+        for block, ms in zip(joint, model.derivatives(joint))
+    ]
+
+
 def _dense_derivatives(model, disp, joint=None):
     """(q, NR, NR) dC/dlambda, scattered from its cluster blocks."""
     if joint is None:
         joint = model.build(disp)
-    return _scatter(model, model.derivatives(disp, joint))
+    return _scatter(model, _derivative_stacks(model, joint))
 
 
 def _finite_difference_derivs(model, disp, step=1e-6):
@@ -349,7 +382,7 @@ def test_derivatives_rebuild_no_covariance(monkeypatch):
 def test_per_response_factors_inverted_once(monkeypatch):
     # derivatives and then mean_gradient on one evaluated state share the
     # per-response inverses L_r^-1: one inversion of each stack's (R, G,
-    # m, m) factors, not two.
+    # m, m) factors, not two, and one of each stack's Sigma_b factor.
     rng = np.random.default_rng(12)
     model, disp = _random_covariance_model(rng, 3, 2, grouped=True)
     joint = model.build(disp)
@@ -361,11 +394,11 @@ def test_per_response_factors_inverted_once(monkeypatch):
         return original(a)
 
     monkeypatch.setattr(covariance, "tril_inverse", counting_inverse)
-    derivs = model.derivatives(disp, joint)
-    cotangents = [0.5 * (d + np.swapaxes(d, -1, -2)) for d in derivs]
-    h = [block.C for block in joint]
-    model.mean_gradient(disp, joint, cotangents, h)
-    factors = [block.sigma_chols for block in joint]
+    ms = model.derivatives(joint)
+    residuals = [(rng.normal(size=b.diagonal.shape),) * 2 for b in joint]
+    weights = [rng.normal(size=(disp.n_free,) + b.diagonal.shape) for b in joint]
+    model.mean_gradient(disp, joint, ms, residuals, weights)
+    factors = [block.sigma_chols for block in joint] + [b.sigma_b_chol for b in joint]
     assert len(inverted) == len(factors)
     assert all(any(a is f for f in factors) for a in inverted)
 
@@ -438,31 +471,44 @@ def test_structured_inverse_inverts_c(seed, kinds, grouped):
     # |rho| <= 0.2 keeps Sigma_b diagonally dominant, so positive definite.
     disp = DispersionVector(rho=0.5 * disp.rho, tau=disp.tau)
     for block in model.build(disp):
-        eye = np.eye(block.shape[-1])
+        eye = np.eye(block.C.shape[-1])
         assert np.abs(block.inverse @ block.C - eye).max() <= 1e-12
         for chol, chol_inv in zip(block.sigma_chols, block.sigma_chol_invs):
             expected = np.linalg.inv(chol)
             assert np.abs(chol_inv - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
-def _stack_pearson_oracle(state):
-    """psi_lambda_i = u^T B_i u - tr W_i and S_lambda[i, j] = -tr(W_i W_j)
-    from the (q, G, mR, mR) stacks B_i = dC/dlambda_i and W_i = C^-1 B_i,
-    u = C^-1 r, with each cluster's C assembled and solved; also the
-    largest single-cluster term of each psi_lambda_i."""
+def _stack_sandwich_oracle(state):
+    """The Pearson pieces and the sandwich terms from the (q, G, mR, mR)
+    stacks B_i = dC/dlambda_i, with each cluster's C assembled and solved.
+
+    Returns psi_lambda_i = u^T B_i u - tr W_i, S_lambda[i, j] = -tr(W_i W_j)
+    and V_lambda = 2 tr(W_i W_j) + sum_l F_i,ll k4_l F_j,ll, where
+    W_i = C^-1 B_i, F_i = W_i C^-1, u = C^-1 r and k4 = r^4 - 3 diag(C)^2;
+    S_beta_lambda, whose column i is -D^T F_i r; and the largest
+    single-cluster term of each psi_lambda_i.
+    """
     q = state.disp.n_free
     psi, sens, largest = np.zeros(q), np.zeros((q, q)), np.zeros(q)
-    derivs = state.covmodel.derivatives(state.disp, state.joint)
-    for idx, block, stack in zip(state.index, state.joint, derivs):
-        u = np.linalg.solve(block.C, state.resid[idx][..., None])[..., 0]
+    k4_term = np.zeros((q, q))
+    sens_bl = np.zeros((state.D.shape[1], q))
+    stacks = _derivative_stacks(state.covmodel, state.joint)
+    for idx, block, stack in zip(state.covmodel.clusters.index, state.joint, stacks):
+        resid = state.resid[idx]
+        u = np.linalg.solve(block.C, resid[..., None])[..., 0]
         w = np.linalg.solve(block.C, stack)
+        f = np.linalg.solve(block.C, np.swapaxes(w, -1, -2))
         quad = np.einsum("gi,qgij,gj->qg", u, stack, u)
         trace = np.einsum("qgii->qg", w)
         psi += (quad - trace).sum(axis=1)
         sens -= np.einsum("agij,bgji->ab", w, w)
         terms = np.concatenate([np.abs(quad), np.abs(trace)], axis=1)
         largest = np.maximum(largest, terms.max(axis=1))
-    return psi, sens, largest
+        f_diag = np.einsum("qgll->qgl", f).reshape(q, -1)
+        k4 = resid**4 - 3.0 * np.einsum("gll->gl", block.C) ** 2
+        k4_term += (f_diag * k4.ravel()) @ f_diag.T
+        sens_bl -= np.einsum("gik,qgij,gj->kq", state.D[idx], f, resid)
+    return psi, sens, -2.0 * sens + k4_term, sens_bl, largest
 
 
 @PROPERTY_SETTINGS
@@ -474,9 +520,11 @@ def _stack_pearson_oracle(state):
 )
 def test_whitened_pearson_pieces_match_the_derivative_stacks(seed, kinds, n_z, grouped):
     # R = 1-4, every variance kind, identity, grouped (several cluster
-    # stacks) or dense Z: the whitened psi_lambda and S_lambda equal the
-    # forms built from dC/dlambda and C^-1.
-    from covglm.estimator import _pearson_pieces, _State
+    # stacks) or dense Z: the whitened psi_lambda, S_lambda, V_lambda and
+    # S_beta_lambda equal the forms built from dC/dlambda and C^-1. The
+    # couplings through Sigma_b^-1 across three or more responses show
+    # only at R >= 3.
+    from covglm.estimator import _pearson_pieces, _pearson_variability, _State, cross_blocks
 
     rng = np.random.default_rng(seed)
     model, disp = _random_covariance_model(
@@ -489,20 +537,26 @@ def test_whitened_pearson_pieces_match_the_derivative_stacks(seed, kinds, n_z, g
         grouped=grouped,
     )
     disp = DispersionVector(rho=0.5 * disp.rho, tau=disp.tau)
-    resid = rng.normal(scale=2.0, size=len(kinds) * model.clusters.n_obs)
+    n_rows = len(kinds) * model.clusters.n_obs
     state = _State(
         beta=None,
         disp=disp,
         mus=model.mus,
-        resid=resid,
-        D=None,
+        resid=rng.normal(scale=2.0, size=n_rows),
+        D=rng.normal(size=(n_rows, 3)),
         covmodel=model,
         joint=model.build(disp),
     )
     psi, sens = _pearson_pieces(state)
-    expected_psi, expected_sens, largest = _stack_pearson_oracle(state)
+    var = _pearson_variability(state, sens)
+    _, sens_bl = cross_blocks(None, None, None, state=state)
+    expected_psi, expected_sens, expected_var, expected_bl, largest = (
+        _stack_sandwich_oracle(state)
+    )
     assert np.abs(sens - expected_sens).max() <= 1e-10 * np.abs(expected_sens).max()
     assert np.all(np.abs(psi - expected_psi) <= 1e-10 * largest)
+    assert np.abs(var - expected_var).max() <= 1e-10 * np.abs(expected_var).max()
+    assert np.abs(sens_bl - expected_bl).max() <= 1e-10 * np.abs(expected_bl).max()
 
 
 def test_single_response_tau_derivative_is_exact_form():

@@ -194,8 +194,9 @@ CASES = {
 }
 
 
-def _summary(case, tmp_path, capsys):
-    """Exit code and stderr of ``covglm summary`` on one case."""
+def _summary(case, tmp_path, capsys, *options):
+    """Exit code and stderr of ``covglm summary`` on one case, with any
+    further command-line ``options``."""
     columns, responses = CASES[case]()
     names = list(columns)
     lines = [",".join(names)]
@@ -211,6 +212,7 @@ def _summary(case, tmp_path, capsys):
             "--data", str(data_path),
             "--model", str(spec_path),
             "--max-iter", "15",
+            *options,
         ]
     )
     return code, capsys.readouterr().err
@@ -252,6 +254,27 @@ def test_covariate_near_overflow_is_an_unresolvable_scale(tmp_path, capsys):
     code, err = _summary("covariate-near-overflow", tmp_path, capsys)
     assert code == 1
     assert "in scale by more than the rank test can resolve" in err
+
+
+def test_failing_starting_point_closes_the_trace_file(tmp_path, capsys, monkeypatch):
+    # The starting covariance fails before the first iteration; the
+    # --trace file opened for the fit is closed all the same.
+    from covglm import estimator
+
+    traces = []
+    original_init = estimator._Trace.__init__
+
+    def recording_init(self, path):
+        original_init(self, path)
+        traces.append(self)
+
+    monkeypatch.setattr(estimator._Trace, "__init__", recording_init)
+    trace_path = tmp_path / "trace.tsv"
+    code, err = _summary("tweedie-power-400", tmp_path, capsys, "--trace", str(trace_path))
+    assert code == 1
+    assert err.startswith("error [covariance]: ")
+    (trace,) = traces
+    assert trace.handle.closed
 
 
 @pytest.mark.parametrize(

@@ -328,51 +328,50 @@ def test_cross_blocks_reuses_the_fit_state(monkeypatch):
 
 
 def test_iterations_form_no_derivative_stack_and_no_assembled_inverse(monkeypatch):
-    # The loop works in whitened coordinates; dC/dlambda and C^-1 are formed
-    # once, on the solution state, for V_lambda and cross_blocks.
-    from covglm import estimator
+    # The loop and the sandwich both work in whitened coordinates: no
+    # C^-1 or C is assembled during a fit, and the dispersion derivatives
+    # come only as per-response (q_tau, G, m, m) stacks, never as the
+    # (q, G, mR, mR) dC/dlambda of a joint block.
     from covglm.covariance import CovarianceModel, JointCovariance
 
     data, spec, _, _ = _three_response_problem(
         ("constant", "tweedie", "poisson_tweedie")
     )
-    differentiated = []
-    read = []
-    solutions = []
+    read, shapes = [], []
     original_derivatives = CovarianceModel.derivatives
-    original_inverse = JointCovariance.inverse.func
-    original_cross_blocks = estimator.cross_blocks
 
-    def derivatives(self, disp, joint):
-        differentiated.append(joint)
-        return original_derivatives(self, disp, joint)
+    def derivatives(self, joint):
+        stacks = original_derivatives(self, joint)
+        shapes.extend((ms.shape, block.sigma_chols.shape) for ms, block in zip(stacks, joint))
+        return stacks
 
-    def inverse(self):
-        read.append(self)
-        return original_inverse(self)
+    def recorded(name):
+        original = getattr(JointCovariance, name).func
 
-    def traced_cross_blocks(*args, **kwargs):
-        solutions.append(kwargs["state"])
-        return original_cross_blocks(*args, **kwargs)
+        def read_property(self):
+            read.append(name)
+            return original(self)
+
+        return property(read_property)
 
     monkeypatch.setattr(CovarianceModel, "derivatives", derivatives)
-    monkeypatch.setattr(JointCovariance, "inverse", property(inverse))
-    monkeypatch.setattr(estimator, "cross_blocks", traced_cross_blocks)
+    for name in ("inverse", "C"):
+        monkeypatch.setattr(JointCovariance, name, recorded(name))
     model = fit(spec, data, FitOptions(max_iter=3))
     assert model.iterations == 3
-    (state,) = solutions
-    assert len(differentiated) == 1
-    assert differentiated[0] is state.joint
-    assert read
-    assert all(any(block is solved for solved in state.joint) for block in read)
+    assert read == []
+    assert shapes
+    q_tau = sum(len(t) for t in model.lambda_hat.tau)
+    for ms_shape, (_, g, m, _) in shapes:
+        assert ms_shape == (q_tau, g, m, m)
 
 
 def test_each_state_factors_and_whitens_once_per_stack(monkeypatch):
     # All responses share each batched call. Per evaluated state and
     # cluster stack, tril_inverse runs twice: once on the (R, G, m, m)
-    # factors and once on Sigma_b. The M stacks are formed once per state
-    # whose Pearson pieces are read, and the sandwich at the solution
-    # reuses the ones formed there.
+    # factors and once on Sigma_b. The M stacks are formed through
+    # derivatives once per state whose Pearson pieces are read, and the
+    # sandwich at the solution reuses the ones formed there.
     from covglm import covariance, estimator
     from covglm.covariance import CovarianceModel
 
@@ -382,7 +381,7 @@ def test_each_state_factors_and_whitens_once_per_stack(monkeypatch):
     evaluated, inverted, formed, solutions = [], [], [], []
     original_evaluate = estimator._evaluate
     original_tril_inverse = covariance.tril_inverse
-    original_whitened = CovarianceModel._stack_whitened
+    original_derivatives = CovarianceModel.derivatives
     original_cross_blocks = estimator.cross_blocks
 
     def evaluate(*args):
@@ -394,9 +393,9 @@ def test_each_state_factors_and_whitens_once_per_stack(monkeypatch):
         inverted.append(chol.shape)
         return original_tril_inverse(chol)
 
-    def stack_whitened(self, k, block):
-        formed.append(block)
-        return original_whitened(self, k, block)
+    def derivatives(self, joint):
+        formed.append(joint)
+        return original_derivatives(self, joint)
 
     def traced_cross_blocks(*args, **kwargs):
         solutions.append(kwargs["state"])
@@ -404,16 +403,16 @@ def test_each_state_factors_and_whitens_once_per_stack(monkeypatch):
 
     monkeypatch.setattr(estimator, "_evaluate", evaluate)
     monkeypatch.setattr(covariance, "tril_inverse", tril_inverse)
-    monkeypatch.setattr(CovarianceModel, "_stack_whitened", stack_whitened)
+    monkeypatch.setattr(CovarianceModel, "derivatives", derivatives)
     monkeypatch.setattr(estimator, "cross_blocks", traced_cross_blocks)
     model = fit(spec, data, FitOptions(max_iter=3))
     assert model.iterations == 3
     n_stacks = len(evaluated[0].joint)
     assert len(inverted) == 2 * n_stacks * len(evaluated)
     (solution,) = solutions
-    assert len(formed) == n_stacks * (model.iterations + 1)
-    assert len({id(block) for block in formed}) == len(formed)
-    assert sum(block is b for block in formed for b in solution.joint) == n_stacks
+    assert len(formed) == model.iterations + 1
+    assert len({id(joint) for joint in formed}) == len(formed)
+    assert sum(joint is solution.joint for joint in formed) == 1
     # Each stack's factors are inverted together, all three responses at once.
     shapes = [block.sigma_chols.shape for block in evaluated[0].joint]
     assert all(shape[0] == 3 for shape in shapes)
