@@ -18,9 +18,9 @@ stack per cluster size, and all algebra is batched over the clusters of a
 stack. All responses share the clusters, so a stack's per-response pieces
 (V^(1/2), Sigma_r, L_r, L_r^-1, the whitened tau derivatives) are each one
 (R or q_tau, G, m[, m]) array, and each step is one batched call over the
-responses and clusters together. No (mR x mR) block of C, C^-1 or
-dC/dlambda is formed on the fit path; ``JointCovariance.C`` and
-``JointCovariance.inverse`` assemble them for reference.
+responses and clusters together. The correlation matrix and its factors
+are formed once per C and read by every stack. No (mR x mR) block of C,
+C^-1 or dC/dlambda is formed.
 """
 
 from dataclasses import dataclass
@@ -123,15 +123,12 @@ class RowClusters:
     Cholesky-Kronecker construction depends on that order).
 
     Clusters of equal size m form one stack: ``rows[k]`` is a (G, m) array
-    of original row indices, ascending along each cluster, and
-    ``index[k]`` the (G, m R) positions of the same clusters in the
-    stacked length-N R vector, response r's rows at r N + row. A joint
-    block of stack k is therefore (G, m R, m R), response-major.
+    of original row indices, ascending along each cluster, so an (R, N)
+    per-response array ``x`` has stack k's rows at ``x[:, rows[k]]``.
     """
 
     n_obs: int
     rows: tuple
-    index: tuple
 
     @classmethod
     def of(cls, z_codes):
@@ -143,9 +140,7 @@ class RowClusters:
         _, sizes = np.unique(labels, return_counts=True)
         starts = np.cumsum(sizes) - sizes
         rows = [order[starts[sizes == m][:, None] + np.arange(m)] for m in np.unique(sizes)]
-        offsets = np.arange(len(z_codes))[:, None] * n
-        index = [(offsets + r[:, None, :]).reshape(len(r), -1) for r in rows]
-        return cls(n_obs=n, rows=tuple(rows), index=tuple(index))
+        return cls(n_obs=n, rows=tuple(rows))
 
     def z_blocks(self, z_codes):
         """Per stack: the (q_tau, G, m, m) cluster blocks of every Z_d of
@@ -163,6 +158,12 @@ def _t(x):
     return np.swapaxes(x, -1, -2)
 
 
+def mix_responses(weights, x):
+    """(weights kron I) x for an (R, ...) array x: response a of the result
+    is the sum over t of weights[a, t] x[t]."""
+    return (weights @ x.reshape(len(x), -1)).reshape(x.shape)
+
+
 def build_omega(tau, z_list):
     """Omega = sum_d tau_d Z_d for one response's taus and its Z_d (or
     stacks of their blocks). With ``tau`` an (R, q) matrix whose row r
@@ -178,16 +179,6 @@ def sqrt_variance(mu, var, ntrial=None):
     if ntrial is not None:
         v = v / ntrial
     return np.sqrt(v)
-
-
-def build_sigma_r(mu, var, omega, ntrial=None):
-    """Per-response covariance V^(1/2) Omega V^(1/2) (+ diag(mu) for counts).
-
-    ``mu`` (and ``ntrial``) may carry leading axes matching a stack of
-    Omega blocks.
-    """
-    counts = mu if var.kind == "poisson_tweedie" else 0.0
-    return _sigma(sqrt_variance(mu, var, ntrial), counts, omega)
 
 
 def _sigma(sqrt_v, counts, omega):
@@ -242,67 +233,29 @@ def tril_inverse(chol):
 class JointCovariance:
     """The joint covariance C = B (Sigma_b kron I) B^T, held as its factors.
 
-    B = Bdiag(L_1..L_R). ``sigma_chols`` holds every per-response Cholesky
-    factor L_r in one (R, ..., m, m) array: (R, G, m, m) for a stack of G
-    clusters of m rows each, whose C is (G, mR, mR), or (R, N, N) for plain
-    per-response matrices, whose C is the dense NR x NR matrix. Each
-    operation on the factors (inverse, whitening, diagonal) is one batched
-    call over all responses. ``sigma_b_chol`` is the Cholesky factor of the
-    correlation matrix ``sigma_b``. ``C`` and ``inverse`` assemble C and
-    C^-1 as references; the fit never reads them.
+    B = Bdiag(L_1..L_R) is block diagonal over the row clusters.
+    ``sigma_chols`` holds, per cluster stack, every per-response Cholesky
+    factor L_r in one (R, ..., m, m) array: (R, G, m, m) for G clusters of
+    m rows, whose C is (G, mR, mR). Each operation on a stack's factors is
+    one batched call over all responses. The correlation matrix
+    ``sigma_b``, its Cholesky factor ``sigma_b_chol`` and K = Sigma_b^-1
+    depend on rho only, so C holds each once and every stack reads it.
     """
 
-    sigma_chols: np.ndarray
+    sigma_chols: tuple
     sigma_b: np.ndarray
     sigma_b_chol: np.ndarray
 
-    @property
-    def diagonal(self):
-        """diag Sigma_r of every response, one (R, ..., m) array: the row
-        sums of L_r^2."""
-        return (self.sigma_chols**2).sum(axis=-1)
-
-    @cached_property
-    def C(self):
-        """C assembled: block (r, s) is Sigma_b[r, s] L_r L_s^T."""
-        chols = self.sigma_chols
-        return _coupled(chols[:, None] @ _t(chols)[None, :], self.sigma_b)
-
-    @cached_property
-    def inverse(self):
-        """C^-1 = B^-T (Sigma_b^-1 kron I) B^-1: block (r, s) is
-        (Sigma_b^-1)[r, s] L_r^-T L_s^-1."""
-        invs = self.sigma_chol_invs
-        return _coupled(_t(invs)[:, None] @ invs[None, :], self.sigma_b_inverse)
-
     @cached_property
     def sigma_chol_invs(self):
-        """L_r^-1 of every response, one (R, ..., m, m) array."""
-        return tril_inverse(self.sigma_chols)
+        """Per stack, L_r^-1 of every response as one (R, ..., m, m) array."""
+        return tuple(tril_inverse(chols) for chols in self.sigma_chols)
 
     @cached_property
     def sigma_b_inverse(self):
-        """Sigma_b^-1, from the inverse of its Cholesky factor."""
+        """K = Sigma_b^-1, from the inverse of its Cholesky factor."""
         chol_inv = tril_inverse(self.sigma_b_chol)
         return chol_inv.T @ chol_inv
-
-    def whiten(self, x):
-        """B^-1 x for an (R, ..., m, k) array: x[r] times L_r^-1."""
-        return self.sigma_chol_invs @ x
-
-    def sigma_b_solve(self, x):
-        """(Sigma_b^-1 kron I) x for an (R, ...) array."""
-        return (self.sigma_b_inverse @ x.reshape(len(x), -1)).reshape(x.shape)
-
-
-def _coupled(products, weights):
-    """The symmetrised matrix whose block (r, s) is weights[r, s] times
-    block (r, s) of the (R, R, ..., m, m) array ``products``."""
-    n_resp, _, *lead, m, _ = products.shape
-    blocks = products * weights.reshape(weights.shape + (1,) * (products.ndim - 2))
-    # (r, s, ..., i, j) -> (..., r, i, s, j): response-major rows and columns.
-    out = np.moveaxis(blocks, (0, 1), (-4, -2)).reshape(tuple(lead) + (n_resp * m,) * 2)
-    return 0.5 * (out + _t(out))
 
 
 def build_joint_c(sigmas, rho):
@@ -311,24 +264,25 @@ def build_joint_c(sigmas, rho):
     Factors Bdiag(L_1..L_R) (Sigma_b kron I) Bdiag(L_1^T..L_R^T) where L_r
     is the lower Cholesky factor of the r-th covariance; block (r, s) is
     therefore Sigma_b[r, s] * L_r L_s^T and the diagonal blocks recover the
-    per-response covariances exactly. ``sigmas`` is an (R, ..., m, m)
-    array, or R equal-shape matrices or stacks of cluster blocks, and all
-    of them are factored in one call. B is invertible, so C is positive
-    definite exactly when Sigma_b is: the factorisations of Sigma_b and of
-    every Sigma_r are all the checks C needs, and C itself is never
-    factored.
+    per-response covariances exactly. ``sigmas`` holds one (R, ..., m, m)
+    array of Sigma_r blocks per cluster stack, and each stack is factored
+    in one call; Sigma_b is factored once for all of them. B is
+    invertible, so C is positive definite exactly when Sigma_b is: the
+    factorisations of Sigma_b and of every Sigma_r are all the checks C
+    needs, and C itself is never factored.
     """
-    sigmas = np.asarray(sigmas, dtype=float)
-    try:
-        chols = np.linalg.cholesky(sigmas)
-    except np.linalg.LinAlgError:
-        # Response by response, to name the first that fails.
-        for r, sigma in enumerate(sigmas):
-            _chol(sigma, f"covariance of response {r + 1}")
-        raise NotPositiveDefinite("per-response covariance is not positive definite")
-    sigma_b = correlation_matrix(np.asarray(rho, dtype=float), len(sigmas))
+    chols = []
+    for stack in sigmas:
+        try:
+            chols.append(np.linalg.cholesky(stack))
+        except np.linalg.LinAlgError:
+            # Response by response, to name the first that fails.
+            for r, sigma in enumerate(stack):
+                _chol(sigma, f"covariance of response {r + 1}")
+            raise NotPositiveDefinite("per-response covariance is not positive definite")
+    sigma_b = correlation_matrix(np.asarray(rho, dtype=float), len(chols[0]))
     chol_b = _chol(sigma_b, "between-response correlation matrix")
-    return JointCovariance(sigma_chols=chols, sigma_b=sigma_b, sigma_b_chol=chol_b)
+    return JointCovariance(tuple(chols), sigma_b=sigma_b, sigma_b_chol=chol_b)
 
 
 @dataclass(frozen=True)
@@ -339,9 +293,10 @@ class CovarianceModel:
     response with the Z_d cluster blocks of every stack
     (``RowClusters.z_blocks``), ``owner`` giving the response of each Z_d,
     so the estimator can rebuild C and its whitened dispersion derivatives
-    at any dispersion value. ``build``, ``derivatives`` and
-    ``mean_gradient`` work on one stack of equal-size clusters at a time
-    (``RowClusters``), with all responses in each batched call.
+    at any dispersion value. ``build`` returns one ``JointCovariance`` for
+    every stack of equal-size clusters (``RowClusters``); it, ``derivatives``
+    and ``mean_gradient`` work on one stack at a time, with all responses in
+    each batched call.
     """
 
     mus: tuple
@@ -380,15 +335,15 @@ class CovarianceModel:
         return build_omega(weights, z)
 
     def build(self, disp):
-        """One ``JointCovariance`` per cluster stack."""
-        out = []
-        for k in range(len(self.z_blocks)):
-            # An infinite mean, variance or tau leaves non-finite entries,
-            # which ``_sigma`` rejects.
-            with np.errstate(over="ignore", invalid="ignore"):
-                sigmas = _sigma(*self._row_terms[k], self._omegas(k, disp))
-            out.append(build_joint_c(sigmas, disp.rho))
-        return tuple(out)
+        """The ``JointCovariance`` over every cluster stack."""
+        # An infinite mean, variance or tau leaves non-finite entries, which
+        # ``_sigma`` rejects.
+        with np.errstate(over="ignore", invalid="ignore"):
+            sigmas = [
+                _sigma(*terms, self._omegas(k, disp))
+                for k, terms in enumerate(self._row_terms)
+            ]
+        return build_joint_c(sigmas, disp.rho)
 
     def derivatives(self, joint):
         """M = L_r^-1 (dSigma_r/dtau_rd) L_r^-T for every tau_rd, in flat
@@ -405,8 +360,9 @@ class CovarianceModel:
         V^(1/2))^T, one product chain for every Z_d of a stack.
         """
         out = []
-        for (sqrt_v, _), z, block in zip(self._row_terms, self.z_blocks, joint):
-            scaled = (block.sigma_chol_invs * sqrt_v[..., None, :])[self.owner]
+        stacks = zip(self._row_terms, self.z_blocks, joint.sigma_chol_invs)
+        for (sqrt_v, _), z, invs in stacks:
+            scaled = (invs * sqrt_v[..., None, :])[self.owner]
             out.append(scaled @ z @ _t(scaled))
         return tuple(out)
 
@@ -420,7 +376,7 @@ class CovarianceModel:
         ``residuals`` the (R, G, m) arrays e = B^-1 r and z = S^-1 e, and
         ``weights`` the (q, R, G, m) array w_i = X_i e, X_i = S^-1 A_i S^-1
         (C = B S B^T as in ``derivatives``), so that u = B^-T z and
-        y_i = B^-T w_i. Returns a (q, N R) array.
+        y_i = B^-T w_i. Returns a (q, R, N) array.
 
         With K = Sigma_b^-1, block (a, t) of G_i is L_a^-T G^_i[a, t] L_t^-1,
         G^_i = X_i - z w_i^T - w_i z^T, and block (a, t) of H is
@@ -436,35 +392,36 @@ class CovarianceModel:
         M = L^-1 A L^-T, which moves by dL P + L Phi(L^-1 dA L^-T - Q M - M Q^T),
         Q = L^-1 dL.
         """
-        q = len(weights[0])
-        grad = np.zeros((q, self.n_responses * self.clusters.n_obs))
-        for k, piece in enumerate(zip(joint, ms, residuals, weights)):
-            out = self._stack_mean_gradient(k, disp, *piece)
-            grad[:, self.clusters.index[k]] = np.moveaxis(out, 1, 2).reshape(
-                q, out.shape[2], -1
+        grad = np.zeros((len(weights[0]), self.n_responses, self.clusters.n_obs))
+        k_inv = joint.sigma_b_inverse
+        # What every stack reads of Sigma_b and K. The sums over t != a in
+        # ``_stack_mean_gradient`` are formed from their off-diagonal parts
+        # directly: as differences such as e_a - z_a they would lose the
+        # digits of small correlations.
+        sigma_b_off = joint.sigma_b - np.eye(self.n_responses)
+        k_off = k_inv - np.diag(np.diag(k_inv))
+        one_minus_k = np.einsum("at,ta->a", sigma_b_off, k_inv)  # 1 - K_aa
+        coupling = k_inv, sigma_b_off, k_off, one_minus_k
+        for k, piece in enumerate(zip(joint.sigma_chol_invs, ms, residuals, weights)):
+            grad[:, :, self.clusters.rows[k]] = self._stack_mean_gradient(
+                k, disp, coupling, *piece
             )
         return grad
 
-    def _stack_mean_gradient(self, k, disp, block, ms, residuals, w):
+    def _stack_mean_gradient(self, k, disp, coupling, chol_invs, ms, residuals, w):
         e, z = residuals
+        k_inv, sigma_b_off, k_off, one_minus_k = coupling
         rho_r, rho_s = rho_index(self.n_responses)
         n_rho = len(rho_r)
-        k_inv = block.sigma_b_inverse
         eye = np.eye(z.shape[-1])
         cluster_rows = self.clusters.rows[k]
         omegas = self._omegas(k, disp)
         sqrt_vs, _ = self._row_terms[k]
-        # The sums over t != a below are formed from the off-diagonal parts
-        # of Sigma_b and K directly: as differences such as e_a - z_a they
-        # would lose the digits of small correlations.
-        sigma_b_off = block.sigma_b - np.eye(self.n_responses)
-        k_off = k_inv - np.diag(np.diag(k_inv))
-        zetas = (sigma_b_off @ z.reshape(len(z), -1)).reshape(z.shape)
-        k_off_e = (k_off @ e.reshape(len(e), -1)).reshape(e.shape)
-        one_minus_k = np.einsum("at,ta->a", sigma_b_off, k_inv)  # 1 - K_aa
+        zetas = mix_responses(sigma_b_off, z)
+        k_off_e = mix_responses(k_off, e)
         out = np.empty_like(w)
         for a in range(self.n_responses):
-            chol_inv, s = block.sigma_chol_invs[a], sqrt_vs[a]
+            chol_inv, s = chol_invs[a], sqrt_vs[a]
             mu, ntrial = self.mus[a][cluster_rows], self.ntrials[a]
             dv = variance_deriv(self.variances[a], mu)
             if ntrial is not None:

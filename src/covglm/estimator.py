@@ -11,7 +11,9 @@ block diagonal over the row clusters (``covariance.RowClusters``), so every
 estimating function, sensitivity and variability is a sum over the
 clusters. The iteration and the sandwich both work in the coordinates that
 C's factors whiten (``_State``): no C^-1 and no dC/dlambda_i is formed,
-only per-response m x m blocks of each cluster.
+only per-response m x m blocks of each cluster. Each response has its own
+coefficients, so D = Bdiag(D_1..D_R) is held as its diagonal blocks: the
+residuals are an (R, N) array and D an (R, N, k_max) one.
 """
 
 import logging
@@ -21,7 +23,15 @@ from functools import cached_property
 import numpy as np
 
 from . import _kernels
-from .covariance import CovarianceModel, DispersionVector, _phi, rho_index, rho_pairs
+from .covariance import (
+    CovarianceModel,
+    DispersionVector,
+    JointCovariance,
+    _phi,
+    mix_responses,
+    rho_index,
+    rho_pairs,
+)
 from .errors import DomainError, NotPositiveDefinite, OptionError, RankError
 from .model import BoundModel, bind, rank_tolerance, redundant_columns
 
@@ -79,13 +89,22 @@ class FitOptions:
 
 @dataclass
 class _State:
+    """The model evaluated at (beta, disp).
+
+    ``resid`` is the (R, N) array of residuals and ``D`` the (R, N, k_max)
+    array of the blocks D_r = dmu_r/dbeta_r, each padded with zero columns
+    to the widest design. ``columns`` is the (R, k_max) mask of each
+    response's own k_r columns: read row by row, the masked columns are
+    beta's coefficients in order.
+    """
+
     beta: np.ndarray
     disp: DispersionVector
-    mus: tuple
     resid: np.ndarray
     D: np.ndarray
+    columns: np.ndarray
     covmodel: CovarianceModel
-    joint: tuple  # one JointCovariance per cluster stack
+    joint: JointCovariance
 
     @property
     def rows(self):
@@ -94,24 +113,24 @@ class _State:
     @cached_property
     def whitened(self):
         """Per cluster stack, the (R, G, m) arrays e = B^-1 r and z = S^-1 e,
-        C = B S B^T as in ``JointCovariance``."""
-        resid = self.resid.reshape(len(self.mus), -1)
+        C = B S B^T as in ``JointCovariance``, S^-1 = K kron I."""
         out = []
         # Residuals past about 1e154 overflow here and in the products of
         # e and z; ``_solve`` then rejects the non-finite system.
         with np.errstate(over="ignore", invalid="ignore"):
-            for rows, block in zip(self.rows, self.joint):
-                e = block.whiten(resid[:, rows, None])[..., 0]
-                out.append((e, block.sigma_b_solve(e)))
+            for rows, invs in zip(self.rows, self.joint.sigma_chol_invs):
+                e = (invs @ self.resid[:, rows, None])[..., 0]
+                out.append((e, mix_responses(self.joint.sigma_b_inverse, e)))
         return tuple(out)
 
     @cached_property
     def d_whitened(self):
-        """Per cluster stack, the (R, G, m, k) array B^-1 D."""
-        d = self.D.reshape(len(self.mus), -1, self.D.shape[1])
+        """Per cluster stack, the (R, G, m, k_max) array B^-1 D: response
+        r's block is L_r^-1 D_r."""
         with np.errstate(over="ignore", invalid="ignore"):
             return tuple(
-                block.whiten(d[:, rows]) for rows, block in zip(self.rows, self.joint)
+                invs @ self.D[:, rows]
+                for rows, invs in zip(self.rows, self.joint.sigma_chol_invs)
             )
 
     @cached_property
@@ -127,27 +146,19 @@ def _beta_spans(designs):
     for design in designs:
         spans.append(slice(start, start + design.n_columns))
         start += design.n_columns
-    return spans, start
+    return tuple(spans)
 
 
 def _evaluate(bound, beta, disp):
     """Mean structure, residuals, gradient and joint covariance at a point."""
-    spans, k_total = _beta_spans(bound.designs)
-    n = bound.n_obs
-    n_resp = bound.n_responses
+    spans = _beta_spans(bound.designs)
+    widths = np.array([x.shape[1] for x in bound.x])
+    d_blocks = np.zeros((bound.n_responses, bound.n_obs, widths.max()))
     mus = []
-    d_matrix = np.zeros((n * n_resp, k_total))
-    resid = np.empty(n * n_resp)
-    for r in range(n_resp):
-        x = bound.x[r]
-        resp = bound.spec.responses[r]
-        eta = x @ beta[spans[r]] + bound.offsets[r]
-        mu = resp.link.inverse(eta)
-        dmu = resp.link.deriv(mu)
+    for r, (x, resp, span) in enumerate(zip(bound.x, bound.spec.responses, spans)):
+        mu = resp.link.inverse(x @ beta[span] + bound.offsets[r])
+        d_blocks[r, :, : widths[r]] = resp.link.deriv(mu)[:, None] * x
         mus.append(mu)
-        rows = slice(r * n, (r + 1) * n)
-        d_matrix[rows, spans[r]] = dmu[:, None] * x
-        resid[rows] = bound.y[r] - mu
     covmodel = CovarianceModel(
         mus=tuple(mus),
         variances=tuple(resp.variance for resp in bound.spec.responses),
@@ -160,9 +171,9 @@ def _evaluate(bound, beta, disp):
     return _State(
         beta=beta,
         disp=disp,
-        mus=tuple(mus),
-        resid=resid,
-        D=d_matrix,
+        resid=np.array(bound.y) - mus,
+        D=d_blocks,
+        columns=np.arange(d_blocks.shape[-1]) < widths[:, None],
         covmodel=covmodel,
         joint=joint,
     )
@@ -170,17 +181,32 @@ def _evaluate(bound, beta, disp):
 
 def _quasi_pieces(state):
     """psi_beta = D^T C^-1 r and D^T C^-1 D, summed over the cluster stacks
-    as D~^T z and D~^T S^-1 D~ with D~ = B^-1 D."""
-    k = state.D.shape[1]
-    psi = np.zeros(k)
-    variability = np.zeros((k, k))
+    as D~^T z and D~^T S^-1 D~ with D~ = B^-1 D. D is block diagonal by
+    response, so block a of psi_beta is D~_a^T z_a and block (a, t) of
+    D~^T S^-1 D~ is D~_a^T (K_at D~_t), with K = Sigma_b^-1."""
+    n_resp, _, k = state.D.shape
+    k_inv = state.joint.sigma_b_inverse[:, :, None, None]
+    psi = np.zeros((n_resp, k))
+    gram = np.zeros((n_resp, n_resp, k, k))
     with np.errstate(over="ignore", invalid="ignore"):
-        for block, (_, z), d_white in zip(state.joint, state.whitened, state.d_whitened):
-            flat = d_white.reshape(-1, k)
-            psi += flat.T @ z.ravel()
-            variability += flat.T @ block.sigma_b_solve(d_white).reshape(-1, k)
+        for (_, z), d_white in zip(state.whitened, state.d_whitened):
+            flat = d_white.reshape(n_resp, -1, k)
+            psi += (z.reshape(n_resp, 1, -1) @ flat)[:, 0]
+            gram += np.swapaxes(flat, 1, 2)[:, None] @ (k_inv * flat)
+    # (a, t, i, j) -> (a, i, t, j): row a i, column t j of D~^T S^-1 D~.
+    cols = state.columns.ravel()
+    variability = gram.transpose(0, 2, 1, 3).reshape(len(cols), -1)[cols][:, cols]
     variability = 0.5 * (variability + variability.T)
-    return psi, -variability, variability
+    return psi[state.columns], -variability, variability
+
+
+def _by_response(x, d, columns):
+    """The (q, k) array whose block of response r is x[:, r] D_r, summed
+    over rows, for a (q, R, ...) ``x`` and an (R, ..., k_max) ``d``; only
+    each response's own ``columns`` are kept."""
+    n_resp, k = len(d), d.shape[-1]
+    flat_x = np.swapaxes(x.reshape(len(x), n_resp, -1), 0, 1)
+    return np.swapaxes(flat_x @ d.reshape(n_resp, -1, k), 0, 1)[:, columns]
 
 
 def quasi_score(bound, beta, disp):
@@ -232,8 +258,7 @@ def _pearson_pieces(state):
             same += _kernels.pair_traces(ps)
             flat_p = ps.reshape(q_tau, -1)
             cross += flat_p @ flat_p.T
-    block = state.joint[0]
-    k_inv = block.sigma_b_inverse
+    k_inv = state.joint.sigma_b_inverse
     n = state.covmodel.clusters.n_obs
     n_rho = len(rho_r)
     psi_rho = 2.0 * (gram[rho_r, rho_s] - n * k_inv[rho_r, rho_s])
@@ -247,7 +272,7 @@ def _pearson_pieces(state):
     sens[n_rho:, :n_rho] = sens[:n_rho, n_rho:].T
     sens[n_rho:, n_rho:] = -2.0 * (
         (owner[:, None] == owner) * same
-        + (k_inv * block.sigma_b)[owner[:, None], owner] * cross
+        + (k_inv * state.joint.sigma_b)[owner[:, None], owner] * cross
     )
     return np.concatenate([psi_rho, psi_tau - trace_m]), sens
 
@@ -264,9 +289,9 @@ def _residual_weights(state):
     """
     rho_r, rho_s = rho_index(len(state.disp.tau))
     owner = state.covmodel.owner
+    k_inv = state.joint.sigma_b_inverse
     out = []
-    for block, (e, z), ms in zip(state.joint, state.whitened, state.whitened_tau):
-        k_inv = block.sigma_b_inverse
+    for (e, z), ms in zip(state.whitened, state.whitened_tau):
         w_rho = _weighted(k_inv[rho_r], z[rho_s]) + _weighted(k_inv[rho_s], z[rho_r])
         ps = _phi(ms)
         w_tau = _weighted(k_inv[owner], (ps @ e[owner][..., None])[..., 0])
@@ -293,13 +318,14 @@ def _pearson_variability(state, sens):
     rho_r, rho_s = rho_index(len(state.disp.tau))
     owner = state.covmodel.owner
     taus = len(rho_r) + np.arange(len(owner))
-    resid = state.resid.reshape(len(state.mus), -1)
+    joint = state.joint
+    k_inv = joint.sigma_b_inverse
+    weights = 2.0 * k_inv[rho_r] * k_inv[rho_s]
     var = -2.0 * sens
-    for rows, block, ms in zip(state.rows, state.joint, state.whitened_tau):
-        k_inv = block.sigma_b_inverse
-        invs = block.sigma_chol_invs
+    for rows, chols, invs, ms in zip(
+        state.rows, joint.sigma_chols, joint.sigma_chol_invs, state.whitened_tau
+    ):
         diag = np.zeros((len(var),) + invs.shape[:-1])
-        weights = 2.0 * k_inv[rho_r] * k_inv[rho_s]
         diag[: len(rho_r)] = weights[..., None, None] * (invs**2).sum(axis=-2)
         own = invs[owner]
         diag[taus, owner] = k_inv[owner, owner][:, None, None] * np.einsum(
@@ -307,9 +333,9 @@ def _pearson_variability(state, sens):
         )
         flat = diag.reshape(len(diag), -1)
         # r^4 overflows for residuals past about 1e77; ``_solve`` then
-        # rejects the non-finite sandwich.
+        # rejects the non-finite sandwich. diag C is the row sums of L_r^2.
         with np.errstate(over="ignore", invalid="ignore"):
-            k4 = (resid[:, rows] ** 4 - 3.0 * block.diagonal**2).ravel()
+            k4 = (state.resid[:, rows] ** 4 - 3.0 * (chols**2).sum(-1) ** 2).ravel()
             var += (flat * k4) @ flat.T
     return 0.5 * (var + var.T)
 
@@ -333,7 +359,8 @@ def cross_blocks(bound, beta, disp, state=None):
     y_i = C^-1 B_i u = B^-T w_i (``_residual_weights``), column i of
     S_beta_lambda is -D^T y_i = -D~^T w_i, D~ = B^-1 D. S_lambda_beta, an
     observed derivative through the mean dependence of r, C and B_i, is
-    G D with row i of G the gradient of psi_lambda_i in the means:
+    G D with row i of G the gradient of psi_lambda_i in the means, formed
+    response block by response block as D is:
     -2 y_i + d/dmu [<C^-1 B_i C^-1 - u y_i^T - y_i u^T, C> + <u u^T - C^-1, B_i>]
     (``CovarianceModel.mean_gradient``). Every term is a sum of per-response
     m x m blocks over the row clusters; neither C^-1 nor any B_i is formed.
@@ -343,19 +370,18 @@ def cross_blocks(bound, beta, disp, state=None):
     """
     if state is None:
         state = _evaluate(bound, beta, disp)
-    k = state.D.shape[1]
     # Residuals past about 1e154 overflow in these products; ``_solve`` then
     # rejects the non-finite sandwich.
     with np.errstate(over="ignore", invalid="ignore"):
         weights = _residual_weights(state)
         w_d = sum(
-            w.reshape(len(w), -1) @ d.reshape(-1, k)
+            _by_response(w, d, state.columns)
             for w, d in zip(weights, state.d_whitened)
         )
         grad = state.covmodel.mean_gradient(
             state.disp, state.joint, state.whitened_tau, state.whitened, weights
         )
-        return grad @ state.D - 2.0 * w_d, -w_d.T
+        return _by_response(grad, state.D, state.columns) - 2.0 * w_d, -w_d.T
 
 
 def _check_ranks(bound):
@@ -456,8 +482,7 @@ class FittedModel:
 
     @cached_property
     def beta_spans(self):
-        spans, _ = _beta_spans(self.design)
-        return tuple(spans)
+        return _beta_spans(self.design)
 
     @property
     def n_beta(self):

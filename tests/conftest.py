@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from covglm.covariance import _sigma, sqrt_variance
 from covglm.data import Dataset
 from covglm.estimator import fit
 from covglm.families import Link, VarianceFn
@@ -48,6 +49,69 @@ def make_dataset(columns):
 def dense_z(codes):
     """The N x N matrix Z_ab = [c_a == c_b] that level codes represent."""
     return (codes[:, None] == codes[None, :]).astype(float)
+
+
+# Reference assembly. A fit never forms C, C^-1 or the dense D; the tests
+# assemble them from what a fit holds and compare against them.
+
+
+def build_sigma_r(mu, var, omega, ntrial=None):
+    """Per-response covariance V^(1/2) Omega V^(1/2) (+ diag(mu) for counts).
+
+    ``mu`` (and ``ntrial``) may carry leading axes matching a stack of
+    Omega blocks.
+    """
+    counts = mu if var.kind == "poisson_tweedie" else 0.0
+    return _sigma(sqrt_variance(mu, var, ntrial), counts, omega)
+
+
+def _coupled(products, weights):
+    """The symmetrised matrix whose block (r, s) is weights[r, s] times
+    block (r, s) of the (R, R, ..., m, m) array ``products``."""
+    n_resp, _, *lead, m, _ = products.shape
+    blocks = products * weights.reshape(weights.shape + (1,) * (products.ndim - 2))
+    # (r, s, ..., i, j) -> (..., r, i, s, j): response-major rows and columns.
+    out = np.moveaxis(blocks, (0, 1), (-4, -2)).reshape(tuple(lead) + (n_resp * m,) * 2)
+    return 0.5 * (out + np.swapaxes(out, -1, -2))
+
+
+def assembled_c(joint):
+    """C of every cluster stack of a ``JointCovariance``, (..., mR, mR)
+    each: block (r, s) is Sigma_b[r, s] L_r L_s^T."""
+    return [
+        _coupled(chols[:, None] @ np.swapaxes(chols, -1, -2)[None, :], joint.sigma_b)
+        for chols in joint.sigma_chols
+    ]
+
+
+def assembled_inverse(joint):
+    """C^-1 = B^-T (Sigma_b^-1 kron I) B^-1 of every cluster stack: block
+    (r, s) is (Sigma_b^-1)[r, s] L_r^-T L_s^-1."""
+    k_inv = joint.sigma_b_inverse
+    return [
+        _coupled(np.swapaxes(invs, -1, -2)[:, None] @ invs[None, :], k_inv)
+        for invs in joint.sigma_chol_invs
+    ]
+
+
+def stacked_index(rows, n_responses, n_obs):
+    """The (G, m R) positions of a stack's (G, m) clusters of ``rows`` in
+    the stacked length-N R vector, response r's rows at r N + row."""
+    offsets = np.arange(n_responses)[:, None] * n_obs
+    return (offsets + rows[:, None, :]).reshape(len(rows), -1)
+
+
+def dense_d(d_blocks, widths):
+    """D as the dense (N R, k) matrix, from the (R, N, k_max) array of its
+    blocks D_r, each in its first ``widths[r]`` columns: response r's rows
+    hold D_r in r's own columns, and zeros elsewhere."""
+    n_resp, n, _ = d_blocks.shape
+    out = np.zeros((n_resp * n, sum(widths)))
+    start = 0
+    for r, width in enumerate(widths):
+        out[r * n : (r + 1) * n, start : start + width] = d_blocks[r, :, :width]
+        start += width
+    return out
 
 
 def response_spec(formula, link="identity", variance="constant", power=1.0,

@@ -16,28 +16,46 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
-from conftest import PROPERTY_SETTINGS, dense_z, make_dataset, response_spec
-from covglm import _kernels
+from conftest import (
+    PROPERTY_SETTINGS,
+    assembled_c,
+    build_sigma_r,
+    dense_d,
+    dense_z,
+    make_dataset,
+    response_spec,
+)
+from covglm import _kernels, covariance
 from covglm.covariance import (
     DispersionVector,
     RowClusters,
     build_joint_c,
     build_omega,
-    build_sigma_r,
     rho_pairs,
     sqrt_variance,
 )
-from covglm.estimator import _evaluate, cross_blocks, fit, pearson_fn, quasi_score
+from covglm.estimator import (
+    _evaluate,
+    _pearson_pieces,
+    _pearson_variability,
+    _quasi_pieces,
+    cross_blocks,
+    fit,
+    pearson_fn,
+    quasi_score,
+)
 from covglm.model import MatrixComponent, ModelSpec, bind
 
 def _rel(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
 
 
-def _partly_crossed_problem():
+def _partly_crossed_problem(wide=False):
     """R=3 with unequal groups of ``g`` (sizes 1 to 6, rows interleaved) and
     a second grouping ``h`` that is mostly singletons but shares three
     levels across groups of ``g``, merging some of them into one cluster.
+    With ``wide``, the third response also has the covariate ``w``, so the
+    responses' designs differ in width.
     """
     rng = np.random.default_rng(31)
     sizes = [1, 2, 2, 3, 4, 5, 6, 1, 3, 5]
@@ -57,6 +75,7 @@ def _partly_crossed_problem():
         "y1": 1.0 + x + rng.normal(size=n),
         "y2": rng.poisson(np.exp(0.5 + 0.4 * x)).astype(float),
         "y3": rng.gamma(2.0, np.exp(0.2 - 0.3 * x) / 2.0),
+        "w": rng.uniform(-1.0, 1.0, size=n),
     }
     identity = MatrixComponent("identity")
     spec = ModelSpec(
@@ -70,10 +89,15 @@ def _partly_crossed_problem():
                 variance="poisson_tweedie",
                 matrix_pred=(identity, MatrixComponent("grouping", "h")),
             ),
-            response_spec("y3 ~ x", link="log", variance="tweedie", power=1.7),
+            response_spec(
+                "y3 ~ x + w" if wide else "y3 ~ x",
+                link="log",
+                variance="tweedie",
+                power=1.7,
+            ),
         )
     )
-    beta = np.array([0.8, 0.9, 0.45, 0.35, 0.25, -0.2])
+    beta = np.array([0.8, 0.9, 0.45, 0.35, 0.25, -0.2] + [0.15] * wide)
     disp = DispersionVector(
         rho=np.array([0.2, -0.15, 0.1]),
         tau=(np.array([0.9, 0.2]), np.array([0.6, 0.1]), np.array([0.5])),
@@ -90,30 +114,30 @@ def _dense_reference(bound, beta, disp):
     rows = [slice(r * n, (r + 1) * n) for r in range(n_resp)]
     variances = [resp.variance for resp in bound.spec.responses]
     sqrt_vs = [
-        sqrt_variance(state.mus[r], variances[r], bound.ntrials[r])
+        sqrt_variance(state.covmodel.mus[r], variances[r], bound.ntrials[r])
         for r in range(n_resp)
     ]
     sigmas = [
         build_sigma_r(
-            state.mus[r],
+            state.covmodel.mus[r],
             variances[r],
             build_omega(disp.tau[r], [dense_z(c) for c in bound.z_codes[r]]),
             bound.ntrials[r],
         )
         for r in range(n_resp)
     ]
-    joint = build_joint_c(sigmas, disp.rho)
-    chols = joint.sigma_chols
+    joint = build_joint_c([sigmas], disp.rho)
+    (chols,), (c,) = joint.sigma_chols, assembled_c(joint)
     derivs = []
     for r, s in rho_pairs(n_resp):
-        d = np.zeros_like(joint.C)
+        d = np.zeros_like(c)
         d[rows[r], rows[s]] = chols[r] @ chols[s].T
         d[rows[s], rows[r]] = chols[s] @ chols[r].T
         derivs.append(d)
     for r in range(n_resp):
         for codes in bound.z_codes[r]:
             z = dense_z(codes)
-            d = np.zeros_like(joint.C)
+            d = np.zeros_like(c)
             d_sigma = sqrt_vs[r][:, None] * z * sqrt_vs[r][None, :]
             d[rows[r], rows[r]] = d_sigma
             half = solve_triangular(chols[r], d_sigma, lower=True)
@@ -126,18 +150,20 @@ def _dense_reference(bound, beta, disp):
                     d[rows[r], rows[s]] = block
                     d[rows[s], rows[r]] = block.T
             derivs.append(d)
-    c_inv = np.linalg.inv(joint.C)
-    u = c_inv @ state.resid
-    var_b = state.D.T @ c_inv @ state.D
+    c_inv = np.linalg.inv(c)
+    resid = state.resid.ravel()
+    d_matrix = dense_d(state.D, [x.shape[1] for x in bound.x])
+    u = c_inv @ resid
+    var_b = d_matrix.T @ c_inv @ d_matrix
     ws = [c_inv @ b for b in derivs]
     psi_l = np.array([u @ b @ u - np.trace(w) for b, w in zip(derivs, ws)])
     traces = np.array([[np.trace(wi @ wj) for wj in ws] for wi in ws])
     w_diag = np.array([np.diag(w @ c_inv) for w in ws])
-    k4 = state.resid**4 - 3.0 * np.diag(joint.C) ** 2
+    k4 = resid**4 - 3.0 * np.diag(c) ** 2
     var_l = 2.0 * traces + (w_diag * k4) @ w_diag.T
-    sens_bl = -np.column_stack([state.D.T @ w @ u for w in ws])
+    sens_bl = -np.column_stack([d_matrix.T @ w @ u for w in ws])
     return {
-        "psi_b": state.D.T @ u,
+        "psi_b": d_matrix.T @ u,
         "var_b": var_b,
         "psi_l": psi_l,
         "sens_l": -traces,
@@ -147,7 +173,13 @@ def _dense_reference(bound, beta, disp):
 
 
 def test_clustered_evaluation_matches_dense_reference():
-    bound, beta, disp = _partly_crossed_problem()
+    # Equal design widths, then y3 ~ x + w: D's blocks then differ in
+    # width, and each response's columns must land on its own coefficients.
+    for wide in (False, True):
+        _check_clustered_evaluation(*_partly_crossed_problem(wide))
+
+
+def _check_clustered_evaluation(bound, beta, disp):
     clusters = bound.clusters
     sizes = np.concatenate([np.full(len(r), r.shape[1]) for r in clusters.rows])
     assert sum(sizes) == bound.n_obs
@@ -167,11 +199,7 @@ def test_clustered_evaluation_matches_dense_reference():
     # S_lambda_beta against the same evaluation with every row in one
     # cluster, which is the dense NR x NR computation.
     n = bound.n_obs
-    one = RowClusters(
-        n_obs=n,
-        rows=(np.arange(n)[None, :],),
-        index=(np.arange(n * bound.n_responses)[None, :],),
-    )
+    one = RowClusters(n_obs=n, rows=(np.arange(n)[None, :],))
     bound = dataclasses.replace(bound)  # no cached clusters or Z blocks
     object.__setattr__(bound, "clusters", one)
     one_lb, one_bl = cross_blocks(bound, beta, disp)
@@ -184,9 +212,8 @@ def test_clusters_keep_row_order_and_cover_every_row():
     clusters = bound.clusters
     seen = np.concatenate([rows.ravel() for rows in clusters.rows])
     assert np.array_equal(np.sort(seen), np.arange(bound.n_obs))
-    for rows, index in zip(clusters.rows, clusters.index):
+    for rows in clusters.rows:
         assert np.all(np.diff(rows, axis=1) > 0)
-        assert index.shape == (len(rows), rows.shape[1] * bound.n_responses)
     # No Z_d links two rows of different clusters.
     label = np.empty(bound.n_obs, dtype=int)
     start = 0
@@ -197,6 +224,35 @@ def test_clusters_keep_row_order_and_cover_every_row():
         for codes in codes_r:
             i, j = np.nonzero(dense_z(codes))
             assert np.array_equal(label[i], label[j])
+
+
+def test_one_build_factors_the_correlation_once(monkeypatch):
+    # Sigma_b depends on rho only: one build factors and inverts it once,
+    # however many cluster stacks every estimating function reads it from.
+    bound, beta, disp = _partly_crossed_problem()
+    assert len(bound.clusters.rows) == 4
+    calls = {"cholesky": [], "tril_inverse": []}
+    originals = {
+        "cholesky": np.linalg.cholesky,
+        "tril_inverse": covariance.tril_inverse,
+    }
+
+    def counted(name):
+        def wrapper(a):
+            calls[name].append(a.shape)
+            return originals[name](a)
+
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky"))
+    monkeypatch.setattr(covariance, "tril_inverse", counted("tril_inverse"))
+    state = _evaluate(bound, beta, disp)
+    _quasi_pieces(state)
+    _pearson_variability(state, _pearson_pieces(state)[1])
+    cross_blocks(bound, beta, disp, state=state)
+    for shapes in calls.values():
+        assert shapes.count((3, 3)) == 1
+        assert len(shapes) == 5  # the four stacks' factors, and Sigma_b
 
 
 def test_pair_traces_sums_over_clusters():

@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import PROPERTY_SETTINGS
+from conftest import (
+    PROPERTY_SETTINGS,
+    assembled_c,
+    assembled_inverse,
+    build_sigma_r,
+    dense_d,
+    stacked_index,
+)
 from covglm import covariance
 from covglm.covariance import (
     CovarianceModel,
@@ -11,7 +18,6 @@ from covglm.covariance import (
     RowClusters,
     build_joint_c,
     build_omega,
-    build_sigma_r,
     _phi,
     correlation_matrix,
     rho_pairs,
@@ -70,8 +76,8 @@ def test_joint_c_single_response_is_sigma():
     rng = np.random.default_rng(0)
     a = rng.normal(size=(5, 5))
     sigma = a @ a.T + 5 * np.eye(5)
-    joint = build_joint_c([sigma], np.zeros(0))
-    assert np.allclose(joint.C, sigma)
+    joint = build_joint_c([[sigma]], np.zeros(0))
+    assert np.allclose(assembled_c(joint)[0], sigma)
 
 
 def test_joint_c_zero_correlation_is_block_diagonal():
@@ -80,26 +86,26 @@ def test_joint_c_zero_correlation_is_block_diagonal():
     for _ in range(2):
         a = rng.normal(size=(4, 4))
         sigmas.append(a @ a.T + 4 * np.eye(4))
-    joint = build_joint_c(sigmas, np.zeros(1))
+    joint = build_joint_c([sigmas], np.zeros(1))
     expected = np.zeros((8, 8))
     expected[:4, :4] = sigmas[0]
     expected[4:, 4:] = sigmas[1]
-    assert np.allclose(joint.C, expected, atol=1e-12)
+    assert np.allclose(assembled_c(joint)[0], expected, atol=1e-12)
 
 
 def test_joint_c_identity_blocks_with_correlation():
     # With unit per-response covariances the joint matrix is the
     # correlation pattern expanded over identity blocks.
     n = 6
-    joint = build_joint_c([np.eye(n), np.eye(n)], np.array([0.3]))
+    joint = build_joint_c([[np.eye(n), np.eye(n)]], np.array([0.3]))
     expected = np.block([[np.eye(n), 0.3 * np.eye(n)], [0.3 * np.eye(n), np.eye(n)]])
-    assert np.allclose(joint.C, expected)
+    assert np.allclose(assembled_c(joint)[0], expected)
 
 
 def test_joint_c_not_positive_definite_names_response():
     bad = np.array([[1.0, 2.0], [2.0, 1.0]])
     with pytest.raises(NotPositiveDefinite, match="response 2"):
-        build_joint_c([np.eye(2), bad], np.zeros(1))
+        build_joint_c([[np.eye(2), bad]], np.zeros(1))
 
 
 def _stack_with_indefinite(responses):
@@ -120,14 +126,15 @@ def test_batched_factorisation_names_first_indefinite_response(responses, named)
     with pytest.raises(
         NotPositiveDefinite, match=f"covariance of response {named} is not positive"
     ):
-        build_joint_c(_stack_with_indefinite(responses), np.zeros(3))
+        build_joint_c([_stack_with_indefinite(responses)], np.zeros(3))
 
 
 def test_batched_factorisation_of_definite_stack_matches_per_response():
     sigmas = _stack_with_indefinite(())
-    joint = build_joint_c(sigmas, np.array([0.1, -0.2, 0.3]))
-    assert joint.sigma_chols.shape == (3, 4, 3, 3)
-    for chol, sigma in zip(joint.sigma_chols, sigmas):
+    joint = build_joint_c([sigmas], np.array([0.1, -0.2, 0.3]))
+    (chols,) = joint.sigma_chols
+    assert chols.shape == (3, 4, 3, 3)
+    for chol, sigma in zip(chols, sigmas):
         assert np.array_equal(chol, np.linalg.cholesky(sigma))
 
 
@@ -155,7 +162,7 @@ def test_non_finite_covariance_fails_before_any_factorisation(monkeypatch):
 
 def test_joint_c_bad_correlation():
     with pytest.raises(NotPositiveDefinite, match="correlation"):
-        build_joint_c([np.eye(2), np.eye(2)], np.array([1.2]))
+        build_joint_c([[np.eye(2), np.eye(2)]], np.array([1.2]))
 
 
 def test_rho_pair_order():
@@ -235,11 +242,7 @@ def _coded_model(mus, variances, ntrials, z_codes):
 def _one_cluster_model(mus, variances, ntrials, z_lists):
     """A covariance model of arbitrary dense N x N Z_d, all rows one cluster."""
     n = len(mus[0])
-    clusters = RowClusters(
-        n_obs=n,
-        rows=(np.arange(n)[None, :],),
-        index=(np.arange(n * len(mus))[None, :],),
-    )
+    clusters = RowClusters(n_obs=n, rows=(np.arange(n)[None, :],))
     return CovarianceModel(
         mus=tuple(mus),
         variances=tuple(variances),
@@ -260,23 +263,23 @@ def _scatter(model, stacks):
     clusters = model.clusters
     dim = model.n_responses * clusters.n_obs
     out = np.zeros(stacks[0].shape[:-3] + (dim, dim))
-    for idx, stack in zip(clusters.index, stacks):
+    for rows, stack in zip(clusters.rows, stacks):
+        idx = stacked_index(rows, model.n_responses, clusters.n_obs)
         out[..., idx[:, :, None], idx[:, None, :]] = stack
     return out
 
 
 def _dense_c(model, disp):
     """The NR x NR joint covariance, scattered from its cluster blocks."""
-    return _scatter(model, [joint.C for joint in model.build(disp)])
+    return _scatter(model, assembled_c(model.build(disp)))
 
 
-def _derivative_stack(block, ms, owner):
+def _derivative_stack(chols, sigma_b, ms, owner):
     """dC/dlambda_i = B A_i B^T of every cluster of a stack, (q, G, mR, mR),
     from the whitened tau derivatives M that ``derivatives`` returns:
     A_i = (E_rs + E_sr) kron I for rho_rs, and for tau of response r,
     P Sigma_b[r, t] in block (r, t) plus its transpose in (t, r), P = Phi(M).
     """
-    chols = block.sigma_chols
     n_resp, g, m, _ = chols.shape
     whitened = []
     for r, s in rho_pairs(n_resp):
@@ -285,8 +288,8 @@ def _derivative_stack(block, ms, owner):
         whitened.append(a)
     for r, p in zip(owner, _phi(ms)):
         a = np.zeros((n_resp, n_resp, g, m, m))
-        a[r] += block.sigma_b[r][:, None, None, None] * p
-        a[:, r] += block.sigma_b[:, r, None, None, None] * np.swapaxes(p, -1, -2)
+        a[r] += sigma_b[r][:, None, None, None] * p
+        a[:, r] += sigma_b[:, r, None, None, None] * np.swapaxes(p, -1, -2)
         whitened.append(a)
     # Block (a, t) of B A B^T is L_a A[a, t] L_t^T.
     products = chols[:, None] @ np.array(whitened) @ np.swapaxes(chols, -1, -2)[None, :]
@@ -297,8 +300,8 @@ def _derivative_stack(block, ms, owner):
 def _derivative_stacks(model, joint):
     """Per cluster stack, the (q, G, mR, mR) dC/dlambda blocks."""
     return [
-        _derivative_stack(block, ms, model.owner)
-        for block, ms in zip(joint, model.derivatives(joint))
+        _derivative_stack(chols, joint.sigma_b, ms, model.owner)
+        for chols, ms in zip(joint.sigma_chols, model.derivatives(joint))
     ]
 
 
@@ -382,7 +385,7 @@ def test_derivatives_rebuild_no_covariance(monkeypatch):
 def test_per_response_factors_inverted_once(monkeypatch):
     # derivatives and then mean_gradient on one evaluated state share the
     # per-response inverses L_r^-1: one inversion of each stack's (R, G,
-    # m, m) factors, not two, and one of each stack's Sigma_b factor.
+    # m, m) factors, not two, and one of the Sigma_b factor for them all.
     rng = np.random.default_rng(12)
     model, disp = _random_covariance_model(rng, 3, 2, grouped=True)
     joint = model.build(disp)
@@ -395,18 +398,20 @@ def test_per_response_factors_inverted_once(monkeypatch):
 
     monkeypatch.setattr(covariance, "tril_inverse", counting_inverse)
     ms = model.derivatives(joint)
-    residuals = [(rng.normal(size=b.diagonal.shape),) * 2 for b in joint]
-    weights = [rng.normal(size=(disp.n_free,) + b.diagonal.shape) for b in joint]
+    shapes = [chols.shape[:-1] for chols in joint.sigma_chols]
+    residuals = [(rng.normal(size=shape),) * 2 for shape in shapes]
+    weights = [rng.normal(size=(disp.n_free,) + shape) for shape in shapes]
     model.mean_gradient(disp, joint, ms, residuals, weights)
-    factors = [block.sigma_chols for block in joint] + [b.sigma_b_chol for b in joint]
+    factors = list(joint.sigma_chols) + [joint.sigma_b_chol]
     assert len(inverted) == len(factors)
     assert all(any(a is f for f in factors) for a in inverted)
 
 
 def test_build_and_inverse_factor_only_per_response(monkeypatch):
-    # C^-1 comes from the factors of Sigma_b and of every Sigma_r: per
-    # stack, one Cholesky call on the (R, G, m, m) Sigma_r, one on Sigma_b
-    # and no general inverse; the joint (G, mR, mR) stack is never factored.
+    # C^-1 comes from the factors of Sigma_b and of every Sigma_r: one
+    # Cholesky call per stack on its (R, G, m, m) Sigma_r, one on Sigma_b
+    # for all stacks, and no general inverse; the joint (G, mR, mR) stack
+    # is never factored.
     n = 7
     codes = (np.arange(n), np.arange(n) // 3)
     model = _coded_model(
@@ -425,12 +430,11 @@ def test_build_and_inverse_factor_only_per_response(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counting)
     joint = model.build(disp)
-    for block in joint:
-        block.inverse
-    assert len(joint) == 2
+    assembled_inverse(joint)
+    assert len(joint.sigma_chols) == 2
     assert shapes["inv"] == []
-    expected = [block.sigma_chols.shape for block in joint]
-    assert sorted(shapes["cholesky"]) == sorted(expected + [(2, 2)] * len(joint))
+    expected = [chols.shape for chols in joint.sigma_chols]
+    assert sorted(shapes["cholesky"]) == sorted(expected + [(2, 2)])
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (4,), (3, 1), (50, 6), (2, 33), (80,)])
@@ -470,10 +474,13 @@ def test_structured_inverse_inverts_c(seed, kinds, grouped):
     )
     # |rho| <= 0.2 keeps Sigma_b diagonally dominant, so positive definite.
     disp = DispersionVector(rho=0.5 * disp.rho, tau=disp.tau)
-    for block in model.build(disp):
-        eye = np.eye(block.C.shape[-1])
-        assert np.abs(block.inverse @ block.C - eye).max() <= 1e-12
-        for chol, chol_inv in zip(block.sigma_chols, block.sigma_chol_invs):
+    joint = model.build(disp)
+    references = zip(assembled_c(joint), assembled_inverse(joint))
+    for (c, c_inv), chols, chol_invs in zip(
+        references, joint.sigma_chols, joint.sigma_chol_invs
+    ):
+        assert np.abs(c_inv @ c - np.eye(c.shape[-1])).max() <= 1e-12
+        for chol, chol_inv in zip(chols, chol_invs):
             expected = np.linalg.inv(chol)
             assert np.abs(chol_inv - expected).max() <= 1e-12 * np.abs(expected).max()
 
@@ -491,13 +498,16 @@ def _stack_sandwich_oracle(state):
     q = state.disp.n_free
     psi, sens, largest = np.zeros(q), np.zeros((q, q)), np.zeros(q)
     k4_term = np.zeros((q, q))
-    sens_bl = np.zeros((state.D.shape[1], q))
+    d_matrix = dense_d(state.D, state.columns.sum(axis=1))
+    sens_bl = np.zeros((d_matrix.shape[1], q))
     stacks = _derivative_stacks(state.covmodel, state.joint)
-    for idx, block, stack in zip(state.covmodel.clusters.index, state.joint, stacks):
-        resid = state.resid[idx]
-        u = np.linalg.solve(block.C, resid[..., None])[..., 0]
-        w = np.linalg.solve(block.C, stack)
-        f = np.linalg.solve(block.C, np.swapaxes(w, -1, -2))
+    clusters = state.covmodel.clusters
+    for rows, c, stack in zip(clusters.rows, assembled_c(state.joint), stacks):
+        idx = stacked_index(rows, len(state.D), clusters.n_obs)
+        resid = state.resid.ravel()[idx]
+        u = np.linalg.solve(c, resid[..., None])[..., 0]
+        w = np.linalg.solve(c, stack)
+        f = np.linalg.solve(c, np.swapaxes(w, -1, -2))
         quad = np.einsum("gi,qgij,gj->qg", u, stack, u)
         trace = np.einsum("qgii->qg", w)
         psi += (quad - trace).sum(axis=1)
@@ -505,9 +515,9 @@ def _stack_sandwich_oracle(state):
         terms = np.concatenate([np.abs(quad), np.abs(trace)], axis=1)
         largest = np.maximum(largest, terms.max(axis=1))
         f_diag = np.einsum("qgll->qgl", f).reshape(q, -1)
-        k4 = resid**4 - 3.0 * np.einsum("gll->gl", block.C) ** 2
+        k4 = resid**4 - 3.0 * np.einsum("gll->gl", c) ** 2
         k4_term += (f_diag * k4.ravel()) @ f_diag.T
-        sens_bl -= np.einsum("gik,qgij,gj->kq", state.D[idx], f, resid)
+        sens_bl -= np.einsum("gik,qgij,gj->kq", d_matrix[idx], f, resid)
     return psi, sens, -2.0 * sens + k4_term, sens_bl, largest
 
 
@@ -537,13 +547,15 @@ def test_whitened_pearson_pieces_match_the_derivative_stacks(seed, kinds, n_z, g
         grouped=grouped,
     )
     disp = DispersionVector(rho=0.5 * disp.rho, tau=disp.tau)
-    n_rows = len(kinds) * model.clusters.n_obs
+    shape = (len(kinds), model.clusters.n_obs)
+    # Each response's D block is 1 to 3 columns wide, zero-padded to 3.
+    columns = np.arange(3) < rng.integers(1, 4, size=(len(kinds), 1))
     state = _State(
         beta=None,
         disp=disp,
-        mus=model.mus,
-        resid=rng.normal(scale=2.0, size=n_rows),
-        D=rng.normal(size=(n_rows, 3)),
+        resid=rng.normal(scale=2.0, size=shape),
+        D=rng.normal(size=shape + (3,)) * columns[:, None, :],
+        columns=columns,
         covmodel=model,
         joint=model.build(disp),
     )

@@ -200,8 +200,9 @@ def _three_response_problem(kinds):
 
     ``kinds`` picks each response from: ``constant`` (identity link,
     grouping Z), ``tweedie`` (log, power 1.7), ``poisson_tweedie`` (log,
-    power 1.5, offset, grouping Z) and ``binomialP`` (logit, power 1.3,
-    trial counts).
+    power 1.5, offset, grouping Z), ``binomialP`` (logit, power 1.3,
+    trial counts) and ``wide`` (as ``tweedie``, on ``x + w``: one
+    coefficient more than the others).
     """
     rng = np.random.default_rng(14)
     n = 36
@@ -218,6 +219,8 @@ def _three_response_problem(kinds):
         "poisson_tweedie": rng.poisson(np.exp(0.5 + 0.4 * x + offset)).astype(float),
         "binomialP": rng.binomial(trials.astype(int), 0.4) / trials,
     }
+    columns["w"] = rng.uniform(-1.0, 1.0, size=n)
+    columns["wide"] = rng.gamma(2.0, np.exp(0.2 - 0.3 * x + 0.2 * columns["w"]) / 2.0)
     grouped = (MatrixComponent("identity"), MatrixComponent("grouping", "g"))
     responses = {
         "constant": response_spec("constant ~ x", matrix_pred=grouped),
@@ -239,18 +242,23 @@ def _three_response_problem(kinds):
             power=1.3,
             ntrial_column="m",
         ),
+        "wide": response_spec(
+            "wide ~ x + w", link="log", variance="tweedie", power=1.7
+        ),
     }
     betas = {
         "constant": [0.8, 0.9],
         "tweedie": [0.25, -0.2],
         "poisson_tweedie": [0.45, 0.35],
         "binomialP": [-0.3, 0.2],
+        "wide": [0.25, -0.2, 0.15],
     }
     taus = {
         "constant": [0.9, 0.2],
         "tweedie": [0.5],
         "poisson_tweedie": [0.6, 0.1],
         "binomialP": [0.8],
+        "wide": [0.5],
     }
     spec = ModelSpec(responses=tuple(responses[k] for k in kinds))
     beta = np.concatenate([betas[k] for k in kinds])
@@ -266,8 +274,13 @@ def _three_response_problem(kinds):
     [
         ("constant", "tweedie", "poisson_tweedie"),
         ("binomialP", "poisson_tweedie", "constant"),
+        ("constant", "wide", "poisson_tweedie"),
     ],
-    ids=["constant-tweedie-poisson_tweedie", "binomialP-poisson_tweedie-constant"],
+    ids=[
+        "constant-tweedie-poisson_tweedie",
+        "binomialP-poisson_tweedie-constant",
+        "constant-wide-poisson_tweedie",
+    ],
 )
 def test_pearson_sensitivity_in_coefficients_matches_finite_differences(kinds):
     # S_lambda_beta = d psi_lambda / d beta, against central differences of
@@ -328,38 +341,28 @@ def test_cross_blocks_reuses_the_fit_state(monkeypatch):
 
 
 def test_iterations_form_no_derivative_stack_and_no_assembled_inverse(monkeypatch):
-    # The loop and the sandwich both work in whitened coordinates: no
-    # C^-1 or C is assembled during a fit, and the dispersion derivatives
-    # come only as per-response (q_tau, G, m, m) stacks, never as the
-    # (q, G, mR, mR) dC/dlambda of a joint block.
-    from covglm.covariance import CovarianceModel, JointCovariance
+    # The loop and the sandwich both work in whitened coordinates: the
+    # dispersion derivatives come only as per-response (q_tau, G, m, m)
+    # stacks, never as the (q, G, mR, mR) dC/dlambda of a joint block. (C
+    # and C^-1 have no assembly in the package at all.)
+    from covglm.covariance import CovarianceModel
 
     data, spec, _, _ = _three_response_problem(
         ("constant", "tweedie", "poisson_tweedie")
     )
-    read, shapes = [], []
+    shapes = []
     original_derivatives = CovarianceModel.derivatives
 
     def derivatives(self, joint):
         stacks = original_derivatives(self, joint)
-        shapes.extend((ms.shape, block.sigma_chols.shape) for ms, block in zip(stacks, joint))
+        shapes.extend(
+            (ms.shape, chols.shape) for ms, chols in zip(stacks, joint.sigma_chols)
+        )
         return stacks
 
-    def recorded(name):
-        original = getattr(JointCovariance, name).func
-
-        def read_property(self):
-            read.append(name)
-            return original(self)
-
-        return property(read_property)
-
     monkeypatch.setattr(CovarianceModel, "derivatives", derivatives)
-    for name in ("inverse", "C"):
-        monkeypatch.setattr(JointCovariance, name, recorded(name))
     model = fit(spec, data, FitOptions(max_iter=3))
     assert model.iterations == 3
-    assert read == []
     assert shapes
     q_tau = sum(len(t) for t in model.lambda_hat.tau)
     for ms_shape, (_, g, m, _) in shapes:
@@ -367,9 +370,9 @@ def test_iterations_form_no_derivative_stack_and_no_assembled_inverse(monkeypatc
 
 
 def test_each_state_factors_and_whitens_once_per_stack(monkeypatch):
-    # All responses share each batched call. Per evaluated state and
-    # cluster stack, tril_inverse runs twice: once on the (R, G, m, m)
-    # factors and once on Sigma_b. The M stacks are formed through
+    # All responses share each batched call. Per evaluated state,
+    # tril_inverse runs once on each cluster stack's (R, G, m, m) factors
+    # and once on Sigma_b, which all stacks share. The M stacks are formed through
     # derivatives once per state whose Pearson pieces are read, and the
     # sandwich at the solution reuses the ones formed there.
     from covglm import covariance, estimator
@@ -407,16 +410,16 @@ def test_each_state_factors_and_whitens_once_per_stack(monkeypatch):
     monkeypatch.setattr(estimator, "cross_blocks", traced_cross_blocks)
     model = fit(spec, data, FitOptions(max_iter=3))
     assert model.iterations == 3
-    n_stacks = len(evaluated[0].joint)
-    assert len(inverted) == 2 * n_stacks * len(evaluated)
+    n_stacks = len(evaluated[0].joint.sigma_chols)
+    assert len(inverted) == (n_stacks + 1) * len(evaluated)
     (solution,) = solutions
     assert len(formed) == model.iterations + 1
     assert len({id(joint) for joint in formed}) == len(formed)
     assert sum(joint is solution.joint for joint in formed) == 1
     # Each stack's factors are inverted together, all three responses at once.
-    shapes = [block.sigma_chols.shape for block in evaluated[0].joint]
+    shapes = [chols.shape for chols in evaluated[0].joint.sigma_chols]
     assert all(shape[0] == 3 for shape in shapes)
-    assert sorted(inverted) == sorted((shapes + [(3, 3)] * n_stacks) * len(evaluated))
+    assert sorted(inverted) == sorted((shapes + [(3, 3)]) * len(evaluated))
 
 
 def test_pearson_variability_is_formed_once_per_fit(monkeypatch):
