@@ -6,7 +6,9 @@ In each tree, a fresh interpreter fits both covbench shapes (Hunting and
 soya) at every seed, with that tree's ``covbench/`` and ``src/``. The table
 gives each tree's iteration count and the largest difference of beta-hat,
 lambda-hat and ``joint_inverse``, each relative to the largest entry of the
-parent's. Standard library and numpy only.
+parent's. The exit status is 1 when an iteration count differs or a
+relative difference exceeds ``TOLERANCE``, and 0 otherwise. Standard
+library and numpy only.
 """
 
 import argparse
@@ -20,6 +22,7 @@ import numpy as np
 
 HERE = Path(__file__).resolve().parent.parent
 SHAPES = ("hunting", "soya")
+TOLERANCE = 1e-13
 CHILD = """
 import json, sys
 sys.path.insert(0, sys.argv[1] + "/covbench")
@@ -67,6 +70,7 @@ def main(argv=None):
     keys = ("beta", "lambda", "joint_inverse")
     print("| case | iterations (parent, this) | beta-hat | lambda-hat | joint_inverse |")
     print("| --- | --- | --- | --- | --- |")
+    agree = True
     for case, before in old.items():
         after = new[case]
         diffs = [relative(after[key], before[key]) for key in keys]
@@ -74,7 +78,9 @@ def main(argv=None):
             f"| {case} | {before['iterations']}, {after['iterations']} | "
             + " | ".join(f"{d:.2g}" for d in diffs) + " |"
         )
+        agree &= before["iterations"] == after["iterations"] and max(diffs) <= TOLERANCE
+    return 0 if agree else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -19,11 +19,11 @@ stack. All responses share the clusters, so a stack's per-response pieces
 (V^(1/2), Sigma_r, L_r, L_r^-1, the whitened tau derivatives) are each one
 (R or q_tau, G, m[, m]) array, and each step is one batched call over the
 responses and clusters together. The correlation matrix and its factors
-are formed once per C and read by every stack. No (mR x mR) block of C,
+are formed once per rho and read by every stack. No (mR x mR) block of C,
 C^-1 or dC/dlambda is formed.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -238,27 +238,24 @@ class JointCovariance:
     factor L_r in one (R, ..., m, m) array: (R, G, m, m) for G clusters of
     m rows, whose C is (G, mR, mR). Each operation on a stack's factors is
     one batched call over all responses. The correlation matrix
-    ``sigma_b``, its Cholesky factor ``sigma_b_chol`` and K = Sigma_b^-1
-    depend on rho only, so C holds each once and every stack reads it.
+    ``sigma_b``, its Cholesky factor ``sigma_b_chol`` and
+    ``sigma_b_inverse`` K = Sigma_b^-1 depend on rho only, so C holds each
+    once and every stack reads it; a C at the same rho shares them
+    (``build_joint_c``).
     """
 
     sigma_chols: tuple
     sigma_b: np.ndarray
     sigma_b_chol: np.ndarray
+    sigma_b_inverse: np.ndarray
 
     @cached_property
     def sigma_chol_invs(self):
         """Per stack, L_r^-1 of every response as one (R, ..., m, m) array."""
         return tuple(tril_inverse(chols) for chols in self.sigma_chols)
 
-    @cached_property
-    def sigma_b_inverse(self):
-        """K = Sigma_b^-1, from the inverse of its Cholesky factor."""
-        chol_inv = tril_inverse(self.sigma_b_chol)
-        return chol_inv.T @ chol_inv
 
-
-def build_joint_c(sigmas, rho):
+def build_joint_c(sigmas, rho, previous=None):
     """Couple per-response covariances through the correlation matrix.
 
     Factors Bdiag(L_1..L_R) (Sigma_b kron I) Bdiag(L_1^T..L_R^T) where L_r
@@ -266,10 +263,12 @@ def build_joint_c(sigmas, rho):
     therefore Sigma_b[r, s] * L_r L_s^T and the diagonal blocks recover the
     per-response covariances exactly. ``sigmas`` holds one (R, ..., m, m)
     array of Sigma_r blocks per cluster stack, and each stack is factored
-    in one call; Sigma_b is factored once for all of them. B is
-    invertible, so C is positive definite exactly when Sigma_b is: the
-    factorisations of Sigma_b and of every Sigma_r are all the checks C
-    needs, and C itself is never factored.
+    in one call; Sigma_b is factored once for all of them, and K is formed
+    from the inverse of that factor. ``previous``, a ``JointCovariance``
+    at the same rho, lends its Sigma_b, factor and K instead, which were
+    checked when it was built. B is invertible, so C is positive definite
+    exactly when Sigma_b is: the factorisations of Sigma_b and of every
+    Sigma_r are all the checks C needs, and C itself is never factored.
     """
     chols = []
     for stack in sigmas:
@@ -280,9 +279,12 @@ def build_joint_c(sigmas, rho):
             for r, sigma in enumerate(stack):
                 _chol(sigma, f"covariance of response {r + 1}")
             raise NotPositiveDefinite("per-response covariance is not positive definite")
+    if previous is not None:
+        return replace(previous, sigma_chols=tuple(chols))
     sigma_b = correlation_matrix(np.asarray(rho, dtype=float), len(chols[0]))
     chol_b = _chol(sigma_b, "between-response correlation matrix")
-    return JointCovariance(tuple(chols), sigma_b=sigma_b, sigma_b_chol=chol_b)
+    chol_inv = tril_inverse(chol_b)
+    return JointCovariance(tuple(chols), sigma_b, chol_b, chol_inv.T @ chol_inv)
 
 
 @dataclass(frozen=True)
@@ -334,8 +336,10 @@ class CovarianceModel:
         weights[self.owner, np.arange(len(z))] = np.concatenate(disp.tau)
         return build_omega(weights, z)
 
-    def build(self, disp):
-        """The ``JointCovariance`` over every cluster stack."""
+    def build(self, disp, previous=None):
+        """The ``JointCovariance`` over every cluster stack. ``previous``, a
+        ``JointCovariance`` at the same rho, lends its Sigma_b, factor and K
+        (``build_joint_c``)."""
         # An infinite mean, variance or tau leaves non-finite entries, which
         # ``_sigma`` rejects.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -343,7 +347,7 @@ class CovarianceModel:
                 _sigma(*terms, self._omegas(k, disp))
                 for k, terms in enumerate(self._row_terms)
             ]
-        return build_joint_c(sigmas, disp.rho)
+        return build_joint_c(sigmas, disp.rho, previous)
 
     def derivatives(self, joint):
         """M = L_r^-1 (dSigma_r/dtau_rd) L_r^-T for every tau_rd, in flat

@@ -68,12 +68,9 @@ def _var_encoding(var, kind, levels, values):
     """
     if kind == "numeric":
         return [np.asarray(values, dtype=float)], [var]
-    cols = []
-    labels = []
-    for level in levels[1:]:
-        cols.append(np.array([1.0 if v == level else 0.0 for v in values]))
-        labels.append(f"{var}={level}")
-    return cols, labels
+    values = np.asarray(values, dtype=object)
+    cols = [(values == level).astype(float) for level in levels[1:]]
+    return cols, [f"{var}={level}" for level in levels[1:]]
 
 
 def _term_columns(term, var_data):

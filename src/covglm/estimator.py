@@ -95,7 +95,8 @@ class _State:
     array of the blocks D_r = dmu_r/dbeta_r, each padded with zero columns
     to the widest design. ``columns`` is the (R, k_max) mask of each
     response's own k_r columns: read row by row, the masked columns are
-    beta's coefficients in order.
+    beta's coefficients in order. These and ``covmodel`` are the mean side,
+    which depends on beta only (``means``); ``joint`` is C at disp.
     """
 
     beta: np.ndarray
@@ -109,6 +110,11 @@ class _State:
     @property
     def rows(self):
         return self.covmodel.clusters.rows
+
+    @property
+    def means(self):
+        """The mean side, for ``_evaluate`` at the same beta."""
+        return self.resid, self.D, self.columns, self.covmodel
 
     @cached_property
     def whitened(self):
@@ -149,8 +155,9 @@ def _beta_spans(designs):
     return tuple(spans)
 
 
-def _evaluate(bound, beta, disp):
-    """Mean structure, residuals, gradient and joint covariance at a point."""
+def _mean_side(bound, beta):
+    """The residuals, D blocks, column mask and ``CovarianceModel`` at beta
+    (``_State.means``)."""
     spans = _beta_spans(bound.designs)
     widths = np.array([x.shape[1] for x in bound.x])
     d_blocks = np.zeros((bound.n_responses, bound.n_obs, widths.max()))
@@ -167,16 +174,24 @@ def _evaluate(bound, beta, disp):
         owner=bound.z_owner,
         clusters=bound.clusters,
     )
-    joint = covmodel.build(disp)
-    return _State(
-        beta=beta,
-        disp=disp,
-        resid=np.array(bound.y) - mus,
-        D=d_blocks,
-        columns=np.arange(d_blocks.shape[-1]) < widths[:, None],
-        covmodel=covmodel,
-        joint=joint,
-    )
+    columns = np.arange(d_blocks.shape[-1]) < widths[:, None]
+    return np.array(bound.y) - mus, d_blocks, columns, covmodel
+
+
+def _evaluate(bound, beta, disp, means=None, previous=None):
+    """The ``_State`` at (beta, disp): its mean side, then C built from it.
+
+    ``means`` is the mean side of a state at the same beta, reused with its
+    cached V^(1/2); ``previous`` is the ``JointCovariance`` of a state at
+    the same rho, whose Sigma_b, factor and K are reused
+    (``CovarianceModel.build``). ``fit`` passes them, so it evaluates the
+    means once per beta and factors Sigma_b once per rho.
+    """
+    if means is None:
+        means = _mean_side(bound, beta)
+    resid, d_blocks, columns, covmodel = means
+    joint = covmodel.build(disp, previous)
+    return _State(beta, disp, resid, d_blocks, columns, covmodel, joint)
 
 
 def _quasi_pieces(state):
@@ -385,7 +400,14 @@ def cross_blocks(bound, beta, disp, state=None):
 
 
 def _check_ranks(bound):
+    """Raise unless every design has full column rank. Responses that share
+    a design share its matrix, which is checked once, under the first's
+    name."""
+    checked = set()
     for design, x in zip(bound.designs, bound.x):
+        if id(x) in checked:
+            continue
+        checked.add(id(x))
         rank = np.linalg.matrix_rank(x)
         if rank == x.shape[1]:
             continue
@@ -417,7 +439,9 @@ def _start_mean(y, link_kind, ntrial):
 
 def _initial_beta(bound):
     """Independence working model: transformed-response least squares
-    followed by a few Gauss-Newton refinements with identity covariance."""
+    followed by a few Gauss-Newton refinements with identity covariance.
+    Under the identity link the least-squares start is the refinements'
+    fixed point, so none is run."""
     blocks = []
     for r in range(bound.n_responses):
         x = bound.x[r]
@@ -427,7 +451,7 @@ def _initial_beta(bound):
         mu0 = _start_mean(y, resp.link.kind, bound.ntrials[r])
         eta0 = resp.link.apply(mu0) - offset
         b, *_ = np.linalg.lstsq(x, eta0, rcond=None)
-        for _ in range(4):
+        for _ in range(0 if resp.link.kind == "identity" else 4):
             eta = x @ b + offset
             mu = resp.link.inverse(eta)
             grad = resp.link.deriv(mu)[:, None] * x
@@ -443,7 +467,7 @@ def _initial_beta(bound):
             eta_next = x @ candidate + offset
             # Refinement must not run the mean into a saturated link,
             # where the variance function loses its domain.
-            if resp.link.kind != "identity" and np.max(np.abs(eta_next)) > 30.0:
+            if np.max(np.abs(eta_next)) > 30.0:
                 break
             b = candidate
         blocks.append(b)
@@ -625,15 +649,21 @@ def fit(spec, data, options=None):
         for iteration in range(1, opts.max_iter + 1):
             psi_b, _, var_b = _quasi_pieces(state)
             beta_step = _solve(var_b, psi_b, "coefficient Newton")
+            # The coefficient step keeps rho, the dispersion step beta.
             state_b, halvings_b = _halved_step(
-                lambda b: _evaluate(bound, b, disp), beta, beta_step, iteration
+                lambda b: _evaluate(bound, b, disp, previous=state.joint),
+                beta,
+                beta_step,
+                iteration,
             )
             beta_new = state_b.beta
             psi_l, sens_l = _pearson_pieces(state_b)
             lam_step = -opts.alpha * _solve(sens_l, psi_l, "dispersion Newton")
             flat = disp.flatten()
             state_new, halvings_l = _halved_step(
-                lambda v: _evaluate(bound, beta_new, disp.replace_flat(v)),
+                lambda v: _evaluate(
+                    bound, beta_new, disp.replace_flat(v), means=state_b.means
+                ),
                 flat,
                 lam_step,
                 iteration,

@@ -8,7 +8,7 @@ format is documented in the README; ``load_model_spec`` reads it.
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -287,7 +287,14 @@ def complete_rows(spec, data):
 
 
 def bind(spec, data):
-    """Bind a model spec to a dataset, producing everything fitting needs."""
+    """Bind a model spec to a dataset, producing everything fitting needs.
+
+    Responses with the same right-hand side (``Formula.terms``) share one
+    design: it is built once, each response's ``DesignInfo`` keeps its own
+    formula, and all of them read the same read-only matrix. Likewise the
+    Z_d level codes of equal matrix predictors are formed and checked
+    once. Errors name the first response that meets them.
+    """
     data, n_dropped = complete_rows(spec, data)
     n = data.n_rows
     if n == 0:
@@ -298,11 +305,16 @@ def bind(spec, data):
     offsets = []
     ntrials = []
     z_codes = []
+    built = {}
+    coded = {}
     for resp in spec.responses:
         name = resp.formula.response
         y = finite_numeric(data, name)
-        design, x = build_design(resp.formula, data)
-        designs.append(design)
+        terms = resp.formula.terms
+        if terms not in built:
+            built[terms] = build_design(resp.formula, data)
+        design, x = built[terms]
+        designs.append(replace(design, formula=resp.formula))
         xs.append(x)
         offset = resp.offset_column
         offsets.append(finite_numeric(data, offset) if offset else np.zeros(n))
@@ -320,12 +332,14 @@ def bind(spec, data):
             ntrials.append(nt)
         else:
             ntrials.append(None)
-        codes = tuple(
-            grouping_matrix(data.factor(c.column)) if c.kind == "grouping" else np.arange(n)
-            for c in resp.matrix_pred
-        )
-        _check_identifiable(name, resp.matrix_pred, codes)
-        z_codes.append(codes)
+        if resp.matrix_pred not in coded:
+            codes = tuple(
+                grouping_matrix(data.factor(c.column)) if c.kind == "grouping" else np.arange(n)
+                for c in resp.matrix_pred
+            )
+            _check_identifiable(name, resp.matrix_pred, codes)
+            coded[resp.matrix_pred] = codes
+        z_codes.append(coded[resp.matrix_pred])
         ys.append(y)
     return BoundModel(
         spec=spec,

@@ -385,10 +385,10 @@ def test_derivatives_rebuild_no_covariance(monkeypatch):
 def test_per_response_factors_inverted_once(monkeypatch):
     # derivatives and then mean_gradient on one evaluated state share the
     # per-response inverses L_r^-1: one inversion of each stack's (R, G,
-    # m, m) factors, not two, and one of the Sigma_b factor for them all.
+    # m, m) factors, not two, and one of the Sigma_b factor for them all,
+    # which the build makes when it forms K.
     rng = np.random.default_rng(12)
     model, disp = _random_covariance_model(rng, 3, 2, grouped=True)
-    joint = model.build(disp)
     inverted = []
     original = covariance.tril_inverse
 
@@ -397,6 +397,7 @@ def test_per_response_factors_inverted_once(monkeypatch):
         return original(a)
 
     monkeypatch.setattr(covariance, "tril_inverse", counting_inverse)
+    joint = model.build(disp)
     ms = model.derivatives(joint)
     shapes = [chols.shape[:-1] for chols in joint.sigma_chols]
     residuals = [(rng.normal(size=shape),) * 2 for shape in shapes]

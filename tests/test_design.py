@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import factorial_data, gaussian_spec, make_dataset
-from covglm.design import build_design, encode_combinations
+from conftest import PROPERTY_SETTINGS, factorial_data, gaussian_spec, make_dataset
+from covglm.design import _var_encoding, build_design, encode_combinations
 from covglm.errors import DataError, DegenerateFactor, MissingColumnError
 from covglm.formula import parse_formula
 from covglm.model import bind
@@ -137,3 +139,43 @@ def test_design_matrix_is_read_only():
     bound = bind(gaussian_spec("y ~ x"), data)
     with pytest.raises(ValueError):
         bound.x[0][0, 0] = 5.0
+
+
+def _per_value_encoding(levels, values):
+    """Indicator columns of the non-reference levels, one value at a time:
+    the reference the vectorized coding must match bit for bit."""
+    return [np.array([1.0 if v == level else 0.0 for v in values]) for level in levels[1:]]
+
+
+# Level strings include numeric-looking ones, which sort as strings ("10"
+# before "9").
+_LEVEL = st.one_of(
+    st.integers(0, 12).map(str),
+    st.text(alphabet="ab9-. ", min_size=1, max_size=3),
+)
+
+
+@PROPERTY_SETTINGS
+@given(
+    levels=st.lists(_LEVEL, min_size=2, max_size=6, unique=True).map(sorted),
+    picks=st.lists(st.integers(0, 5), min_size=1, max_size=30),
+)
+def test_factor_coding_matches_per_value_comparison(levels, picks):
+    values = [levels[i % len(levels)] for i in picks]
+    expected = _per_value_encoding(levels, values)
+    for given_values in (np.array(values, dtype=object), values):
+        cols, labels = _var_encoding("f", "factor", levels, given_values)
+        assert labels == [f"f={level}" for level in levels[1:]]
+        assert len(cols) == len(expected)
+        for col, want in zip(cols, expected):
+            assert col.dtype == want.dtype and col.tobytes() == want.tobytes()
+    design, x = build_design(
+        parse_formula("y ~ f"),
+        make_dataset({"y": np.zeros(len(values) + len(levels)),
+                      "f": np.array(values + levels, dtype=object)}),
+    )
+    assert design.level_maps["f"] == tuple(levels)
+    encoded = encode_combinations(design, [{"f": v} for v in values])
+    reference = np.column_stack([np.ones(len(values))] + expected)
+    assert encoded.tobytes() == reference.tobytes()
+    assert np.array_equal(x[: len(values)], reference)

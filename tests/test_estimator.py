@@ -371,10 +371,11 @@ def test_iterations_form_no_derivative_stack_and_no_assembled_inverse(monkeypatc
 
 def test_each_state_factors_and_whitens_once_per_stack(monkeypatch):
     # All responses share each batched call. Per evaluated state,
-    # tril_inverse runs once on each cluster stack's (R, G, m, m) factors
-    # and once on Sigma_b, which all stacks share. The M stacks are formed through
-    # derivatives once per state whose Pearson pieces are read, and the
-    # sandwich at the solution reuses the ones formed there.
+    # tril_inverse runs once on each cluster stack's (R, G, m, m) factors;
+    # Sigma_b, which all stacks share, is inverted once per distinct rho:
+    # at the start and at each dispersion step. The M stacks are formed
+    # through derivatives once per state whose Pearson pieces are read, and
+    # the sandwich at the solution reuses the ones formed there.
     from covglm import covariance, estimator
     from covglm.covariance import CovarianceModel
 
@@ -387,8 +388,8 @@ def test_each_state_factors_and_whitens_once_per_stack(monkeypatch):
     original_derivatives = CovarianceModel.derivatives
     original_cross_blocks = estimator.cross_blocks
 
-    def evaluate(*args):
-        state = original_evaluate(*args)
+    def evaluate(*args, **kwargs):
+        state = original_evaluate(*args, **kwargs)
         evaluated.append(state)
         return state
 
@@ -411,7 +412,8 @@ def test_each_state_factors_and_whitens_once_per_stack(monkeypatch):
     model = fit(spec, data, FitOptions(max_iter=3))
     assert model.iterations == 3
     n_stacks = len(evaluated[0].joint.sigma_chols)
-    assert len(inverted) == (n_stacks + 1) * len(evaluated)
+    n_rho = model.iterations + 1
+    assert len(inverted) == n_stacks * len(evaluated) + n_rho
     (solution,) = solutions
     assert len(formed) == model.iterations + 1
     assert len({id(joint) for joint in formed}) == len(formed)
@@ -419,7 +421,98 @@ def test_each_state_factors_and_whitens_once_per_stack(monkeypatch):
     # Each stack's factors are inverted together, all three responses at once.
     shapes = [chols.shape for chols in evaluated[0].joint.sigma_chols]
     assert all(shape[0] == 3 for shape in shapes)
-    assert sorted(inverted) == sorted((shapes + [(3, 3)]) * len(evaluated))
+    assert sorted(inverted) == sorted(shapes * len(evaluated) + [(3, 3)] * n_rho)
+
+
+def _count_mean_and_correlation_work(monkeypatch):
+    """Record, outside ``_initial_beta``, every mean evaluated through
+    ``Link.inverse`` and every variance function evaluated, per response,
+    and the rho of every Cholesky factorisation of the 3 x 3 Sigma_b."""
+    from covglm import covariance, estimator
+    from covglm.families import Link
+
+    means, variances, factored, starting = [], [], [], []
+    original_inverse = Link.inverse
+    original_variance = covariance.variance_eval
+    original_cholesky = np.linalg.cholesky
+    original_initial_beta = estimator._initial_beta
+
+    def inverse(self, eta):
+        if not starting:
+            means.append(eta.shape)
+        return original_inverse(self, eta)
+
+    def variance_eval(var, mu):
+        variances.append(var.kind)
+        return original_variance(var, mu)
+
+    def cholesky(a):
+        if a.shape == (3, 3):
+            factored.append(a[np.triu_indices(3, 1)].copy())
+        return original_cholesky(a)
+
+    def initial_beta(bound):
+        starting.append(True)
+        try:
+            return original_initial_beta(bound)
+        finally:
+            starting.pop()
+
+    monkeypatch.setattr(Link, "inverse", inverse)
+    monkeypatch.setattr(covariance, "variance_eval", variance_eval)
+    monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+    monkeypatch.setattr(estimator, "_initial_beta", initial_beta)
+    return means, variances, factored
+
+
+def test_fit_evaluates_means_per_beta_and_factors_sigma_b_per_rho(monkeypatch):
+    # The coefficient step moves beta only and the dispersion step moves
+    # rho and tau only. So a fit without halvings evaluates the means once
+    # per beta and factors Sigma_b once per rho: iterations + 1 times each
+    # (at five iterations, 6 against 11 states).
+    data, spec, _, _ = _three_response_problem(
+        ("constant", "tweedie", "poisson_tweedie")
+    )
+    means, variances, factored = _count_mean_and_correlation_work(monkeypatch)
+    model = fit(spec, data, FitOptions(max_iter=3))
+    assert model.iterations == 3
+    assert len(means) == 3 * (model.iterations + 1)
+    assert len(variances) == 3 * (model.iterations + 1)
+    assert len(factored) == model.iterations + 1
+    assert not np.array_equal(factored[-2], factored[-1])
+    assert np.array_equal(factored[-1], model.lambda_hat.rho)
+
+
+def test_halved_dispersion_step_factors_sigma_b_for_each_trial(monkeypatch):
+    # Each trial of a halved dispersion step is a new rho, so each factors
+    # and checks Sigma_b again; the trials share the coefficient step's
+    # means.
+    from covglm.covariance import CovarianceModel
+    from covglm.errors import NotPositiveDefinite
+
+    data, spec, _, _ = _three_response_problem(
+        ("constant", "tweedie", "poisson_tweedie")
+    )
+    means, _, factored = _count_mean_and_correlation_work(monkeypatch)
+    original_build = CovarianceModel.build
+    fresh_rho = []
+
+    def build(self, disp, previous=None):
+        joint = original_build(self, disp, previous)
+        if previous is None:
+            fresh_rho.append(disp.rho.copy())
+            if len(fresh_rho) == 2:  # the first dispersion trial fails
+                raise NotPositiveDefinite("refused for the test")
+        return joint
+
+    monkeypatch.setattr(CovarianceModel, "build", build)
+    model = fit(spec, data, FitOptions(max_iter=3))
+    assert model.iterations == 3
+    assert len(means) == 3 * (model.iterations + 1)
+    assert len(factored) == model.iterations + 2
+    assert [rho.tolist() for rho in factored] == [rho.tolist() for rho in fresh_rho]
+    start, refused, halved = fresh_rho[:3]
+    assert np.allclose(halved - start, 0.5 * (refused - start))
 
 
 def test_pearson_variability_is_formed_once_per_fit(monkeypatch):

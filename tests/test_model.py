@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import dense_z, make_dataset, response_spec
-from covglm.errors import DataError, MissingColumnError, ModelSpecError
+from covglm import model as model_module
+from covglm.errors import DataError, MissingColumnError, ModelSpecError, RankError
+from covglm.estimator import fit
 from covglm.model import (
     MatrixComponent,
     ModelSpec,
@@ -17,6 +19,7 @@ from covglm.model import (
     model_spec_json,
     parse_model_spec,
 )
+from covglm.tables import anova
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -243,3 +246,95 @@ def test_bind_rejects_linearly_dependent_matrix_predictor():
 def test_empty_responses_rejected():
     with pytest.raises(ModelSpecError):
         ModelSpec(responses=())
+
+
+def _shared_predictor_rows(n=24, seed=3):
+    rng = np.random.default_rng(seed)
+    return {
+        **{f"y{r}": rng.normal(size=n) for r in range(1, 4)},
+        "a": np.array([f"a{i % 3}" for i in range(n)], dtype=object),
+        "b": np.array([f"b{i % 4}" for i in range(n)], dtype=object),
+        "x": rng.normal(size=n),
+        "w": rng.normal(size=n),
+        "g": np.array([f"g{i // 4}" for i in range(n)], dtype=object),
+    }
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    original = getattr(model_module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(model_module, name, counted)
+    return calls
+
+
+def test_responses_with_one_right_hand_side_share_one_design(monkeypatch):
+    formulas = ("y1 ~ a + x", "y2 ~ a + x", "y3 ~ a + x")
+    spec = ModelSpec(responses=tuple(response_spec(f) for f in formulas))
+    data = make_dataset(_shared_predictor_rows())
+    built = _counting(monkeypatch, "build_design")
+    bound = bind(spec, data)
+    assert len(built) == 1
+    assert all(x is bound.x[0] for x in bound.x)
+    # Each response keeps its own formula, so its ANOVA table names it.
+    assert [d.formula.text for d in bound.designs] == list(formulas)
+    assert [d.column_labels for d in bound.designs[1:]] == [bound.designs[0].column_labels] * 2
+    tables = anova(fit(bound, None), 2)
+    assert [table.caption for table in tables] == list(formulas)
+
+
+def test_reordered_or_other_right_hand_sides_get_designs_of_their_own(monkeypatch):
+    formulas = ("y1 ~ a * b", "y2 ~ b * a", "y3 ~ x + w")
+    spec = ModelSpec(responses=tuple(response_spec(f) for f in formulas))
+    built = _counting(monkeypatch, "build_design")
+    bound = bind(spec, make_dataset(_shared_predictor_rows()))
+    assert len(built) == 3
+    assert len({id(x) for x in bound.x}) == 3
+    first, second, _ = bound.designs
+    assert first.column_labels[1:3] == ("a=a1", "a=a2")
+    assert second.column_labels[1:4] == ("b=b1", "b=b2", "b=b3")
+
+
+def test_rank_deficient_shared_design_names_the_first_response():
+    values = _shared_predictor_rows()
+    values["x2"] = 2.0 * values["x"]
+    formulas = ("y1 ~ x + x2", "y2 ~ x + x2")
+    spec = ModelSpec(responses=tuple(response_spec(f) for f in formulas))
+    with pytest.raises(RankError, match="^design for response 'y1' is rank deficient"):
+        fit(spec, make_dataset(values))
+
+
+def test_shared_matrix_predictor_is_coded_and_checked_once(monkeypatch):
+    grouped = (MatrixComponent("identity"), MatrixComponent("grouping", "g"))
+    spec = ModelSpec(
+        responses=tuple(
+            response_spec(f"y{r} ~ x", matrix_pred=grouped) for r in range(1, 4)
+        )
+    )
+    coded = _counting(monkeypatch, "grouping_matrix")
+    checked = _counting(monkeypatch, "_check_identifiable")
+    bound = bind(spec, make_dataset(_shared_predictor_rows()))
+    assert len(coded) == 1 and len(checked) == 1
+    assert all(codes is bound.z_codes[0] for codes in bound.z_codes)
+    assert bound.z_owner.tolist() == [0, 0, 1, 1, 2, 2]
+
+
+def test_shared_dependent_matrix_predictor_names_the_first_response():
+    values = _shared_predictor_rows()
+    values["s"] = np.array([f"s{i}" for i in range(len(values["x"]))], dtype=object)
+    dependent = (MatrixComponent("identity"), MatrixComponent("grouping", "s"))
+    spec = ModelSpec(
+        responses=tuple(
+            response_spec(f"y{r} ~ x", matrix_pred=dependent) for r in (1, 2)
+        )
+    )
+    with pytest.raises(ModelSpecError) as info:
+        bind(spec, make_dataset(values))
+    assert str(info.value) == (
+        "response 'y1': matrix predictor components identity, grouping(s) are "
+        "linearly dependent (rank 1 of 2); redundant: grouping(s)"
+    )
