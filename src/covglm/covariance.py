@@ -238,15 +238,13 @@ class JointCovariance:
     factor L_r in one (R, ..., m, m) array: (R, G, m, m) for G clusters of
     m rows, whose C is (G, mR, mR). Each operation on a stack's factors is
     one batched call over all responses. The correlation matrix
-    ``sigma_b``, its Cholesky factor ``sigma_b_chol`` and
-    ``sigma_b_inverse`` K = Sigma_b^-1 depend on rho only, so C holds each
-    once and every stack reads it; a C at the same rho shares them
-    (``build_joint_c``).
+    ``sigma_b`` and ``sigma_b_inverse`` K = Sigma_b^-1 depend on rho only,
+    so C holds each once and every stack reads it; a C at the same rho
+    shares them (``build_joint_c``).
     """
 
     sigma_chols: tuple
     sigma_b: np.ndarray
-    sigma_b_chol: np.ndarray
     sigma_b_inverse: np.ndarray
 
     @cached_property
@@ -265,8 +263,8 @@ def build_joint_c(sigmas, rho, previous=None):
     array of Sigma_r blocks per cluster stack, and each stack is factored
     in one call; Sigma_b is factored once for all of them, and K is formed
     from the inverse of that factor. ``previous``, a ``JointCovariance``
-    at the same rho, lends its Sigma_b, factor and K instead, which were
-    checked when it was built. B is invertible, so C is positive definite
+    at the same rho, lends its Sigma_b and K instead, which were checked
+    when it was built. B is invertible, so C is positive definite
     exactly when Sigma_b is: the factorisations of Sigma_b and of every
     Sigma_r are all the checks C needs, and C itself is never factored.
     """
@@ -282,9 +280,8 @@ def build_joint_c(sigmas, rho, previous=None):
     if previous is not None:
         return replace(previous, sigma_chols=tuple(chols))
     sigma_b = correlation_matrix(np.asarray(rho, dtype=float), len(chols[0]))
-    chol_b = _chol(sigma_b, "between-response correlation matrix")
-    chol_inv = tril_inverse(chol_b)
-    return JointCovariance(tuple(chols), sigma_b, chol_b, chol_inv.T @ chol_inv)
+    chol_inv = tril_inverse(_chol(sigma_b, "between-response correlation matrix"))
+    return JointCovariance(tuple(chols), sigma_b, chol_inv.T @ chol_inv)
 
 
 @dataclass(frozen=True)
@@ -338,7 +335,7 @@ class CovarianceModel:
 
     def build(self, disp, previous=None):
         """The ``JointCovariance`` over every cluster stack. ``previous``, a
-        ``JointCovariance`` at the same rho, lends its Sigma_b, factor and K
+        ``JointCovariance`` at the same rho, lends its Sigma_b and K
         (``build_joint_c``)."""
         # An infinite mean, variance or tau leaves non-finite entries, which
         # ``_sigma`` rejects.

@@ -183,7 +183,7 @@ def _evaluate(bound, beta, disp, means=None, previous=None):
 
     ``means`` is the mean side of a state at the same beta, reused with its
     cached V^(1/2); ``previous`` is the ``JointCovariance`` of a state at
-    the same rho, whose Sigma_b, factor and K are reused
+    the same rho, whose Sigma_b and K are reused
     (``CovarianceModel.build``). ``fit`` passes them, so it evaluates the
     means once per beta and factors Sigma_b once per rho.
     """
@@ -399,33 +399,29 @@ def cross_blocks(bound, beta, disp, state=None):
         return _by_response(grad, state.D, state.columns) - 2.0 * w_d, -w_d.T
 
 
-def _check_ranks(bound):
-    """Raise unless every design has full column rank. Responses that share
-    a design share its matrix, which is checked once, under the first's
-    name."""
-    checked = set()
-    for design, x in zip(bound.designs, bound.x):
-        if id(x) in checked:
-            continue
-        checked.add(id(x))
-        rank = np.linalg.matrix_rank(x)
-        if rank == x.shape[1]:
-            continue
-        where = f"design for response {design.formula.response!r}"
-        # A nonzero column whose norm is under the tolerance bounds the
-        # smallest singular value there: its scale alone fails the test.
-        norms = np.hypot.reduce(x, axis=0)
-        if np.any((norms > 0) & (norms <= rank_tolerance(x))):
-            raise RankError(
-                f"{where}: its columns differ in scale by more than the rank "
-                f"test can resolve (column norms {norms[norms > 0].min():.3g} "
-                f"to {norms.max():.3g}); rescale the covariates"
-            )
-        bad = [design.column_labels[j] for j in redundant_columns(x)]
+def _decompose(design, x):
+    """The thin SVD (U, sigma, V^T) of a design, raising unless it has full
+    column rank by ``np.linalg.matrix_rank``'s rule."""
+    u, sigma, vt = np.linalg.svd(x, full_matrices=False)
+    tol = rank_tolerance(sigma[0], x.shape)
+    rank = np.count_nonzero(sigma > tol)
+    if rank == x.shape[1]:
+        return u, sigma, vt
+    where = f"design for response {design.formula.response!r}"
+    # A nonzero column whose norm is under the tolerance bounds the
+    # smallest singular value there: its scale alone fails the test.
+    norms = np.hypot.reduce(x, axis=0)
+    if np.any((norms > 0) & (norms <= tol)):
         raise RankError(
-            f"{where} is rank deficient (rank {rank} of {x.shape[1]}); "
-            f"redundant columns: {', '.join(bad)}"
+            f"{where}: its columns differ in scale by more than the rank "
+            f"test can resolve (column norms {norms[norms > 0].min():.3g} "
+            f"to {norms.max():.3g}); rescale the covariates"
         )
+    bad = [design.column_labels[j] for j in redundant_columns(x)]
+    raise RankError(
+        f"{where} is rank deficient (rank {rank} of {x.shape[1]}); "
+        f"redundant columns: {', '.join(bad)}"
+    )
 
 
 def _start_mean(y, link_kind, ntrial):
@@ -441,16 +437,23 @@ def _initial_beta(bound):
     """Independence working model: transformed-response least squares
     followed by a few Gauss-Newton refinements with identity covariance.
     Under the identity link the least-squares start is the refinements'
-    fixed point, so none is run."""
+    fixed point, so none is run.
+
+    Responses that share a design share its matrix, which is decomposed
+    once (``_decompose``): a rank-deficient one raises under the first
+    response's name, and every response on it takes its least-squares
+    start V diag(1/sigma) U^T eta from the same SVD."""
+    svds = {}
     blocks = []
-    for r in range(bound.n_responses):
-        x = bound.x[r]
+    for r, (design, x) in enumerate(zip(bound.designs, bound.x)):
+        if id(x) not in svds:
+            svds[id(x)] = _decompose(design, x)
+        u, sigma, vt = svds[id(x)]
         resp = bound.spec.responses[r]
         y = bound.y[r]
         offset = bound.offsets[r]
         mu0 = _start_mean(y, resp.link.kind, bound.ntrials[r])
-        eta0 = resp.link.apply(mu0) - offset
-        b, *_ = np.linalg.lstsq(x, eta0, rcond=None)
+        b = vt.T @ (u.T @ (resp.link.apply(mu0) - offset) / sigma)
         for _ in range(0 if resp.link.kind == "identity" else 4):
             eta = x @ b + offset
             mu = resp.link.inverse(eta)
@@ -586,15 +589,21 @@ class _Trace:
             self.handle.close()
 
 
-def _solve(a, b, what):
-    """np.linalg.solve, with a singular or non-finite system reported as a
-    typed error."""
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+def _require_finite(what, *arrays):
+    """Raise ``DomainError`` unless every entry of the ``what`` system is
+    finite."""
+    if not all(np.isfinite(a).all() for a in arrays):
         raise DomainError(
             f"the {what} system has non-finite entries; the responses are too "
             "large for this model's link and variance",
             origin="estimator",
         )
+
+
+def _solve(a, b, what):
+    """np.linalg.solve, with a singular or non-finite system reported as a
+    typed error."""
+    _require_finite(what, a, b)
     try:
         return np.linalg.solve(a, b)
     except np.linalg.LinAlgError:
@@ -636,7 +645,6 @@ def fit(spec, data, options=None):
     """
     opts = options or FitOptions()
     bound = spec if isinstance(spec, BoundModel) else bind(spec, data)
-    _check_ranks(bound)
     beta = _initial_beta(bound)
     disp = DispersionVector.initial(
         bound.n_responses, [len(c) for c in bound.z_codes]
@@ -699,8 +707,9 @@ def fit(spec, data, options=None):
     var = np.zeros_like(sens)
     var[:k, :k] = var_b
     var[k:, k:] = var_l
-    half = _solve(sens, var, "sandwich")
-    joint_inverse = _solve(sens, half.T, "sandwich").T
+    _require_finite("sandwich", var)
+    inverse = _solve(sens, np.eye(len(sens)), "sandwich")
+    joint_inverse = inverse @ var @ inverse.T
     joint_inverse = 0.5 * (joint_inverse + joint_inverse.T)
     # Warned only once the sandwich exists, so that a fit that fails there
     # reports its error alone.

@@ -191,12 +191,12 @@ def _pair_count(a, b):
     return float(np.sum(np.unique(a * (b.max() + 1) + b, return_counts=True)[1] ** 2))
 
 
-def rank_tolerance(matrix):
-    """``np.linalg.matrix_rank``'s default tolerance for ``matrix``; inf
-    when its largest singular value is within a factor max(shape) of
-    overflow."""
+def rank_tolerance(largest, shape):
+    """``np.linalg.matrix_rank``'s default tolerance for a matrix of
+    ``shape`` whose largest singular value is ``largest``; inf when that is
+    within a factor max(shape) of overflow."""
     with np.errstate(over="ignore"):
-        return np.linalg.norm(matrix, 2) * max(matrix.shape) * np.finfo(float).eps
+        return largest * max(shape) * np.finfo(float).eps
 
 
 def redundant_columns(matrix):
@@ -206,7 +206,7 @@ def redundant_columns(matrix):
     matrix's ``matrix_rank`` tolerance, so exactly as many columns are
     named as the whole matrix lacks in rank.
     """
-    tol = rank_tolerance(matrix)
+    tol = rank_tolerance(np.linalg.norm(matrix, 2), matrix.shape)
     ranks = [0] + [
         np.linalg.matrix_rank(matrix[:, :j], tol=tol) for j in range(1, matrix.shape[1] + 1)
     ]

@@ -403,9 +403,10 @@ def test_per_response_factors_inverted_once(monkeypatch):
     residuals = [(rng.normal(size=shape),) * 2 for shape in shapes]
     weights = [rng.normal(size=(disp.n_free,) + shape) for shape in shapes]
     model.mean_gradient(disp, joint, ms, residuals, weights)
-    factors = list(joint.sigma_chols) + [joint.sigma_b_chol]
-    assert len(inverted) == len(factors)
-    assert all(any(a is f for f in factors) for a in inverted)
+    factors = list(joint.sigma_chols)
+    assert len(inverted) == len(factors) + 1
+    (chol_b,) = [a for a in inverted if not any(a is f for f in factors)]
+    np.testing.assert_array_equal(chol_b, np.linalg.cholesky(joint.sigma_b))
 
 
 def test_build_and_inverse_factor_only_per_response(monkeypatch):

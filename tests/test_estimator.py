@@ -536,6 +536,84 @@ def test_pearson_variability_is_formed_once_per_fit(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize(
+    "kinds, n_designs",
+    [
+        (("constant", "tweedie", "poisson_tweedie"), 1),
+        (("constant", "wide", "poisson_tweedie"), 2),
+    ],
+    ids=["shared", "wide"],
+)
+def test_fit_decomposes_each_distinct_design_once(monkeypatch, kinds, n_designs):
+    # The rank check and every response's least-squares start come from one
+    # SVD of each distinct design: no matrix_rank and no lstsq.
+    data, spec, _, _ = _three_response_problem(kinds)
+    bound = bind(spec, data)
+    assert len({id(x) for x in bound.x}) == n_designs
+    decomposed = []
+    original_svd = np.linalg.svd
+
+    def svd(a, *args, **kwargs):
+        decomposed.append(a)
+        return original_svd(a, *args, **kwargs)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a design is decomposed by its one SVD only")
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    monkeypatch.setattr(np.linalg, "lstsq", refused)
+    monkeypatch.setattr(np.linalg, "matrix_rank", refused)
+    fit(bound, None)
+    assert len(decomposed) == n_designs
+    assert all(any(a is x for x in bound.x) for a in decomposed)
+
+
+def test_sandwich_solves_against_s_once(monkeypatch):
+    # S^-1 is formed once and read on both sides of V; each iteration
+    # solves its coefficient and dispersion Newton systems.
+    from covglm import estimator
+
+    solved = []
+    original = estimator._solve
+
+    def counted(a, b, what):
+        solved.append(what)
+        return original(a, b, what)
+
+    monkeypatch.setattr(estimator, "_solve", counted)
+    data, spec, _, _ = _three_response_problem(
+        ("constant", "tweedie", "poisson_tweedie")
+    )
+    model = fit(spec, data, FitOptions(max_iter=3))
+    assert model.iterations == 3
+    assert solved.count("sandwich") == 1
+    assert len(solved) == 2 * model.iterations + 1
+
+
+@pytest.mark.parametrize(
+    "formulas",
+    [("y1 ~ x", "y2 ~ x", "y3 ~ x"), ("y1 ~ x", "y2 ~ x + w", "y3 ~ x * w")],
+    ids=["shared", "widths"],
+)
+def test_identity_link_start_is_least_squares(formulas):
+    # Under the identity link no refinement runs, so each response's start
+    # is its least-squares solution, with np.linalg.lstsq as the oracle.
+    from covglm import estimator
+
+    rng = np.random.default_rng(16)
+    n = 40
+    x, w = rng.normal(size=(2, n))
+    columns = {"x": x, "w": 1.0 + w}
+    for r in (1, 2, 3):
+        columns[f"y{r}"] = r + 0.5 * x - r * w + rng.normal(size=n)
+    bound = bind(gaussian_spec(*formulas), make_dataset(columns))
+    start = estimator._initial_beta(bound)
+    spans = estimator._beta_spans(bound.designs)
+    for x_r, y, offset, span in zip(bound.x, bound.y, bound.offsets, spans):
+        oracle = np.linalg.lstsq(x_r, y - offset, rcond=None)[0]
+        assert np.max(np.abs(start[span] - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+
 def test_psi_norms_small_at_convergence():
     data, _, _ = simulate_gaussian(6)
     opts = FitOptions()
