@@ -19,12 +19,16 @@ def _is_missing(token):
     return token.strip().lower() in _MISSING_TOKENS
 
 
-def _parses_numeric(token):
-    try:
-        float(token)
-    except ValueError:
-        return False
-    return True
+def _numeric(cells):
+    """``(values, None)``, the cells as floats with NaN where missing, or
+    ``(None, i)`` at the first cell ``i`` that does not parse."""
+    values = np.empty(len(cells))
+    for i, cell in enumerate(cells):
+        try:
+            values[i] = np.nan if _is_missing(cell) else float(cell)
+        except ValueError:
+            return None, i
+    return values, None
 
 
 class Dataset:
@@ -81,22 +85,13 @@ class Dataset:
                     f"column {name!r}: invalid type override {forced!r} "
                     "(use 'numeric' or 'factor')"
                 )
-            present = [c for c in cells if not _is_missing(c)]
-            numeric = all(_parses_numeric(c) for c in present) if forced is None else (
-                forced == "numeric"
-            )
-            if numeric:
-                values = np.empty(len(cells), dtype=float)
-                for i, c in enumerate(cells):
-                    if _is_missing(c):
-                        values[i] = np.nan
-                    elif _parses_numeric(c):
-                        values[i] = float(c)
-                    else:
-                        raise DataError(
-                            f"column {name!r} forced numeric but entry {c!r} "
-                            f"(row {i + 2}) does not parse"
-                        )
+            values, bad = (None, None) if forced == "factor" else _numeric(cells)
+            if bad is not None and forced == "numeric":
+                raise DataError(
+                    f"column {name!r} forced numeric but entry {cells[bad]!r} "
+                    f"(row {bad + 2}) does not parse"
+                )
+            if values is not None:
                 columns[name] = values
                 kinds[name] = "numeric"
             else:

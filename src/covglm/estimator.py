@@ -198,16 +198,16 @@ def _quasi_pieces(state):
     """psi_beta = D^T C^-1 r and D^T C^-1 D, summed over the cluster stacks
     as D~^T z and D~^T S^-1 D~ with D~ = B^-1 D. D is block diagonal by
     response, so block a of psi_beta is D~_a^T z_a and block (a, t) of
-    D~^T S^-1 D~ is D~_a^T (K_at D~_t), with K = Sigma_b^-1."""
+    D~^T S^-1 D~ is K_at D~_a^T D~_t, with K = Sigma_b^-1."""
     n_resp, _, k = state.D.shape
-    k_inv = state.joint.sigma_b_inverse[:, :, None, None]
     psi = np.zeros((n_resp, k))
     gram = np.zeros((n_resp, n_resp, k, k))
     with np.errstate(over="ignore", invalid="ignore"):
         for (_, z), d_white in zip(state.whitened, state.d_whitened):
             flat = d_white.reshape(n_resp, -1, k)
             psi += (z.reshape(n_resp, 1, -1) @ flat)[:, 0]
-            gram += np.swapaxes(flat, 1, 2)[:, None] @ (k_inv * flat)
+            gram += np.swapaxes(flat, 1, 2)[:, None] @ flat
+        gram *= state.joint.sigma_b_inverse[:, :, None, None]
     # (a, t, i, j) -> (a, i, t, j): row a i, column t j of D~^T S^-1 D~.
     cols = state.columns.ravel()
     variability = gram.transpose(0, 2, 1, 3).reshape(len(cols), -1)[cols][:, cols]
@@ -434,46 +434,23 @@ def _start_mean(y, link_kind, ntrial):
 
 
 def _initial_beta(bound):
-    """Independence working model: transformed-response least squares
-    followed by a few Gauss-Newton refinements with identity covariance.
-    Under the identity link the least-squares start is the refinements'
-    fixed point, so none is run.
+    """Independence working model: each response's start is the least-squares
+    fit, on the link scale, of its clipped means (``_start_mean``) less the
+    offset. The coefficient steps of ``fit`` take it from there.
 
     Responses that share a design share its matrix, which is decomposed
     once (``_decompose``): a rank-deficient one raises under the first
-    response's name, and every response on it takes its least-squares
-    start V diag(1/sigma) U^T eta from the same SVD."""
+    response's name, and every response on it takes its start
+    V diag(1/sigma) U^T eta from the same SVD."""
     svds = {}
     blocks = []
     for r, (design, x) in enumerate(zip(bound.designs, bound.x)):
         if id(x) not in svds:
             svds[id(x)] = _decompose(design, x)
         u, sigma, vt = svds[id(x)]
-        resp = bound.spec.responses[r]
-        y = bound.y[r]
-        offset = bound.offsets[r]
-        mu0 = _start_mean(y, resp.link.kind, bound.ntrials[r])
-        b = vt.T @ (u.T @ (resp.link.apply(mu0) - offset) / sigma)
-        for _ in range(0 if resp.link.kind == "identity" else 4):
-            eta = x @ b + offset
-            mu = resp.link.inverse(eta)
-            grad = resp.link.deriv(mu)[:, None] * x
-            try:
-                # An overflowing normal system ends the refinement below.
-                with np.errstate(over="ignore", invalid="ignore"):
-                    step = np.linalg.solve(grad.T @ grad, grad.T @ (y - mu))
-            except np.linalg.LinAlgError:
-                break
-            if not np.isfinite(step).all():
-                break
-            candidate = b + step
-            eta_next = x @ candidate + offset
-            # Refinement must not run the mean into a saturated link,
-            # where the variance function loses its domain.
-            if np.max(np.abs(eta_next)) > 30.0:
-                break
-            b = candidate
-        blocks.append(b)
+        link = bound.spec.responses[r].link
+        mu0 = _start_mean(bound.y[r], link.kind, bound.ntrials[r])
+        blocks.append(vt.T @ (u.T @ (link.apply(mu0) - bound.offsets[r]) / sigma))
     return np.concatenate(blocks)
 
 

@@ -75,54 +75,33 @@ def render_summary(model):
     """Human-readable estimate/standard-error listing for a fit."""
     errors = model.standard_errors()
     labels = model.labels
+    theta = np.concatenate([model.beta_hat, model.lambda_hat.flatten()])
+    headers = ("Parameter", "Estimate", "Std.Error")
+
+    def row(i, *term):
+        return (labels[i], *term, fmt_stat(theta[i]), fmt_stat(errors[i]))
+
     lines = ["Model fit summary", ""]
-    for r in range(model.n_responses):
-        design = model.design[r]
-        resp = model.spec.responses[r]
+    for design, resp, span in zip(model.design, model.spec.responses, model.beta_spans):
         lines.append(f"Call: {design.formula.text}")
         lines.append(
             f"Link: {resp.link.kind}   Variance: {resp.variance.kind} "
             f"(power {resp.variance.power:g})"
         )
         lines.append("")
-        span = model.beta_spans[r]
-        rows = []
-        for j in range(span.start, span.stop):
-            rows.append(
-                (
-                    labels[j],
-                    design.column_labels[j - span.start],
-                    fmt_stat(model.beta_hat[j]),
-                    fmt_stat(errors[j]),
-                )
-            )
+        terms = enumerate(design.column_labels, start=span.start)
+        rows = [row(j, term) for j, term in terms]
         lines.extend(_summary_block(("Parameter", "Term", "Estimate", "Std.Error"), rows))
         lines.append("")
     n_beta = model.n_beta
     n_rho = model.n_rho
-    disp_rows = []
-    for i in range(n_beta + n_rho, len(labels)):
-        disp_rows.append(
-            (
-                labels[i],
-                fmt_stat(_theta_full(model)[i]),
-                fmt_stat(errors[i]),
-            )
-        )
     lines.append("Dispersion:")
-    lines.extend(_summary_block(("Parameter", "Estimate", "Std.Error"), disp_rows))
+    taus = range(n_beta + n_rho, len(labels))
+    lines.extend(_summary_block(headers, [row(i) for i in taus]))
     if n_rho:
         lines.append("")
         lines.append("Between-response correlations:")
-        rho_rows = [
-            (
-                labels[n_beta + i],
-                fmt_stat(model.lambda_hat.rho[i]),
-                fmt_stat(errors[n_beta + i]),
-            )
-            for i in range(n_rho)
-        ]
-        lines.extend(_summary_block(("Parameter", "Estimate", "Std.Error"), rho_rows))
+        lines.extend(_summary_block(headers, [row(n_beta + i) for i in range(n_rho)]))
     lines.append("")
     status = "yes" if model.converged else "NO"
     lines.append(
@@ -130,10 +109,6 @@ def render_summary(model):
         f"N: {model.n_obs} ({model.n_dropped} rows dropped)"
     )
     return "\n".join(lines) + "\n"
-
-
-def _theta_full(model):
-    return np.concatenate([model.beta_hat, model.lambda_hat.flatten()])
 
 
 def _summary_block(headers, rows):

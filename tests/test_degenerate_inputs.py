@@ -104,7 +104,8 @@ def _huge_response():
 
 
 def _huge_log_mean():
-    # The starting Gauss-Newton system overflows for means of order 1e300.
+    # Means of order 1e300 overflow the covariance of every halved
+    # coefficient step of the first iteration.
     rng = np.random.default_rng(13)
     columns = {"y": 1e300 * rng.uniform(1.0, 2.0, size=N), "x": rng.normal(size=N)}
     return columns, [_response("y ~ x", "log", "tweedie")]

@@ -570,47 +570,84 @@ def test_fit_decomposes_each_distinct_design_once(monkeypatch, kinds, n_designs)
 
 def test_sandwich_solves_against_s_once(monkeypatch):
     # S^-1 is formed once and read on both sides of V; each iteration
-    # solves its coefficient and dispersion Newton systems.
+    # solves its coefficient and dispersion Newton systems. The start of
+    # the two log-link responses is least squares from the design's SVD,
+    # so these are the only np.linalg.solve calls of the fit.
     from covglm import estimator
 
     solved = []
     original = estimator._solve
+    original_solve = np.linalg.solve
+    lapack_solves = []
 
     def counted(a, b, what):
         solved.append(what)
         return original(a, b, what)
 
+    def solve(a, b):
+        lapack_solves.append(a)
+        return original_solve(a, b)
+
     monkeypatch.setattr(estimator, "_solve", counted)
+    monkeypatch.setattr(np.linalg, "solve", solve)
     data, spec, _, _ = _three_response_problem(
         ("constant", "tweedie", "poisson_tweedie")
     )
     model = fit(spec, data, FitOptions(max_iter=3))
     assert model.iterations == 3
     assert solved.count("sandwich") == 1
-    assert len(solved) == 2 * model.iterations + 1
+    assert len(solved) == len(lapack_solves) == 2 * model.iterations + 1
 
 
 @pytest.mark.parametrize(
-    "formulas",
-    [("y1 ~ x", "y2 ~ x", "y3 ~ x"), ("y1 ~ x", "y2 ~ x + w", "y3 ~ x * w")],
-    ids=["shared", "widths"],
+    "formulas, link",
+    [
+        (("y1 ~ x", "y2 ~ x", "y3 ~ x"), "identity"),
+        (("y1 ~ x", "y2 ~ x + w", "y3 ~ x * w"), "identity"),
+        (("y1 ~ x", "y2 ~ x + w", "y3 ~ x * w"), "log"),
+        (("y1 ~ x", "y2 ~ x + w", "y3 ~ x * w"), "logit"),
+    ],
+    ids=["shared", "widths", "log", "logit"],
 )
-def test_identity_link_start_is_least_squares(formulas):
-    # Under the identity link no refinement runs, so each response's start
-    # is its least-squares solution, with np.linalg.lstsq as the oracle.
+def test_identity_link_start_is_least_squares(formulas, link):
+    # Under every link each response's start is the least-squares fit, on
+    # the link scale, of its clipped starting means less the offset, with
+    # np.linalg.lstsq as the oracle; the identity link takes y itself.
     from covglm import estimator
 
     rng = np.random.default_rng(16)
     n = 40
     x, w = rng.normal(size=(2, n))
-    columns = {"x": x, "w": 1.0 + w}
+    trials = rng.integers(1, 8, size=n).astype(float)
+    columns = {"x": x, "w": 1.0 + w, "off": rng.uniform(-0.3, 0.3, size=n), "m": trials}
     for r in (1, 2, 3):
-        columns[f"y{r}"] = r + 0.5 * x - r * w + rng.normal(size=n)
-    bound = bind(gaussian_spec(*formulas), make_dataset(columns))
+        eta = 0.1 * r + 0.5 * x - 0.2 * r * w
+        columns[f"y{r}"] = {
+            "identity": r + 0.5 * x - r * w + rng.normal(size=n),
+            "log": rng.poisson(np.exp(eta)).astype(float),
+            "logit": rng.binomial(trials.astype(int), 1.0 / (1.0 + np.exp(-eta))) / trials,
+        }[link]
+    variance, ntrial, offset = {
+        "identity": ("constant", None, None),
+        "log": ("poisson_tweedie", None, "off"),
+        "logit": ("binomialP", "m", "off"),
+    }[link]
+    spec = ModelSpec(
+        responses=tuple(
+            response_spec(
+                f, link=link, variance=variance, offset_column=offset, ntrial_column=ntrial
+            )
+            for f in formulas
+        )
+    )
+    bound = bind(spec, make_dataset(columns))
     start = estimator._initial_beta(bound)
     spans = estimator._beta_spans(bound.designs)
-    for x_r, y, offset, span in zip(bound.x, bound.y, bound.offsets, spans):
-        oracle = np.linalg.lstsq(x_r, y - offset, rcond=None)[0]
+    for r, (x_r, span) in enumerate(zip(bound.x, spans)):
+        resp = bound.spec.responses[r]
+        mu0 = estimator._start_mean(bound.y[r], link, bound.ntrials[r])
+        eta = resp.link.apply(mu0) - bound.offsets[r]
+        oracle = np.linalg.lstsq(x_r, eta, rcond=None)[0]
         assert np.max(np.abs(start[span] - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
 
