@@ -4,8 +4,8 @@ The adjusted-means matrix has one row per observed combination of the
 requested factors, each row being the design encoding of that combination
 (other factors at their reference level, numeric covariates at their
 sample mean). Differencing every pair of rows yields the contrast matrix;
-all contrasts of a table are Wald-tested as one stack, with
-Bonferroni-corrected p-values.
+all contrasts of a function's tables are Wald-tested as one stack, with
+p-values Bonferroni-corrected per table.
 """
 
 import itertools
@@ -94,41 +94,48 @@ def _contrast_set(design, factors, data):
     )
 
 
-def _contrast_rows(model, constraints, labels, where):
-    """Table rows for a ``(m, s, h)`` stack of contrast constraints.
+def _contrast_rows(model, blocks):
+    """Table rows for each ``(constraints, labels, where)`` block.
 
-    One stacked Wald call and one chi-square call cover the whole table;
-    p-values are multiplied by the number of contrasts m and capped at one
-    (Bonferroni).
+    Every block holds an ``(m, s, h)`` stack of contrast constraints with
+    the same s. One stacked Wald call and one chi-square call cover every
+    block; p-values are multiplied by their block's number of contrasts m
+    and capped at one (Bonferroni).
     """
-    m, s, _ = constraints.shape
+    stacks, label_blocks, wheres = zip(*blocks)
+    counts = [len(stack) for stack in stacks]
+    labels = [label for block in label_blocks for label in block]
+    constraints = np.concatenate(stacks)
     try:
         stats, df = wald_statistic(
-            model.theta_star, model.godambe_inv, constraints, np.zeros((m, s))
+            model.theta_star,
+            model.godambe_inv,
+            constraints,
+            np.zeros(constraints.shape[:2]),
         )
     except (RankError, SingularHypothesisError) as exc:
+        where = wheres[np.searchsorted(np.cumsum(counts), exc.index, side="right")]
         raise type(exc)(f"contrast {labels[exc.index]} ({where}): {exc}") from None
-    p_values = np.minimum(1.0, chisq_sf(stats, df) * m)
-    return tuple(
-        TestResult(label=label, df=df, statistic=stat, p_value=p)
-        for label, stat, p in zip(labels, stats.tolist(), p_values.tolist())
-    )
+    p_values = np.minimum(1.0, chisq_sf(stats, df) * np.repeat(counts, counts))
+    rows = zip(labels, itertools.repeat(df), stats.tolist(), p_values.tolist())
+    rows = itertools.starmap(TestResult, rows)
+    return [tuple(itertools.islice(rows, m)) for m in counts]
 
 
 def multiple_comparisons(model, effects, data):
     """Per-response pairwise comparisons with Bonferroni correction.
 
     ``effects[r]`` names the factors whose level combinations are compared
-    for response r. Every contrast is a single-constraint Wald test; the
-    reported p-values are multiplied by the number of contrasts and capped
-    at one.
+    for response r. Every contrast is a single-constraint Wald test, and
+    one stacked Wald call covers every response; the reported p-values are
+    multiplied by the response's number of contrasts and capped at one.
     """
     if len(effects) != model.n_responses:
         raise OptionError("one factor list per response")
     data, _ = complete_rows(model.spec, data)
     h = len(model.theta_star_labels)
     shared = {}  # designs with the same terms over the same rows encode alike
-    tables = []
+    blocks = []
     for r in range(model.n_responses):
         key = (model.design[r].terms, tuple(effects[r]))
         if key not in shared:
@@ -136,18 +143,16 @@ def multiple_comparisons(model, effects, data):
         cs = shared[key]
         constraints = np.zeros((len(cs.contrasts), 1, h))
         constraints[:, 0, model.beta_spans[r]] = cs.contrasts
-        rows = _contrast_rows(
-            model, constraints, cs.contrast_labels, f"response {r + 1}"
+        blocks.append((constraints, cs.contrast_labels, f"response {r + 1}"))
+    return [
+        TestTable(
+            title="Multiple comparisons test for each outcome using Wald statistic",
+            caption=design.formula.text,
+            label_header="Contrast",
+            rows=rows,
         )
-        tables.append(
-            TestTable(
-                title="Multiple comparisons test for each outcome using Wald statistic",
-                caption=model.design[r].formula.text,
-                label_header="Contrast",
-                rows=rows,
-            )
-        )
-    return tables
+        for design, rows in zip(model.design, _contrast_rows(model, blocks))
+    ]
 
 
 def joint_multiple_comparisons(model, effects, data):
@@ -167,5 +172,7 @@ def joint_multiple_comparisons(model, effects, data):
         title="Multivariate multiple comparisons test using Wald statistic",
         caption=_predictor_caption(model),
         label_header="Contrast",
-        rows=_contrast_rows(model, constraints, cs.contrast_labels, "all responses"),
+        rows=_contrast_rows(
+            model, [(constraints, cs.contrast_labels, "all responses")]
+        )[0],
     )

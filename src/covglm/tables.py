@@ -21,8 +21,6 @@ number of responses.
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
 from .chisq import chisq_sf
 from .errors import OptionError, PredictorMismatch, RankError, SingularHypothesisError
 from .formula import term_label
@@ -147,8 +145,8 @@ def manova(model, kind):
     infos = _term_columns(model.design[0], 0)
     tests = []
     for i, (_, label, _) in enumerate(infos):
-        cols = np.asarray(_selected_columns(kind, infos, i))
-        joint = np.concatenate([span.start + cols for span in model.beta_spans])
+        cols = _selected_columns(kind, infos, i)
+        joint = [span.start + c for span in model.beta_spans for c in cols]
         tests.append((joint, label, f"term {label} (all responses)"))
     return TestTable(
         title=f"MANOVA type {_ROMAN[kind]} using Wald statistic for fixed effects",

@@ -9,6 +9,7 @@ with as many degrees of freedom as constraints.
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,8 +35,7 @@ class Hypothesis:
         self.c.flags.writeable = False
 
 
-@dataclass(frozen=True)
-class TestResult:
+class TestResult(NamedTuple):
     """One table row: label, degrees of freedom, statistic, p-value."""
 
     __test__ = False  # domain type, not a pytest class
@@ -122,6 +122,20 @@ def _failing_factor(middle):
             return i
 
 
+def _singular_cause(block):
+    """Why a symmetric L J L^T block has no Cholesky factor."""
+    eigenvalues = np.linalg.eigvalsh(block)
+    if eigenvalues[0] < -1e-8 * np.abs(eigenvalues).max():
+        return (
+            "L J L^T has a negative eigenvalue; the inverse Godambe matrix "
+            "is indefinite on these parameters"
+        )
+    return (
+        "L J L^T is singular; the hypothesis rows are redundant "
+        "under this model's information matrix"
+    )
+
+
 def _quadratic_forms(middle, gap, stacked):
     """gap_i^T middle_i^-1 gap_i for each entry of a ``(m, s, s)`` stack.
 
@@ -134,11 +148,11 @@ def _quadratic_forms(middle, gap, stacked):
         try:
             chol = np.linalg.cholesky(middle)
         except np.linalg.LinAlgError:
+            failing = _failing_factor(middle)
             raise _located(
                 SingularHypothesisError,
-                "L J L^T is singular; the hypothesis rows are redundant "
-                "under this model's information matrix",
-                np.flatnonzero(live)[_failing_factor(middle)],
+                _singular_cause(middle[failing]),
+                np.flatnonzero(live)[failing],
                 stacked,
             ) from None
         # gap^T (C C^T)^-1 gap = |C^-1 gap|^2, every gap whitened in one
@@ -148,33 +162,103 @@ def _quadratic_forms(middle, gap, stacked):
     return stats
 
 
-def _column_sets(theta, inverse_information, sets):
-    """Statistics and df of theta[S_i] = 0 for each column set S_i.
+def _padded(theta, inverse_information, orders):
+    """J[S, S] and theta[S] for each column order S, as one stack.
 
-    Each set is padded to the largest with columns of an identity block
-    appended to J, whose theta entries are zero, so one batched solve
-    covers every set.
+    Orders of unequal length are padded to the longest with columns of an
+    identity block appended to J, whose theta entries are zero.
     """
-    for i, cols in enumerate(sets):
-        if not len(cols) or len(set(cols)) < len(cols):
-            raise _located(RankError, "column set is empty or repeats a column", i, True)
-    sizes = np.array([len(cols) for cols in sets])
-    h, width = len(theta), sizes.max()
-    mask = np.arange(width) < sizes[:, None]
+    sizes = [len(cols) for cols in orders]
+    h, width = len(theta), max(sizes)
+    if min(sizes) == width:
+        index = np.array(orders)
+        return inverse_information[index[:, :, None], index[:, None, :]], theta[index]
+    mask = np.arange(width) < np.array(sizes)[:, None]
     index = np.where(mask, 0, h + np.arange(width))
-    index[mask] = np.concatenate(sets)
+    index[mask] = np.concatenate(orders)
     padded = np.eye(h + width)
     padded[:h, :h] = inverse_information
     gap = np.concatenate([theta, np.zeros(width)])[index]
-    return _quadratic_forms(padded[index[:, :, None], index[:, None, :]], gap, True), sizes
+    return padded[index[:, :, None], index[:, None, :]], gap
+
+
+def _chain_statistics(theta, inverse_information, sets, members, runs):
+    """Statistics of column sets that form chains, one factor per chain.
+
+    Each run ``(start, end)`` of ``sets`` is a chain: each of its sets
+    strictly contains the next. Its columns are ordered innermost set
+    first, so every set is a leading block: with J on that order factored
+    as C C^T, the statistic of the leading n columns is the sum of the
+    first n squares of C^-1 theta. Raises ``np.linalg.LinAlgError`` when a
+    chain's factor fails.
+    """
+    width = max(len(sets[start]) for start, _ in runs)
+    orders, picks = [], []
+    for k, (start, end) in enumerate(runs):
+        order = list(sets[end - 1])
+        for i in range(end - 2, start - 1, -1):
+            order.extend(c for c in sets[i] if c not in members[i + 1])
+        orders.append(order)
+        picks.extend(k * width + len(sets[i]) - 1 for i in range(start, end))
+    middle, gap = _padded(theta, inverse_information, orders)
+    chol = np.linalg.cholesky(0.5 * (middle + middle.transpose(0, 2, 1)))
+    whitened = np.linalg.solve(chol, gap[..., None])[..., 0]
+    stats = np.cumsum(whitened * whitened, axis=1).ravel()[picks]
+    if not gap[:, 0].all():
+        # A set whose gap is exactly zero reads exactly 0.0, as in the padded
+        # path; its gap is a leading block, so its chain's first entry is 0.
+        stats[np.cumsum(gap != 0, axis=1).ravel()[picks] == 0] = 0.0
+    return stats
+
+
+def _chains(members):
+    """``(start, end)`` of each run of sets in which each strictly contains
+    the next, or None as soon as a set stands alone in its run."""
+    runs, start = [], 0
+    for i in range(1, len(members) + 1):
+        if i == len(members) or not members[i] < members[i - 1]:
+            if i - start < 2:
+                return None
+            runs.append((start, i))
+            start = i
+    return runs
+
+
+def _column_sets(theta, inverse_information, sets):
+    """Statistics and df of theta[S_i] = 0 for each column set S_i.
+
+    When the sets split into runs of two or more in which each strictly
+    contains the next (the type-I rows of a table), each run shares one
+    factor. Any other stack, or one whose chain factor fails, pads every
+    set to the largest and factors each.
+    """
+    members = [set(cols) for cols in sets]
+    for i, (cols, unique) in enumerate(zip(sets, members)):
+        if not len(cols) or len(unique) < len(cols):
+            raise _located(RankError, "column set is empty or repeats a column", i, True)
+    sizes = np.array([len(cols) for cols in sets])
+    runs = _chains(members)
+    if runs is not None:
+        try:
+            return (
+                _chain_statistics(theta, inverse_information, sets, members, runs),
+                sizes,
+            )
+        except np.linalg.LinAlgError:
+            pass  # the padded path names the failing set
+    middle, gap = _padded(theta, inverse_information, sets)
+    return _quadratic_forms(middle, gap, True), sizes
 
 
 def wald_statistic(theta, inverse_information, constraint, rhs):
     """The Wald quadratic form for L theta = c.
 
-    Returns ``(statistic, df)``; raises on a rank-deficient L or a singular
-    middle matrix (no pseudo-inverse is attempted; a singular L J L^T
-    signals a redundant hypothesis the caller should fix).
+    Returns ``(statistic, df)``; raises on a rank-deficient L or a middle
+    matrix without a Cholesky factor (no pseudo-inverse is attempted; a
+    singular L J L^T signals a redundant hypothesis the caller should fix,
+    one with a negative eigenvalue an indefinite J). Rows with pairwise
+    disjoint supports have full rank exactly when none is zero, so only
+    hypotheses whose rows share a column are ranked by an SVD.
 
     ``constraint`` may also be a stack of m hypotheses with the same number
     of rows, shape ``(m, s, h)``, with ``rhs`` of shape ``(m, s)``; the
@@ -186,7 +270,7 @@ def wald_statistic(theta, inverse_information, constraint, rhs):
     result is ``(statistics, df)`` with the m set sizes as df.
 
     In either stack, a hypothesis that holds exactly (zero gap) has
-    statistic 0.0 and its middle matrix is never factored. An error from a
+    statistic 0.0 and no error names it. An error from a
     stack names the failing entry and sets it as the exception's ``index``
     attribute.
     """
@@ -201,11 +285,13 @@ def wald_statistic(theta, inverse_information, constraint, rhs):
         raise ValueError(
             f"constraint matrix has {h} columns for {len(theta)} parameters"
         )
-    if s == 1:
-        # A single row has full rank exactly when it is nonzero.
-        deficient = ~constraint[:, 0].any(axis=1)
-    else:
-        deficient = np.linalg.matrix_rank(constraint) < s
+    # Rows with pairwise-disjoint supports have full rank exactly when none
+    # is zero; only entries whose rows share a column need an SVD.
+    nonzero = constraint != 0
+    deficient = ~nonzero.any(axis=2).all(axis=1)
+    overlapping = (nonzero.sum(axis=1) > 1).any(axis=1)
+    if overlapping.any():
+        deficient[overlapping] = np.linalg.matrix_rank(constraint[overlapping]) < s
     if deficient.any():
         raise _located(
             RankError,

@@ -221,20 +221,33 @@ def test_pairwise_order_matches_combinations():
 
 
 def test_one_stacked_wald_call_per_table(monkeypatch):
+    # One Wald call and one chi-square call per function: the per-response
+    # tables share one stack, and each keeps its own Bonferroni count.
     model, data = _two_factor_fit()
+    h = len(model.theta_star_labels)
     calls = []
-    real = multcomp.wald_statistic
+    real_wald, real_sf = multcomp.wald_statistic, multcomp.chisq_sf
 
     def counted(*args):
         calls.append(np.shape(args[2]))
-        return real(*args)
+        return real_wald(*args)
+
+    def counted_sf(*args):
+        calls.append("chisq_sf")
+        return real_sf(*args)
 
     monkeypatch.setattr("covglm.multcomp.wald_statistic", counted)
-    tables = multiple_comparisons(model, [["METHOD", "SEX"]] * 2, data)
-    assert calls == [(6, 1, len(model.theta_star_labels))] * len(tables)
+    monkeypatch.setattr("covglm.multcomp.chisq_sf", counted_sf)
+    tables = multiple_comparisons(model, [["METHOD"], ["METHOD", "SEX"]], data)
+    assert calls == [(1 + 6, 1, h), "chisq_sf"]
+    assert [len(table.rows) for table in tables] == [1, 6]
+    for table in tables:
+        for row in table.rows:
+            raw = real_sf(row.statistic, row.df)
+            assert row.p_value == pytest.approx(min(1.0, raw * len(table.rows)), rel=1e-12)
     calls.clear()
     joint_multiple_comparisons(model, ["METHOD", "SEX"], data)
-    assert calls == [(6, 2, len(model.theta_star_labels))]
+    assert calls == [(6, 2, h), "chisq_sf"]
 
 
 def test_degenerate_contrast_error_names_contrast_and_response():

@@ -299,3 +299,35 @@ def test_singular_block_error_names_the_row(factorial_fit):
     assert str(info.value).startswith("term water:pot (response 2): ")
     with pytest.raises(SingularHypothesisError, match=r"^term water:pot \(all responses\): "):
         manova(broken, 3)
+
+
+def test_indefinite_block_error_names_the_information_matrix(factorial_fit):
+    model = factorial_fit
+    start, _ = model.design[1].span(("water", "pot"))
+    column = model.beta_spans[1].start + start + 1
+    j = model.joint_inverse.copy()
+    j[column, column] = -j[column, column]  # a negative variance
+    broken = dataclasses.replace(model, joint_inverse=j)
+    with pytest.raises(SingularHypothesisError) as info:
+        anova(broken, 3)
+    message = str(info.value)
+    assert message.startswith("term water:pot (response 2): ")
+    assert "the inverse Godambe matrix is indefinite on these parameters" in message
+    assert "redundant" not in message
+
+
+@pytest.mark.parametrize("kind", [1, 2])
+def test_singular_block_in_nested_rows_names_the_first_failing_row(factorial_fit, kind):
+    # Type-I rows (and type II's pot, water:pot pair) nest and share one
+    # factor; a singular block still names the first row that holds it.
+    model = factorial_fit
+    start, _ = model.design[1].span(("water", "pot"))
+    column = model.beta_spans[1].start + start + 1
+    j = model.joint_inverse.copy()
+    j[column, :] = j[:, column] = 0.0
+    broken = dataclasses.replace(model, joint_inverse=j)
+    first = {1: "Intercept", 2: "water"}[kind]
+    with pytest.raises(SingularHypothesisError, match=rf"^term {first} \(response 2\): "):
+        anova(broken, kind)
+    with pytest.raises(SingularHypothesisError, match=rf"^term {first} \(all responses\): "):
+        manova(broken, kind)

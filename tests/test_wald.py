@@ -15,6 +15,9 @@ from covglm.errors import (
 )
 from covglm.estimator import fit
 from covglm.wald import (
+    TestResult,
+    _padded,
+    _quadratic_forms,
     parse_hypothesis,
     wald_statistic,
     wald_test,
@@ -380,3 +383,180 @@ def test_column_set_singular_block_raises_naming_entry():
         wald_statistic(theta, j_inv, [[0, 1], [2, 3], [4]], None)
     assert info.value.index == 1
 
+
+def test_disjoint_row_stack_checks_rank_without_svd(monkeypatch):
+    # Rows with pairwise-disjoint supports have full rank exactly when none
+    # is zero, however their norms differ.
+    def no_svd(*args, **kwargs):
+        raise AssertionError("matrix_rank called on disjoint-row constraints")
+
+    rng = np.random.default_rng(51)
+    h = 7
+    theta = rng.normal(size=h)
+    j_inv = _spd(rng, h)
+    constraint = np.zeros((4, 3, h))
+    for entry in constraint:
+        for row, cols in zip(entry, np.array_split(rng.permutation(h)[:6], 3)):
+            row[cols] = rng.normal(size=len(cols))
+    unit = constraint.copy()
+    constraint[1, 2] *= 1e-150
+    monkeypatch.setattr(np.linalg, "matrix_rank", no_svd)
+    stats, df = wald_statistic(theta, j_inv, constraint[:3], np.zeros((3, 3)))
+    scaled, _ = wald_statistic(theta, j_inv, unit[:3], np.zeros((3, 3)))
+    assert df == 3 and _rel(stats, scaled) <= 1e-12
+    constraint[2, 1] = 0.0
+    with pytest.raises(RankError, match="stack entry 2") as info:
+        wald_statistic(theta, j_inv, constraint, np.zeros((4, 3)))
+    assert info.value.index == 2
+
+
+def test_overlapping_rows_are_ranked_by_svd(monkeypatch):
+    ranked = []
+    real = np.linalg.matrix_rank
+
+    def counted(matrices, *args, **kwargs):
+        ranked.append(np.shape(matrices))
+        return real(matrices, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "matrix_rank", counted)
+    rng = np.random.default_rng(52)
+    h = 5
+    constraint = np.zeros((3, 2, h))
+    constraint[:, 0, 0] = constraint[:, 1, 1] = 1.0  # disjoint
+    constraint[1, 1] = [1.0, 1.0, 0.0, 0.0, 2.0]  # shares column 0 with row 0
+    stats, _ = wald_statistic(rng.normal(size=h), _spd(rng, h), constraint, np.zeros((3, 2)))
+    assert ranked == [(1, 2, h)] and np.all(stats > 0)
+    ranked.clear()
+    constraint[2, 1] = constraint[2, 0]  # a duplicated row
+    with pytest.raises(RankError, match="stack entry 2") as info:
+        wald_statistic(np.ones(h), np.eye(h), constraint, np.zeros((3, 2)))
+    assert ranked == [(2, 2, h)] and info.value.index == 2
+
+
+def _padded_path(theta, j_inv, sets):
+    """Statistics of column sets with every set padded and factored alone."""
+    return _quadratic_forms(*_padded(theta, j_inv, sets), True)
+
+
+def _chain(rng, columns, length):
+    """``length`` strictly nested sets over ``columns``, outermost first,
+    each set's columns in a random order."""
+    cuts = np.sort(rng.choice(np.arange(1, len(columns)), size=length - 1, replace=False))
+    sets = [columns] + [columns[cut:] for cut in cuts]
+    return [rng.permutation(cols).tolist() for cols in sets]
+
+
+@PROPERTY_SETTINGS
+@given(seed=st.integers(0, 2**16), groups=st.lists(st.integers(0, 4), min_size=1, max_size=6))
+def test_nested_chains_match_padded_path(seed, groups):
+    # Each group is a chain of that many nested sets, or (0) one set that
+    # need not nest with its neighbours.
+    rng = np.random.default_rng(seed)
+    h = 12
+    theta = rng.normal(size=h)
+    j_inv = _spd(rng, h)
+    sets = []
+    for length in groups:
+        columns = rng.permutation(h)[: int(rng.integers(max(length, 1), h + 1))]
+        if length:
+            sets.extend(_chain(rng, columns, length) if length > 1 else [columns.tolist()])
+        else:
+            sets.append(columns.tolist())
+    stats, df = wald_statistic(theta, j_inv, sets, None)
+    assert df.tolist() == [len(cols) for cols in sets]
+    assert _rel(stats, _padded_path(theta, j_inv, sets)) <= 1e-12
+
+
+def test_nested_chains_share_one_factor(monkeypatch):
+    # Two type-I chains (two responses' rows) take one batched factorization
+    # of two matrices, not one per set.
+    factored = []
+    real = np.linalg.cholesky
+
+    def counted(a):
+        factored.append(np.shape(a))
+        return real(a)
+
+    rng = np.random.default_rng(53)
+    h = 10
+    theta = rng.normal(size=h)
+    j_inv = _spd(rng, h)
+    sets = [[0, 1, 2, 3, 4], [2, 3, 4], [4], [5, 6, 7, 8, 9], [7, 8, 9], [9]]
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    stats, _ = wald_statistic(theta, j_inv, sets, None)
+    assert factored == [(2, 5, 5)]
+    assert _rel(stats, _padded_path(theta, j_inv, sets)) <= 1e-12
+
+
+def test_chain_zero_gap_over_singular_block_reads_exactly_zero():
+    rng = np.random.default_rng(54)
+    h = 6
+    theta = rng.normal(size=h)
+    theta[[1, 4, 5]] = 0.0
+    j_inv = _spd(rng, h)
+    j_inv[4, :] = j_inv[:, 4] = j_inv[1, :] = j_inv[:, 1] = 0.0  # J[S, S] = 0
+    sets = [[0, 2, 3], [2, 3], [5, 1, 4], [4, 1]]
+    stats, df = wald_statistic(theta, j_inv, sets, None)
+    assert stats[2] == 0.0 and stats[3] == 0.0
+    assert stats[0] > 0 and stats[1] > 0
+    assert _rel(stats[:2], _padded_path(theta, j_inv, sets)[:2]) <= 1e-12
+    assert df.tolist() == [3, 2, 3, 2]
+    # With the outer set live, its singular block is the error, as before.
+    theta[5] = 1.0
+    with pytest.raises(SingularHypothesisError) as padded:
+        _padded_path(theta, j_inv, sets)
+    with pytest.raises(SingularHypothesisError, match="stack entry 2") as info:
+        wald_statistic(theta, j_inv, sets, None)
+    assert str(info.value) == str(padded.value)
+    assert info.value.index == padded.value.index == 2
+
+
+def test_chain_zero_gap_reads_exactly_zero_on_badly_scaled_information():
+    # The batched solve can leave rounding in a zero gap's whitened
+    # entries when J is badly scaled; such a set still reads exactly 0.0.
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        h = 12
+        a = rng.normal(size=(h, h)) * np.exp(3 * rng.normal(size=h))
+        j_inv = a @ a.T + 1e-3 * np.eye(h)
+        theta = rng.normal(size=h)
+        theta[6:] = 0.0
+        sets = [rng.permutation(np.arange(lo, h)).tolist() for lo in (0, 3, 6)]
+        stats, _ = wald_statistic(theta, j_inv, sets, None)
+        assert stats[2] == 0.0 and np.all(stats[:2] > 0)
+
+
+def test_singular_block_inside_chain_names_the_padded_paths_entry():
+    rng = np.random.default_rng(55)
+    h = 5
+    theta = rng.normal(size=h) + 1.0
+    j_inv = _spd(rng, h)
+    j_inv[2, :] = j_inv[:, 2] = 0.0  # every set holding column 2 is singular
+    sets = [[0, 4], [4], [0, 1, 2, 3], [1, 2, 3], [3]]  # two chains
+    with pytest.raises(SingularHypothesisError) as padded:
+        _padded_path(theta, j_inv, sets)
+    with pytest.raises(SingularHypothesisError, match="stack entry 2") as info:
+        wald_statistic(theta, j_inv, sets, None)
+    assert str(info.value) == str(padded.value)
+    assert info.value.index == padded.value.index == 2
+    assert "the hypothesis rows are redundant" in str(info.value)
+
+
+def test_indefinite_block_error_names_the_cause():
+    rng = np.random.default_rng(56)
+    h = 4
+    j_inv = _spd(rng, h)
+    j_inv[2, 2] = -1.0
+    with pytest.raises(SingularHypothesisError, match="stack entry 1") as info:
+        wald_statistic(rng.normal(size=h) + 1.0, j_inv, [[0], [1, 2], [3]], None)
+    assert "the inverse Godambe matrix is indefinite" in str(info.value)
+    assert "redundant" not in str(info.value)
+
+
+def test_result_rows_are_immutable_records():
+    row = TestResult(label="x", df=2, statistic=3.5, p_value=0.25)
+    assert repr(row) == "TestResult(label='x', df=2, statistic=3.5, p_value=0.25)"
+    assert row == TestResult(label="x", df=2, statistic=3.5, p_value=0.25)
+    assert row != row._replace(p_value=0.5)
+    with pytest.raises(AttributeError):
+        row.statistic = 1.0
