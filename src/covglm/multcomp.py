@@ -114,8 +114,14 @@ def _contrast_rows(model, blocks):
             np.zeros(constraints.shape[:2]),
         )
     except (RankError, SingularHypothesisError) as exc:
-        where = wheres[np.searchsorted(np.cumsum(counts), exc.index, side="right")]
-        raise type(exc)(f"contrast {labels[exc.index]} ({where}): {exc}") from None
+        # The stack entry is renumbered within its block, as its table counts.
+        block = np.searchsorted(np.cumsum(counts), exc.index, side="right")
+        local = exc.index - sum(counts[:block])
+        reason = str(exc).removesuffix(f" (stack entry {exc.index})")
+        raise type(exc)(
+            f"contrast {labels[exc.index]} ({wheres[block]}): {reason} "
+            f"(stack entry {local})"
+        ) from None
     p_values = np.minimum(1.0, chisq_sf(stats, df) * np.repeat(counts, counts))
     rows = zip(labels, itertools.repeat(df), stats.tolist(), p_values.tolist())
     rows = itertools.starmap(TestResult, rows)

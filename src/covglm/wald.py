@@ -124,12 +124,13 @@ def _failing_factor(middle):
 
 def _singular_cause(block):
     """Why a symmetric L J L^T block has no Cholesky factor."""
-    eigenvalues = np.linalg.eigvalsh(block)
-    if eigenvalues[0] < -1e-8 * np.abs(eigenvalues).max():
-        return (
-            "L J L^T has a negative eigenvalue; the inverse Godambe matrix "
-            "is indefinite on these parameters"
-        )
+    if np.isfinite(block).all():
+        eigenvalues = np.linalg.eigvalsh(block)
+        if eigenvalues[0] < -1e-8 * np.abs(eigenvalues).max():
+            return (
+                "L J L^T has a negative eigenvalue; the inverse Godambe "
+                "matrix is indefinite on these parameters"
+            )
     return (
         "L J L^T is singular; the hypothesis rows are redundant "
         "under this model's information matrix"
@@ -168,12 +169,9 @@ def _padded(theta, inverse_information, orders):
     Orders of unequal length are padded to the longest with columns of an
     identity block appended to J, whose theta entries are zero.
     """
-    sizes = [len(cols) for cols in orders]
-    h, width = len(theta), max(sizes)
-    if min(sizes) == width:
-        index = np.array(orders)
-        return inverse_information[index[:, :, None], index[:, None, :]], theta[index]
-    mask = np.arange(width) < np.array(sizes)[:, None]
+    sizes = np.array([len(cols) for cols in orders])
+    h, width = len(theta), sizes.max()
+    mask = np.arange(width) < sizes[:, None]
     index = np.where(mask, 0, h + np.arange(width))
     index[mask] = np.concatenate(orders)
     padded = np.eye(h + width)
@@ -189,8 +187,8 @@ def _chain_statistics(theta, inverse_information, sets, members, runs):
     strictly contains the next. Its columns are ordered innermost set
     first, so every set is a leading block: with J on that order factored
     as C C^T, the statistic of the leading n columns is the sum of the
-    first n squares of C^-1 theta. Raises ``np.linalg.LinAlgError`` when a
-    chain's factor fails.
+    first n squares of w = C^-1 theta. Raises ``np.linalg.LinAlgError``
+    when a chain's factor fails.
     """
     width = max(len(sets[start]) for start, _ in runs)
     orders, picks = [], []
@@ -201,14 +199,17 @@ def _chain_statistics(theta, inverse_information, sets, members, runs):
         orders.append(order)
         picks.extend(k * width + len(sets[i]) - 1 for i in range(start, end))
     middle, gap = _padded(theta, inverse_information, orders)
-    chol = np.linalg.cholesky(0.5 * (middle + middle.transpose(0, 2, 1)))
-    whitened = np.linalg.solve(chol, gap[..., None])[..., 0]
-    stats = np.cumsum(whitened * whitened, axis=1).ravel()[picks]
-    if not gap[:, 0].all():
-        # A set whose gap is exactly zero reads exactly 0.0, as in the padded
-        # path; its gap is a leading block, so its chain's first entry is 0.
-        stats[np.cumsum(gap != 0, axis=1).ravel()[picks] == 0] = 0.0
-    return stats
+    # Bordered by theta, J's factor gains w as its last row, found by
+    # forward substitution without pivoting: w's leading entries depend
+    # only on the leading block, so a zero gap reads exactly 0.0 and an
+    # inner set's rounding stays its own. The corner only has to exceed
+    # |w|^2 for the bordered matrix to keep a factor.
+    bordered = np.empty((len(orders), width + 1, width + 1))
+    bordered[:, :width, :width] = 0.5 * (middle + middle.transpose(0, 2, 1))
+    bordered[:, width, :width] = bordered[:, :width, width] = gap
+    bordered[:, width, width] = np.finfo(float).max
+    whitened = np.linalg.cholesky(bordered)[:, width, :width]
+    return np.cumsum(whitened * whitened, axis=1).ravel()[picks]
 
 
 def _chains(members):

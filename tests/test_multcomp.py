@@ -260,6 +260,8 @@ def test_degenerate_contrast_error_names_contrast_and_response():
     message = str(info.value)
     assert message.startswith("contrast Escopeta:Female-Escopeta:Male (response 2): ")
     assert "rank below its 1 rows" in message
+    # The entry counts within response 2's contrasts, not across responses.
+    assert message.endswith("(stack entry 0)")
 
 
 def test_shared_design_warns_once_per_combination_and_binds_rows_once(monkeypatch):

@@ -316,10 +316,32 @@ def test_indefinite_block_error_names_the_information_matrix(factorial_fit):
     assert "redundant" not in message
 
 
+def test_non_finite_information_error_names_the_row(factorial_fit, monkeypatch):
+    # A fit file may carry a non-finite entry into joint_inverse. The block
+    # holding it is not sent to an eigensolver, which may fail to converge
+    # on it; the error stays a SingularHypothesisError that names the row.
+    def no_eigensolver(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    model = factorial_fit
+    start, _ = model.design[1].span(("water", "pot"))
+    column = model.beta_spans[1].start + start + 1
+    j = model.joint_inverse.copy()
+    j[column, column] = -np.inf
+    broken = dataclasses.replace(model, joint_inverse=j)
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolver)
+    with pytest.raises(SingularHypothesisError, match=r"^term water:pot \(response 2\): ") as info:
+        anova(broken, 3)
+    assert "L J L^T is singular" in str(info.value)
+    with pytest.raises(SingularHypothesisError, match=r"^term water:pot \(all responses\): "):
+        manova(broken, 3)
+
+
 @pytest.mark.parametrize("kind", [1, 2])
 def test_singular_block_in_nested_rows_names_the_first_failing_row(factorial_fit, kind):
-    # Type-I rows (and type II's pot, water:pot pair) nest and share one
-    # factor; a singular block still names the first row that holds it.
+    # Type-I rows nest and share one factor; type II's rows do not nest
+    # and take the padded path. Either way a singular block names the
+    # first row that holds it.
     model = factorial_fit
     start, _ = model.design[1].span(("water", "pot"))
     column = model.beta_spans[1].start + start + 1

@@ -469,7 +469,7 @@ def test_nested_chains_match_padded_path(seed, groups):
 
 def test_nested_chains_share_one_factor(monkeypatch):
     # Two type-I chains (two responses' rows) take one batched factorization
-    # of two matrices, not one per set.
+    # of two matrices, not one per set, and no separate solve.
     factored = []
     real = np.linalg.cholesky
 
@@ -484,7 +484,7 @@ def test_nested_chains_share_one_factor(monkeypatch):
     sets = [[0, 1, 2, 3, 4], [2, 3, 4], [4], [5, 6, 7, 8, 9], [7, 8, 9], [9]]
     monkeypatch.setattr(np.linalg, "cholesky", counted)
     stats, _ = wald_statistic(theta, j_inv, sets, None)
-    assert factored == [(2, 5, 5)]
+    assert factored == [(2, 6, 6)]  # each bordered by its theta entries
     assert _rel(stats, _padded_path(theta, j_inv, sets)) <= 1e-12
 
 
@@ -512,8 +512,9 @@ def test_chain_zero_gap_over_singular_block_reads_exactly_zero():
 
 
 def test_chain_zero_gap_reads_exactly_zero_on_badly_scaled_information():
-    # The batched solve can leave rounding in a zero gap's whitened
-    # entries when J is badly scaled; such a set still reads exactly 0.0.
+    # A zero gap's whitened entries come from forward substitution over
+    # its own leading block alone, so no rounding from the outer columns
+    # reaches them, however badly J is scaled.
     for seed in range(10):
         rng = np.random.default_rng(seed)
         h = 12
@@ -524,6 +525,30 @@ def test_chain_zero_gap_reads_exactly_zero_on_badly_scaled_information():
         sets = [rng.permutation(np.arange(lo, h)).tolist() for lo in (0, 3, 6)]
         stats, _ = wald_statistic(theta, j_inv, sets, None)
         assert stats[2] == 0.0 and np.all(stats[:2] > 0)
+
+
+def test_chain_statistics_keep_relative_accuracy_on_badly_scaled_information():
+    # J = D A D with A well conditioned and D spread over many orders of
+    # magnitude; the statistic of theta = D phi is phi^T A^-1 phi on each
+    # set, whatever D is. Inner sets carry gaps a billion times smaller
+    # than the outer ones, so an error that scaled with the outer
+    # statistics would swamp theirs.
+    worst_chain = worst_padded = 0.0
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        h = 12
+        a = rng.normal(size=(h, h))
+        scaled = a @ a.T / h + 0.5 * np.eye(h)
+        d = np.exp(3 * rng.normal(size=h))
+        j_inv = d[:, None] * scaled * d
+        phi = rng.normal(size=h) * np.where(np.arange(h) < 6, 1e3, 1e-6)
+        sets = [rng.permutation(np.arange(lo, h)).tolist() for lo in (0, 3, 6, 9)]
+        exact = np.array([phi[s] @ np.linalg.solve(scaled[np.ix_(s, s)], phi[s]) for s in sets])
+        stats, _ = wald_statistic(d * phi, j_inv, sets, None)
+        padded = _padded_path(d * phi, j_inv, sets)
+        worst_chain = max(worst_chain, np.max(np.abs(stats - exact) / exact))
+        worst_padded = max(worst_padded, np.max(np.abs(stats - padded) / padded))
+    assert worst_chain <= 1e-12 and worst_padded <= 1e-12
 
 
 def test_singular_block_inside_chain_names_the_padded_paths_entry():
