@@ -7,6 +7,7 @@ the theta* block of the inverse Godambe matrix, referred to a chi-square
 with as many degrees of freedom as constraints.
 """
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -113,15 +114,6 @@ def _located(error, message, index, stacked):
     return exc
 
 
-def _failing_factor(middle):
-    """Index of the first block of a stack whose Cholesky factor fails."""
-    for i, block in enumerate(middle):
-        try:
-            np.linalg.cholesky(block)
-        except np.linalg.LinAlgError:
-            return i
-
-
 def _singular_cause(block):
     """Why a symmetric L J L^T block has no Cholesky factor."""
     if np.isfinite(block).all():
@@ -137,30 +129,73 @@ def _singular_cause(block):
     )
 
 
-def _quadratic_forms(middle, gap, stacked):
-    """gap_i^T middle_i^-1 gap_i for each entry of a ``(m, s, s)`` stack.
+def _running_sums(middle, gap):
+    """Running sums of squares of w = C^-1 gap for each entry of a
+    ``(m, n, n)`` stack of ``middle = C C^T``, each symmetrised first.
 
-    An entry whose gap is exactly zero gets 0.0 and is never factored.
+    Bordered by its gap, middle's factor gains w as its last row, found by
+    forward substitution without pivoting: w's leading entries depend only
+    on the leading block, so a zero gap reads exactly 0.0 and a leading
+    block's rounding stays its own. The corner only has to exceed |w|^2
+    for the bordered matrix to keep a factor. Raises
+    ``np.linalg.LinAlgError`` when a factor fails.
     """
+    m, n = gap.shape
+    bordered = np.empty((m, n + 1, n + 1))
+    bordered[:, :n, :n] = 0.5 * (middle + middle.transpose(0, 2, 1))
+    bordered[:, n, :n] = bordered[:, :n, n] = gap
+    bordered[:, n, n] = np.finfo(float).max
+    whitened = np.linalg.cholesky(bordered)[:, n, :n]
+    return np.cumsum(whitened * whitened, axis=1)
+
+
+def _statistics(middle, gap, picks, alone, stacked):
+    """Statistics picked (by the index ``picks``) from the running sums of
+    one batched factor of a ``(middle, gap)`` stack.
+
+    When that factor fails, or a picked statistic reads NaN, ``alone()``
+    gives each statistic's own ``(middle, gap)`` stack, and each entry is
+    factored alone. One whose gap is zero reads 0.0 unfactored, so no
+    error names it; the first other one whose block is not finite or has
+    no factor raises, named as entry i of the stack; one whose block
+    factors while its bordered factor fails has |w|^2 past the largest
+    float and reads inf.
+    """
+    try:
+        stats = _running_sums(middle, gap)[picks]
+    except np.linalg.LinAlgError:
+        stats = np.nan
+    if not np.isnan(stats).any():
+        return stats
+    middle, gap = alone()
     stats = np.zeros(len(gap))
-    live = gap.any(axis=1)
-    if live.any():
-        middle = 0.5 * (middle[live] + middle[live].transpose(0, 2, 1))
+    for i in np.flatnonzero(gap.any(axis=1)):
+        block = 0.5 * (middle[i] + middle[i].T)
         try:
-            chol = np.linalg.cholesky(middle)
+            if not np.isfinite(block).all():
+                raise np.linalg.LinAlgError
+            np.linalg.cholesky(block)
         except np.linalg.LinAlgError:
-            failing = _failing_factor(middle)
             raise _located(
-                SingularHypothesisError,
-                _singular_cause(middle[failing]),
-                np.flatnonzero(live)[failing],
-                stacked,
+                SingularHypothesisError, _singular_cause(block), i, stacked
             ) from None
-        # gap^T (C C^T)^-1 gap = |C^-1 gap|^2, every gap whitened in one
-        # batched solve; a single hypothesis is a stack of one.
-        whitened = np.linalg.solve(chol, gap[live][..., None])[..., 0]
-        stats[live] = np.einsum("ij,ij->i", whitened, whitened)
+        try:
+            stats[i] = _running_sums(middle[i : i + 1], gap[i : i + 1])[0, -1]
+        except np.linalg.LinAlgError:
+            stats[i] = np.inf
     return stats
+
+
+def _confined(constraint, inverse_information, gap):
+    """``(L J L^T, gap)`` for each entry of an ``(m, s, h)`` stack, L J L^T
+    non-finite only where the entry's rows meet a non-finite entry of J:
+    in the plain product, 0 * nan and 0 * inf reach every entry."""
+    bad = ~np.isfinite(inverse_information)
+    used = constraint != 0
+    finite = np.where(bad, 0.0, inverse_information)
+    middle = constraint @ finite @ constraint.transpose(0, 2, 1)
+    middle[(used @ bad @ used.transpose(0, 2, 1)).any(axis=(1, 2))] = np.nan
+    return middle, gap
 
 
 def _padded(theta, inverse_information, orders):
@@ -180,75 +215,30 @@ def _padded(theta, inverse_information, orders):
     return padded[index[:, :, None], index[:, None, :]], gap
 
 
-def _chain_statistics(theta, inverse_information, sets, members, runs):
-    """Statistics of column sets that form chains, one factor per chain.
-
-    Each run ``(start, end)`` of ``sets`` is a chain: each of its sets
-    strictly contains the next. Its columns are ordered innermost set
-    first, so every set is a leading block: with J on that order factored
-    as C C^T, the statistic of the leading n columns is the sum of the
-    first n squares of w = C^-1 theta. Raises ``np.linalg.LinAlgError``
-    when a chain's factor fails.
-    """
-    width = max(len(sets[start]) for start, _ in runs)
-    orders, picks = [], []
-    for k, (start, end) in enumerate(runs):
-        order = list(sets[end - 1])
-        for i in range(end - 2, start - 1, -1):
-            order.extend(c for c in sets[i] if c not in members[i + 1])
-        orders.append(order)
-        picks.extend(k * width + len(sets[i]) - 1 for i in range(start, end))
-    middle, gap = _padded(theta, inverse_information, orders)
-    # Bordered by theta, J's factor gains w as its last row, found by
-    # forward substitution without pivoting: w's leading entries depend
-    # only on the leading block, so a zero gap reads exactly 0.0 and an
-    # inner set's rounding stays its own. The corner only has to exceed
-    # |w|^2 for the bordered matrix to keep a factor.
-    bordered = np.empty((len(orders), width + 1, width + 1))
-    bordered[:, :width, :width] = 0.5 * (middle + middle.transpose(0, 2, 1))
-    bordered[:, width, :width] = bordered[:, :width, width] = gap
-    bordered[:, width, width] = np.finfo(float).max
-    whitened = np.linalg.cholesky(bordered)[:, width, :width]
-    return np.cumsum(whitened * whitened, axis=1).ravel()[picks]
-
-
-def _chains(members):
-    """``(start, end)`` of each run of sets in which each strictly contains
-    the next, or None as soon as a set stands alone in its run."""
-    runs, start = [], 0
-    for i in range(1, len(members) + 1):
-        if i == len(members) or not members[i] < members[i - 1]:
-            if i - start < 2:
-                return None
-            runs.append((start, i))
-            start = i
-    return runs
-
-
 def _column_sets(theta, inverse_information, sets):
     """Statistics and df of theta[S_i] = 0 for each column set S_i.
 
-    When the sets split into runs of two or more in which each strictly
-    contains the next (the type-I rows of a table), each run shares one
-    factor. Any other stack, or one whose chain factor fails, pads every
-    set to the largest and factors each.
+    The sets split into maximal runs in which each strictly contains the
+    next (the type-I rows of a table); a set that stands alone is a run of
+    one. Each run is factored once, its columns ordered innermost set
+    first, so every set is a leading block: with J on that order factored
+    as C C^T, the statistic of the leading n columns is the sum of the
+    first n squares of w = C^-1 theta.
     """
     members = [set(cols) for cols in sets]
+    orders, runs = [], []
     for i, (cols, unique) in enumerate(zip(sets, members)):
         if not len(cols) or len(unique) < len(cols):
             raise _located(RankError, "column set is empty or repeats a column", i, True)
+        if i and unique < members[i - 1]:
+            orders[-1] = list(cols) + [c for c in orders[-1] if c not in unique]
+        else:
+            orders.append(list(cols))
+        runs.append(len(orders) - 1)
     sizes = np.array([len(cols) for cols in sets])
-    runs = _chains(members)
-    if runs is not None:
-        try:
-            return (
-                _chain_statistics(theta, inverse_information, sets, members, runs),
-                sizes,
-            )
-        except np.linalg.LinAlgError:
-            pass  # the padded path names the failing set
-    middle, gap = _padded(theta, inverse_information, sets)
-    return _quadratic_forms(middle, gap, True), sizes
+    middle, gap = _padded(theta, inverse_information, orders)
+    alone = functools.partial(_padded, theta, inverse_information, sets)
+    return _statistics(middle, gap, (runs, sizes - 1), alone, True), sizes
 
 
 def wald_statistic(theta, inverse_information, constraint, rhs):
@@ -273,7 +263,8 @@ def wald_statistic(theta, inverse_information, constraint, rhs):
     In either stack, a hypothesis that holds exactly (zero gap) has
     statistic 0.0 and no error names it. An error from a
     stack names the failing entry and sets it as the exception's ``index``
-    attribute.
+    attribute. A statistic that would read NaN (a NaN in J) raises as a
+    singular block; one past the largest float reads inf.
     """
     if rhs is None:
         return _column_sets(theta, inverse_information, constraint)
@@ -302,7 +293,8 @@ def wald_statistic(theta, inverse_information, constraint, rhs):
         )
     gap = constraint @ theta - np.asarray(rhs, dtype=float)
     middle = constraint @ inverse_information @ constraint.transpose(0, 2, 1)
-    stats = _quadratic_forms(middle, gap, stacked)
+    alone = functools.partial(_confined, constraint, inverse_information, gap)
+    stats = _statistics(middle, gap, (slice(None), -1), alone, stacked)
     return (stats, s) if stacked else (float(stats[0]), s)
 
 

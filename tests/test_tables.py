@@ -3,11 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import gaussian_spec, make_dataset, simulate_gaussian
+from conftest import factorial_data, gaussian_spec, make_dataset, simulate_gaussian
 from covglm import tables as tables_module
 from covglm.chisq import chisq_sf
 from covglm.errors import PredictorMismatch, SingularHypothesisError
 from covglm.estimator import fit
+from covglm.multcomp import joint_multiple_comparisons, multiple_comparisons
 from covglm.tables import anova, anova_dispersion, manova, manova_dispersion
 from covglm.wald import parse_hypothesis, wald_statistic, wald_test
 
@@ -335,6 +336,44 @@ def test_non_finite_information_error_names_the_row(factorial_fit, monkeypatch):
     assert "L J L^T is singular" in str(info.value)
     with pytest.raises(SingularHypothesisError, match=r"^term water:pot \(all responses\): "):
         manova(broken, 3)
+
+
+@pytest.mark.parametrize("kind", [1, 2, 3])
+def test_nan_information_error_names_the_row(factorial_fit, kind):
+    # Cholesky may factor a block holding a NaN without raising. Its
+    # statistic then reads NaN, and the row is named as for a singular
+    # block, the first row that holds the entry (type I's rows nest).
+    model = factorial_fit
+    start, _ = model.design[1].span(("water", "pot"))
+    column = model.beta_spans[1].start + start + 1
+    j = model.joint_inverse.copy()
+    j[column, column] = np.nan
+    broken = dataclasses.replace(model, joint_inverse=j)
+    first = {1: "Intercept", 2: "water", 3: "water:pot"}[kind]
+    with pytest.raises(SingularHypothesisError, match=rf"^term {first} \(response 2\): ") as info:
+        anova(broken, kind)
+    assert "L J L^T is singular" in str(info.value)
+    with pytest.raises(SingularHypothesisError, match=rf"^term {first} \(all responses\): "):
+        manova(broken, kind)
+
+
+def test_nan_information_error_names_the_contrast(factorial_fit):
+    # In L J L^T, 0 * NaN would reach every contrast; only those whose
+    # rows use the NaN entry (response 2's water:pot) are named.
+    model = factorial_fit
+    start, _ = model.design[1].span(("water", "pot"))
+    column = model.beta_spans[1].start + start + 1
+    j = model.joint_inverse.copy()
+    j[column, column] = np.nan
+    broken = dataclasses.replace(model, joint_inverse=j)
+    data = factorial_data(seed=0)
+    with pytest.raises(SingularHypothesisError) as info:
+        multiple_comparisons(broken, [["water", "pot"]] * 3, data)
+    message = str(info.value)
+    assert message.startswith("contrast W1:P1-W2:P3 (response 2): L J L^T is singular")
+    assert message.endswith("(stack entry 6)")
+    with pytest.raises(SingularHypothesisError, match=r"^contrast W1:P1-W2:P3 \(all responses\): "):
+        joint_multiple_comparisons(broken, ["water", "pot"], data)
 
 
 @pytest.mark.parametrize("kind", [1, 2])

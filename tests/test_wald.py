@@ -16,8 +16,9 @@ from covglm.errors import (
 from covglm.estimator import fit
 from covglm.wald import (
     TestResult,
+    _located,
     _padded,
-    _quadratic_forms,
+    _singular_cause,
     parse_hypothesis,
     wald_statistic,
     wald_test,
@@ -434,8 +435,21 @@ def test_overlapping_rows_are_ranked_by_svd(monkeypatch):
 
 
 def _padded_path(theta, j_inv, sets):
-    """Statistics of column sets with every set padded and factored alone."""
-    return _quadratic_forms(*_padded(theta, j_inv, sets), True)
+    """Statistics of column sets with every set padded and factored alone,
+    its gap whitened by a general solve: the reference for the bordered
+    factors. A set whose gap is zero reads 0.0 unfactored; the first live
+    set without a factor raises as ``wald_statistic`` does."""
+    middle, gap = _padded(theta, j_inv, sets)
+    stats = np.zeros(len(sets))
+    for i in np.flatnonzero(gap.any(axis=1)):
+        block = 0.5 * (middle[i] + middle[i].T)
+        try:
+            chol = np.linalg.cholesky(block)
+        except np.linalg.LinAlgError:
+            raise _located(SingularHypothesisError, _singular_cause(block), i, True) from None
+        whitened = np.linalg.solve(chol, gap[i])
+        stats[i] = whitened @ whitened
+    return stats
 
 
 def _chain(rng, columns, length):
@@ -447,13 +461,19 @@ def _chain(rng, columns, length):
 
 
 @PROPERTY_SETTINGS
-@given(seed=st.integers(0, 2**16), groups=st.lists(st.integers(0, 4), min_size=1, max_size=6))
-def test_nested_chains_match_padded_path(seed, groups):
+@given(
+    seed=st.integers(0, 2**16),
+    groups=st.lists(st.integers(0, 4), min_size=1, max_size=6),
+    zeroed=st.lists(st.integers(0, 11), max_size=8),
+)
+def test_nested_chains_match_padded_path(seed, groups, zeroed):
     # Each group is a chain of that many nested sets, or (0) one set that
-    # need not nest with its neighbours.
+    # need not nest with its neighbours. Zeroed theta entries make some
+    # sets hold exactly, inner ones of a live chain among them.
     rng = np.random.default_rng(seed)
     h = 12
     theta = rng.normal(size=h)
+    theta[zeroed] = 0.0
     j_inv = _spd(rng, h)
     sets = []
     for length in groups:
@@ -463,29 +483,58 @@ def test_nested_chains_match_padded_path(seed, groups):
         else:
             sets.append(columns.tolist())
     stats, df = wald_statistic(theta, j_inv, sets, None)
+    expected = _padded_path(theta, j_inv, sets)
     assert df.tolist() == [len(cols) for cols in sets]
-    assert _rel(stats, _padded_path(theta, j_inv, sets)) <= 1e-12
+    held = expected == 0.0
+    assert np.all(stats[held] == 0.0)
+    assert np.all(np.abs(stats - expected)[~held] <= 1e-12 * expected[~held])
+
+
+def _spy(monkeypatch, name):
+    """Record the shape of each argument passed to ``np.linalg.<name>``."""
+    calls = []
+    real = getattr(np.linalg, name)
+
+    def counted(a, *args):
+        calls.append(np.shape(a))
+        return real(a, *args)
+
+    monkeypatch.setattr(np.linalg, name, counted)
+    return calls
 
 
 def test_nested_chains_share_one_factor(monkeypatch):
-    # Two type-I chains (two responses' rows) take one batched factorization
-    # of two matrices, not one per set, and no separate solve.
-    factored = []
-    real = np.linalg.cholesky
-
-    def counted(a):
-        factored.append(np.shape(a))
-        return real(a)
-
+    # Every form of wald_statistic makes one batched factorization, each
+    # entry bordered by its gap, and no solve: two type-I chains (two
+    # responses' rows) take one factor each, lone sets (type-II rows) one
+    # each, and a constraint stack or a single hypothesis one per entry.
     rng = np.random.default_rng(53)
     h = 10
     theta = rng.normal(size=h)
     j_inv = _spd(rng, h)
-    sets = [[0, 1, 2, 3, 4], [2, 3, 4], [4], [5, 6, 7, 8, 9], [7, 8, 9], [9]]
-    monkeypatch.setattr(np.linalg, "cholesky", counted)
-    stats, _ = wald_statistic(theta, j_inv, sets, None)
-    assert factored == [(2, 6, 6)]  # each bordered by its theta entries
-    assert _rel(stats, _padded_path(theta, j_inv, sets)) <= 1e-12
+    chains = [[0, 1, 2, 3, 4], [2, 3, 4], [4], [5, 6, 7, 8, 9], [7, 8, 9], [9]]
+    lone = [[0, 1], [2], [3, 4, 5], [1, 6], [7, 8, 9]]
+    constraint, rhs = rng.normal(size=(4, 3, h)), rng.normal(size=(4, 3))
+    gaps = constraint @ theta - rhs
+    middles = constraint @ j_inv @ constraint.transpose(0, 2, 1)
+    expected = [
+        _padded_path(theta, j_inv, chains),
+        _padded_path(theta, j_inv, lone),
+        np.array([g @ np.linalg.solve(m, g) for m, g in zip(middles, gaps)]),
+    ]
+    factored, solved = _spy(monkeypatch, "cholesky"), _spy(monkeypatch, "solve")
+    stats, _ = wald_statistic(theta, j_inv, chains, None)
+    assert factored == [(2, 6, 6)] and _rel(stats, expected[0]) <= 1e-12
+    factored.clear()
+    stats, _ = wald_statistic(theta, j_inv, lone, None)
+    assert factored == [(5, 4, 4)] and _rel(stats, expected[1]) <= 1e-12
+    factored.clear()
+    stats, _ = wald_statistic(theta, j_inv, constraint, rhs)
+    assert factored == [(4, 4, 4)] and _rel(stats, expected[2]) <= 1e-12
+    factored.clear()
+    stat, _ = wald_statistic(theta, j_inv, constraint[0], rhs[0])
+    assert factored == [(1, 4, 4)] and stat == stats[0]
+    assert solved == []
 
 
 def test_chain_zero_gap_over_singular_block_reads_exactly_zero():
@@ -576,6 +625,20 @@ def test_indefinite_block_error_names_the_cause():
         wald_statistic(rng.normal(size=h) + 1.0, j_inv, [[0], [1, 2], [3]], None)
     assert "the inverse Godambe matrix is indefinite" in str(info.value)
     assert "redundant" not in str(info.value)
+
+
+def test_statistic_past_the_largest_float_reads_inf():
+    # |w|^2 of the outer set overflows, so no bordered factor of its run
+    # exists while every block factors; each set is then taken alone, and
+    # an inner set keeps its finite statistic.
+    j_inv = 1e-300 * np.eye(4)
+    theta = np.array([1e5, 1.0, 2.0, 3.0])
+    for sets, finite in (([[0, 1, 2, 3], [1, 2, 3]], 1.4e301), ([[0, 1], [2, 3]], 1.3e301)):
+        stats, df = wald_statistic(theta, j_inv, sets, None)
+        assert stats[0] == np.inf and stats[1] == pytest.approx(finite, rel=1e-12)
+        assert chisq_sf(stats, df).tolist() == [0.0, 0.0]
+    stats, df = wald_statistic(theta, j_inv, _selector([0, 1], 4)[None], np.zeros((1, 2)))
+    assert stats.tolist() == [np.inf] and chisq_sf(stats, df).tolist() == [0.0]
 
 
 def test_result_rows_are_immutable_records():
