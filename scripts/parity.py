@@ -9,10 +9,22 @@ tree's iteration count and the largest difference of beta-hat, lambda-hat
 and ``joint_inverse``, each relative to the largest entry of the parent's.
 The second gives the largest difference of the pass's Wald statistics,
 each relative to max(1, the parent's value), and whether the rendered
-reports are byte-identical. The exit status is 1 when an iteration count
-differs, a fit difference exceeds ``TOLERANCE``, a Wald difference exceeds
-``ANALYSIS_TOLERANCE`` or a report differs, and 0 otherwise. Standard
-library and numpy only.
+reports are byte-identical.
+
+The third table reads the root. The default ``tol`` stops the iteration
+up to about 1e-6 short of the root of the estimating equations, so a
+change to the iteration's path (its start, its step, the order of a sum)
+moves the estimates by that much while the root stays where it was. Both
+trees fit every case again at ``FitOptions(**ROOT_OPTIONS)``, and the
+table gives both iteration counts, which may differ, and the same three
+differences, each within ``ROOT_TOLERANCE`` when the root is the same.
+
+The exit status is 1 when an iteration count of the first table differs,
+a fit difference exceeds ``TOLERANCE``, a Wald difference exceeds
+``ANALYSIS_TOLERANCE``, a report differs, a root fit does not converge or
+a root difference exceeds ``ROOT_TOLERANCE``, and 0 otherwise. A change
+that moves only the path exits 1 with every root difference in bound.
+Standard library and numpy only.
 """
 
 import argparse
@@ -29,12 +41,28 @@ HERE = Path(__file__).resolve().parent.parent
 SHAPES = ("hunting", "soya")
 TOLERANCE = 1e-13
 ANALYSIS_TOLERANCE = 1e-12
+ROOT_OPTIONS = {"tol": 1e-10, "max_iter": 200}
+# A tree against itself reads 0. Two changes that moved only the path (a
+# new start of beta, a new start of lambda) read up to 8.1e-11 over seeds
+# 0, 1101 and 10-20, where the first table reads 1e-12 to 4e-5.
+ROOT_TOLERANCE = 1e-9
 CHILD = """
 import json, sys
 sys.path.insert(0, sys.argv[1] + "/covbench")
 import pinned  # noqa: F401  (before numpy; puts the tree's src first)
 import workload
-from covglm import fit, save_fit
+from covglm import FitOptions, fit, save_fit
+
+
+def arrays(model):
+    return {
+        "iterations": model.iterations,
+        "converged": model.converged,
+        "beta": model.beta_hat.tolist(),
+        "lambda": model.lambda_hat.flatten().tolist(),
+        "joint_inverse": model.joint_inverse.tolist(),
+    }
+
 
 out = {}
 for name in sys.argv[2].split(","):
@@ -45,11 +73,10 @@ for name in sys.argv[2].split(","):
         path = sys.argv[4] + f"/{name}_{seed}.json"
         save_fit(model, path)
         _, stats, _, report = workload.analysis_pass(shape, path, data)
+        root = fit(shape.spec, data, FitOptions(**json.loads(sys.argv[5])))
         out[f"{name} {seed}"] = {
-            "iterations": model.iterations,
-            "beta": model.beta_hat.tolist(),
-            "lambda": model.lambda_hat.flatten().tolist(),
-            "joint_inverse": model.joint_inverse.tolist(),
+            **arrays(model),
+            "root": arrays(root),
             "wald": [float(stat) for stat in stats],
             "report": report,
         }
@@ -62,7 +89,11 @@ def fits(tree, seeds):
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     with tempfile.TemporaryDirectory() as scratch:
         args = [
-            str(Path(tree).resolve()), ",".join(SHAPES), ",".join(map(str, seeds)), scratch
+            str(Path(tree).resolve()),
+            ",".join(SHAPES),
+            ",".join(map(str, seeds)),
+            scratch,
+            json.dumps(ROOT_OPTIONS),
         ]
         done = subprocess.run(
             [sys.executable, "-c", CHILD, *args],
@@ -107,6 +138,20 @@ def main(argv=None):
         same = before["report"] == after["report"]
         print(f"| {case} | {diff:.2g} | {'identical' if same else 'differ'} |")
         agree &= diff <= ANALYSIS_TOLERANCE and same
+    print()
+    print(f"Root: both trees at FitOptions({', '.join(f'{k}={v}' for k, v in ROOT_OPTIONS.items())})")
+    print()
+    print("| case | iterations (parent, this) | beta-hat | lambda-hat | joint_inverse |")
+    print("| --- | --- | --- | --- | --- |")
+    for case, before in old.items():
+        before, after = before["root"], new[case]["root"]
+        diffs = [relative(after[key], before[key]) for key in keys]
+        counts = ", ".join(
+            f"{fitted['iterations']}{'' if fitted['converged'] else ' (not converged)'}"
+            for fitted in (before, after)
+        )
+        print(f"| {case} | {counts} | " + " | ".join(f"{d:.2g}" for d in diffs) + " |")
+        agree &= before["converged"] and after["converged"] and max(diffs) <= ROOT_TOLERANCE
     return 0 if agree else 1
 
 

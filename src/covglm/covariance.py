@@ -252,6 +252,21 @@ class JointCovariance:
         """Per stack, L_r^-1 of every response as one (R, ..., m, m) array."""
         return tuple(tril_inverse(chols) for chols in self.sigma_chols)
 
+    def at_rho(self, rho):
+        """C with the same factors B, coupled through Sigma_b at ``rho``: only
+        Sigma_b is factored, and the L_r^-1 carry over."""
+        joint = JointCovariance(self.sigma_chols, *_coupling(rho, len(self.sigma_b)))
+        joint.__dict__["sigma_chol_invs"] = self.sigma_chol_invs
+        return joint
+
+
+def _coupling(rho, n_responses):
+    """Sigma_b at rho and K = Sigma_b^-1, from Sigma_b's Cholesky factor,
+    which checks that Sigma_b is positive definite."""
+    sigma_b = correlation_matrix(np.asarray(rho, dtype=float), n_responses)
+    chol_inv = tril_inverse(_chol(sigma_b, "between-response correlation matrix"))
+    return sigma_b, chol_inv.T @ chol_inv
+
 
 def build_joint_c(sigmas, rho, previous=None):
     """Couple per-response covariances through the correlation matrix.
@@ -279,9 +294,7 @@ def build_joint_c(sigmas, rho, previous=None):
             raise NotPositiveDefinite("per-response covariance is not positive definite")
     if previous is not None:
         return replace(previous, sigma_chols=tuple(chols))
-    sigma_b = correlation_matrix(np.asarray(rho, dtype=float), len(chols[0]))
-    chol_inv = tril_inverse(_chol(sigma_b, "between-response correlation matrix"))
-    return JointCovariance(tuple(chols), sigma_b, chol_inv.T @ chol_inv)
+    return JointCovariance(tuple(chols), *_coupling(rho, len(chols[0])))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ residuals are an (R, N) array and D an (R, N, k_max) one.
 """
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -549,6 +549,80 @@ class FittedModel:
         return np.sqrt(np.clip(np.diag(self.joint_inverse), 0.0, None))
 
 
+def _moment_tau(bound, means):
+    """Pearson moment estimates of every tau, in flat order, at the mean
+    side ``means``; None where they are not finite.
+
+    With s = V^(1/2), e_r = r_r / s_r has covariance Omega_r + diag(kappa_r),
+    kappa_r = mu_r / V_r for ``poisson_tweedie`` responses (the diag(mu)
+    term) and zero for the others. Matching e_r^T Z_d e_r to its
+    expectation for every Z_d of response r gives G_r tau_r = b_r, with
+    G_r the Gram matrix tr(Z_d Z_e) (``BoundModel.z_gram``) and
+    b_r[d] = e_r^T Z_d e_r - sum kappa_r, Z_d having a unit diagonal.
+    Estimates whose squares overflow count as not finite: the Pearson
+    sensitivities scale as 1 / tau^2, and underflow to a singular system
+    there.
+    """
+    resid, _, _, covmodel = means
+    owner = bound.z_owner
+    b = np.zeros(len(owner))
+    with np.errstate(all="ignore"):
+        stacks = zip(covmodel.clusters.rows, covmodel._row_terms, bound.z_blocks)
+        for rows, (sqrt_v, counts), z in stacks:
+            e = (resid[:, rows] / sqrt_v)[owner]
+            b += np.einsum("qgi,qgi->q", e, (z @ e[..., None])[..., 0])
+            b -= (counts / sqrt_v**2).sum(axis=(1, 2))[owner]
+        try:
+            tau = np.linalg.solve(bound.z_gram, b)
+        except np.linalg.LinAlgError:
+            return None
+        return tau if np.isfinite(tau**2).all() else None
+
+
+def _whitened_correlation(state):
+    """rho_rs = e_r . e_s / (|e_r| |e_s|) for the whitened residuals
+    e = B^-1 r of ``state``, which do not depend on rho. Where every e_r
+    has mean square one, Sigma_b = (e_r . e_s / N) solves the Pearson
+    equations for rho at the state's taus (z = K e, so z_r . z_s = N K_rs);
+    the norms keep Sigma_b a correlation matrix."""
+    gram = 0.0
+    with np.errstate(all="ignore"):
+        for rows, invs in zip(state.rows, state.joint.sigma_chol_invs):
+            e = (invs @ state.resid[:, rows, None]).reshape(len(invs), -1)
+            gram = gram + e @ e.T
+        scale = np.sqrt(np.diag(gram))
+        rho_r, rho_s = rho_index(len(scale))
+        return gram[rho_r, rho_s] / (scale[rho_r] * scale[rho_s])
+
+
+def _start(bound, beta):
+    """The first state, at beta: the moment estimates of the taus
+    (``_moment_tau``) with rho from the residuals they whiten
+    (``_whitened_correlation``). Where those are not finite, or C is not
+    positive definite there, it is at ``DispersionVector.initial`` instead.
+    Both share one mean side, and the moment start factors each stack once:
+    it is built at rho = 0, where Sigma_b = K = I, and then coupled at rho.
+    """
+    means = _mean_side(bound, beta)
+    initial = DispersionVector.initial(bound.n_responses, [len(c) for c in bound.z_codes])
+    tau = _moment_tau(bound, means)
+    if tau is not None:
+        disp = initial.replace_flat(np.concatenate([np.zeros_like(initial.rho), tau]))
+        eye = np.eye(bound.n_responses)
+        try:
+            state = _evaluate(
+                bound, beta, disp, means=means, previous=JointCovariance((), eye, eye)
+            )
+            rho = _whitened_correlation(state)
+            if np.isfinite(rho).all():
+                return replace(
+                    state, disp=replace(disp, rho=rho), joint=state.joint.at_rho(rho)
+                )
+        except (NotPositiveDefinite, DomainError):
+            pass
+    return _evaluate(bound, beta, initial, means=means)
+
+
 class _Trace:
     def __init__(self, path):
         self.handle = open(path, "w", encoding="utf-8") if path else None
@@ -623,14 +697,12 @@ def fit(spec, data, options=None):
     opts = options or FitOptions()
     bound = spec if isinstance(spec, BoundModel) else bind(spec, data)
     beta = _initial_beta(bound)
-    disp = DispersionVector.initial(
-        bound.n_responses, [len(c) for c in bound.z_codes]
-    )
     trace = _Trace(opts.trace_path)
     converged = False
     iteration = 0
     try:
-        state = _evaluate(bound, beta, disp)
+        state = _start(bound, beta)
+        disp = state.disp
         for iteration in range(1, opts.max_iter + 1):
             psi_b, _, var_b = _quasi_pieces(state)
             beta_step = _solve(var_b, psi_b, "coefficient Newton")

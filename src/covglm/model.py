@@ -214,10 +214,11 @@ def redundant_columns(matrix):
 
 
 def _check_identifiable(name, components, codes):
-    """Raise unless the Z_d of one response are linearly independent.
+    """The Gram matrix tr(Z_i Z_j) of one response's Z_d; raises unless
+    they are linearly independent.
 
     Z_d is redundant, and its tau not identifiable, when its column of the
-    Gram matrix tr(Z_i Z_j) adds no rank to the columns before it.
+    Gram matrix adds no rank to the columns before it.
     """
     gram = np.array([[_pair_count(a, b) for b in codes] for a in codes])
     rank = np.linalg.matrix_rank(gram)
@@ -229,6 +230,7 @@ def _check_identifiable(name, components, codes):
             f"are linearly dependent (rank {rank} of {len(codes)}); "
             f"redundant: {', '.join(redundant)}"
         )
+    return gram
 
 
 @dataclass(frozen=True)
@@ -236,8 +238,10 @@ class BoundModel:
     """A model spec resolved against data: the coding of each response's
     design and its read-only design matrix ``x[r]``, responses, and Z_d of
     response r as ``z_codes[r][d]``, one level code per row (identity:
-    0..N-1; grouping: ``grouping_matrix``). A response without an offset
-    column has an offset of zeros."""
+    0..N-1; grouping: ``grouping_matrix``). ``z_gram`` is the Gram matrix
+    tr(Z_i Z_j) over every Z_d in flat tau order, block diagonal by
+    response: each block is the one ``bind`` ranked. A response without an
+    offset column has an offset of zeros."""
 
     spec: ModelSpec
     designs: tuple
@@ -246,6 +250,7 @@ class BoundModel:
     offsets: tuple
     ntrials: tuple
     z_codes: tuple
+    z_gram: np.ndarray
     n_obs: int
     n_dropped: int
 
@@ -305,6 +310,7 @@ def bind(spec, data):
     offsets = []
     ntrials = []
     z_codes = []
+    grams = []
     built = {}
     coded = {}
     for resp in spec.responses:
@@ -337,10 +343,15 @@ def bind(spec, data):
                 grouping_matrix(data.factor(c.column)) if c.kind == "grouping" else np.arange(n)
                 for c in resp.matrix_pred
             )
-            _check_identifiable(name, resp.matrix_pred, codes)
-            coded[resp.matrix_pred] = codes
-        z_codes.append(coded[resp.matrix_pred])
+            coded[resp.matrix_pred] = codes, _check_identifiable(name, resp.matrix_pred, codes)
+        codes, gram = coded[resp.matrix_pred]
+        z_codes.append(codes)
+        grams.append(gram)
         ys.append(y)
+    sizes = [len(gram) for gram in grams]
+    z_gram = np.zeros((sum(sizes),) * 2)
+    for start, gram in zip(np.cumsum(sizes) - sizes, grams):
+        z_gram[start : start + len(gram), start : start + len(gram)] = gram
     return BoundModel(
         spec=spec,
         designs=tuple(designs),
@@ -349,6 +360,7 @@ def bind(spec, data):
         offsets=tuple(offsets),
         ntrials=tuple(ntrials),
         z_codes=tuple(z_codes),
+        z_gram=z_gram,
         n_obs=n,
         n_dropped=n_dropped,
     )

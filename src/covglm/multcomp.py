@@ -16,7 +16,7 @@ import numpy as np
 
 from .chisq import chisq_sf
 from .design import encode_combinations
-from .errors import DataError, OptionError, RankError, SingularHypothesisError
+from .errors import DataError, DomainError, OptionError, RankError, SingularHypothesisError
 from .model import complete_rows
 from .tables import TestTable, _predictor_caption, _require_shared_predictor
 from .wald import TestResult, wald_statistic
@@ -113,15 +113,16 @@ def _contrast_rows(model, blocks):
             constraints,
             np.zeros(constraints.shape[:2]),
         )
-    except (RankError, SingularHypothesisError) as exc:
+    except (DomainError, RankError, SingularHypothesisError) as exc:
         # The stack entry is renumbered within its block, as its table counts.
         block = np.searchsorted(np.cumsum(counts), exc.index, side="right")
         local = exc.index - sum(counts[:block])
         reason = str(exc).removesuffix(f" (stack entry {exc.index})")
-        raise type(exc)(
+        exc.args = (
             f"contrast {labels[exc.index]} ({wheres[block]}): {reason} "
-            f"(stack entry {local})"
-        ) from None
+            f"(stack entry {local})",
+        )
+        raise
     p_values = np.minimum(1.0, chisq_sf(stats, df) * np.repeat(counts, counts))
     rows = zip(labels, itertools.repeat(df), stats.tolist(), p_values.tolist())
     rows = itertools.starmap(TestResult, rows)

@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 
 from .chisq import chisq_sf
-from .errors import OptionError, PredictorMismatch, RankError, SingularHypothesisError
+from .errors import DomainError, OptionError, PredictorMismatch, RankError, SingularHypothesisError
 from .formula import term_label
 from .wald import TestResult, wald_statistic
 
@@ -50,8 +50,9 @@ def _test_rows(model, tests):
     sets, labels, names = zip(*tests)
     try:
         stats, df = wald_statistic(model.theta_star, model.godambe_inv, sets, None)
-    except (RankError, SingularHypothesisError) as exc:
-        raise type(exc)(f"{names[exc.index]}: {exc}") from None
+    except (DomainError, RankError, SingularHypothesisError) as exc:
+        exc.args = (f"{names[exc.index]}: {exc}",)
+        raise
     rows = zip(labels, df.tolist(), stats.tolist(), chisq_sf(stats, df).tolist())
     return tuple(itertools.starmap(TestResult, rows))
 

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .chisq import chisq_sf
-from .errors import RankError, SingularHypothesisError, UnknownParameterError
+from .errors import DomainError, RankError, SingularHypothesisError, UnknownParameterError
 
 _COMPACT = re.compile(r"^(beta|tau)(\d)(\d)$")
 _UNDERSCORE = re.compile(r"^(beta|tau)(\d+)_(\d+)$")
@@ -153,32 +153,44 @@ def _statistics(middle, gap, picks, alone, stacked):
     """Statistics picked (by the index ``picks``) from the running sums of
     one batched factor of a ``(middle, gap)`` stack.
 
-    When that factor fails, or a picked statistic reads NaN, ``alone()``
-    gives each statistic's own ``(middle, gap)`` stack, and each entry is
-    factored alone. One whose gap is zero reads 0.0 unfactored, so no
-    error names it; the first other one whose block is not finite or has
-    no factor raises, named as entry i of the stack; one whose block
-    factors while its bordered factor fails has |w|^2 past the largest
-    float and reads inf.
+    When ``middle`` has a non-finite entry, that factor fails, or a picked
+    statistic reads NaN, ``alone()`` gives each statistic's own
+    ``(middle, gap)`` stack, and each entry is factored alone. One whose
+    gap is zero reads 0.0 unfactored, so no error names it; the first
+    other one whose block is not finite or has no factor raises, named as
+    entry i of the stack, and so does one whose block factors while its
+    gap is not finite (a NaN or inf estimate); one whose block factors
+    while its bordered factor fails has |w|^2 past the largest float and
+    reads inf.
     """
-    try:
-        stats = _running_sums(middle, gap)[picks]
-    except np.linalg.LinAlgError:
-        stats = np.nan
+    stats = np.nan
+    if np.isfinite(middle).all():
+        try:
+            stats = _running_sums(middle, gap)[picks]
+        except np.linalg.LinAlgError:
+            pass
     if not np.isnan(stats).any():
         return stats
     middle, gap = alone()
     stats = np.zeros(len(gap))
     for i in np.flatnonzero(gap.any(axis=1)):
-        block = 0.5 * (middle[i] + middle[i].T)
+        block = middle[i]
         try:
             if not np.isfinite(block).all():
                 raise np.linalg.LinAlgError
+            block = 0.5 * (block + block.T)
             np.linalg.cholesky(block)
         except np.linalg.LinAlgError:
             raise _located(
                 SingularHypothesisError, _singular_cause(block), i, stacked
             ) from None
+        if not np.isfinite(gap[i]).all():
+            raise _located(
+                functools.partial(DomainError, origin="wald"),
+                "L theta* - c is not finite; the estimates it reads hold a NaN or inf",
+                i,
+                stacked,
+            )
         try:
             stats[i] = _running_sums(middle[i : i + 1], gap[i : i + 1])[0, -1]
         except np.linalg.LinAlgError:
@@ -186,15 +198,19 @@ def _statistics(middle, gap, picks, alone, stacked):
     return stats
 
 
-def _confined(constraint, inverse_information, gap):
-    """``(L J L^T, gap)`` for each entry of an ``(m, s, h)`` stack, L J L^T
-    non-finite only where the entry's rows meet a non-finite entry of J:
-    in the plain product, 0 * nan and 0 * inf reach every entry."""
-    bad = ~np.isfinite(inverse_information)
+def _confined(constraint, theta, inverse_information, rhs):
+    """``(L J L^T, L theta - c)`` for each entry of an ``(m, s, h)`` stack,
+    each non-finite only where the entry's rows meet a non-finite entry of
+    J or theta: in the plain products, 0 * nan and 0 * inf reach every
+    entry."""
     used = constraint != 0
+    bad = ~np.isfinite(inverse_information)
     finite = np.where(bad, 0.0, inverse_information)
     middle = constraint @ finite @ constraint.transpose(0, 2, 1)
     middle[(used @ bad @ used.transpose(0, 2, 1)).any(axis=(1, 2))] = np.nan
+    bad = ~np.isfinite(theta)
+    gap = constraint @ np.where(bad, 0.0, theta) - rhs
+    gap[used @ bad] = np.nan
     return middle, gap
 
 
@@ -263,8 +279,10 @@ def wald_statistic(theta, inverse_information, constraint, rhs):
     In either stack, a hypothesis that holds exactly (zero gap) has
     statistic 0.0 and no error names it. An error from a
     stack names the failing entry and sets it as the exception's ``index``
-    attribute. A statistic that would read NaN (a NaN in J) raises as a
-    singular block; one past the largest float reads inf.
+    attribute. A block of L J L^T that reads a NaN or inf entry of J raises
+    as a singular block, and a gap that reads a NaN or inf entry of theta
+    as a :class:`DomainError`; a statistic past the largest float reads
+    inf.
     """
     if rhs is None:
         return _column_sets(theta, inverse_information, constraint)
@@ -291,9 +309,13 @@ def wald_statistic(theta, inverse_information, constraint, rhs):
             np.argmax(deficient),
             stacked,
         )
-    gap = constraint @ theta - np.asarray(rhs, dtype=float)
-    middle = constraint @ inverse_information @ constraint.transpose(0, 2, 1)
-    alone = functools.partial(_confined, constraint, inverse_information, gap)
+    rhs = np.asarray(rhs, dtype=float)
+    # A non-finite entry of theta or J makes 0 * inf in these products;
+    # ``_statistics`` then locates the entries that read it (``_confined``).
+    with np.errstate(invalid="ignore"):
+        gap = constraint @ theta - rhs
+        middle = constraint @ inverse_information @ constraint.transpose(0, 2, 1)
+    alone = functools.partial(_confined, constraint, theta, inverse_information, rhs)
     stats = _statistics(middle, gap, (slice(None), -1), alone, stacked)
     return (stats, s) if stacked else (float(stats[0]), s)
 

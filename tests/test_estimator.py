@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -486,7 +489,8 @@ def test_fit_evaluates_means_per_beta_and_factors_sigma_b_per_rho(monkeypatch):
 def test_halved_dispersion_step_factors_sigma_b_for_each_trial(monkeypatch):
     # Each trial of a halved dispersion step is a new rho, so each factors
     # and checks Sigma_b again; the trials share the coefficient step's
-    # means.
+    # means. The start factors Sigma_b once too, at its moment rho, which
+    # it couples to factors built at rho = 0 (no fresh build).
     from covglm.covariance import CovarianceModel
     from covglm.errors import NotPositiveDefinite
 
@@ -501,7 +505,7 @@ def test_halved_dispersion_step_factors_sigma_b_for_each_trial(monkeypatch):
         joint = original_build(self, disp, previous)
         if previous is None:
             fresh_rho.append(disp.rho.copy())
-            if len(fresh_rho) == 2:  # the first dispersion trial fails
+            if len(fresh_rho) == 1:  # the first dispersion trial fails
                 raise NotPositiveDefinite("refused for the test")
         return joint
 
@@ -510,8 +514,8 @@ def test_halved_dispersion_step_factors_sigma_b_for_each_trial(monkeypatch):
     assert model.iterations == 3
     assert len(means) == 3 * (model.iterations + 1)
     assert len(factored) == model.iterations + 2
-    assert [rho.tolist() for rho in factored] == [rho.tolist() for rho in fresh_rho]
-    start, refused, halved = fresh_rho[:3]
+    assert [rho.tolist() for rho in factored[1:]] == [rho.tolist() for rho in fresh_rho]
+    start, refused, halved = factored[:3]
     assert np.allclose(halved - start, 0.5 * (refused - start))
 
 
@@ -572,7 +576,8 @@ def test_sandwich_solves_against_s_once(monkeypatch):
     # S^-1 is formed once and read on both sides of V; each iteration
     # solves its coefficient and dispersion Newton systems. The start of
     # the two log-link responses is least squares from the design's SVD,
-    # so these are the only np.linalg.solve calls of the fit.
+    # and the start of the dispersion parameters solves the Z_d Gram
+    # system once, so these are the only np.linalg.solve calls of the fit.
     from covglm import estimator
 
     solved = []
@@ -593,10 +598,13 @@ def test_sandwich_solves_against_s_once(monkeypatch):
     data, spec, _, _ = _three_response_problem(
         ("constant", "tweedie", "poisson_tweedie")
     )
-    model = fit(spec, data, FitOptions(max_iter=3))
+    bound = bind(spec, data)
+    model = fit(bound, None, FitOptions(max_iter=3))
     assert model.iterations == 3
     assert solved.count("sandwich") == 1
-    assert len(solved) == len(lapack_solves) == 2 * model.iterations + 1
+    assert len(solved) == 2 * model.iterations + 1
+    assert len(lapack_solves) == len(solved) + 1
+    assert lapack_solves[0] is bound.z_gram
 
 
 @pytest.mark.parametrize(
@@ -739,8 +747,12 @@ def test_sum_of_earlier_columns_is_the_only_redundant_one():
 
 
 def test_non_convergence_is_flagged_not_raised():
-    data, _, _ = simulate_gaussian(5)
-    model = fit(gaussian_spec("y ~ x1 + x2 + x3"), data, FitOptions(max_iter=1))
+    # A Gaussian model with one design starts at its root, so its first
+    # iteration converges; log-link responses do not.
+    data, spec, _, _ = _three_response_problem(
+        ("constant", "tweedie", "poisson_tweedie")
+    )
+    model = fit(spec, data, FitOptions(max_iter=1))
     assert not model.converged
     assert model.iterations == 1
 
@@ -822,3 +834,128 @@ def test_beta_label_layout(factorial_fit):
     assert labels[18] == "beta1_18"
     assert labels[19] == "beta20"
     assert len(labels) == 57
+
+
+def _load_file(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _fixed_start(monkeypatch):
+    """Make ``fit`` start every dispersion at ``DispersionVector.initial``."""
+    from covglm import estimator
+
+    monkeypatch.setattr(estimator, "_moment_tau", lambda bound, means: None)
+
+
+@pytest.mark.parametrize("seed", [0, 1101])
+@pytest.mark.parametrize("name", ["hunting", "soya"])
+def test_moment_start_reaches_the_root_of_the_fixed_start(monkeypatch, name, seed):
+    # Both starts lead to one root: at tol=1e-10 the fits agree within the
+    # bound of the root table of scripts/parity.py. At the default tol the
+    # moment start takes no more iterations.
+    from covglm.model import load_model_spec
+
+    datagen = _load_file("covbench_datagen", ROOT / "covbench" / "datagen.py")
+    tolerance = _load_file("parity", ROOT / "scripts" / "parity.py").ROOT_TOLERANCE
+    data = {"hunting": datagen.hunting_data, "soya": datagen.soya_data}[name](seed)
+    bound = bind(load_model_spec(ROOT / "fixtures" / f"{name}_model.json"), data)
+    root = FitOptions(tol=1e-10, max_iter=200)
+    moment, moment_default = fit(bound, None, root), fit(bound, None)
+    _fixed_start(monkeypatch)
+    fixed, fixed_default = fit(bound, None, root), fit(bound, None)
+    assert moment.converged and fixed.converged
+    for new, old in (
+        (moment.beta_hat, fixed.beta_hat),
+        (moment.lambda_hat.flatten(), fixed.lambda_hat.flatten()),
+        (moment.joint_inverse, fixed.joint_inverse),
+    ):
+        assert np.max(np.abs(new - old)) <= tolerance * np.max(np.abs(old))
+    assert moment_default.iterations <= fixed_default.iterations
+
+
+def _unequal_groups():
+    # Groups of 1 to 4 rows; the moment estimates of (tau0, tau1) are
+    # (2.08, -0.56), so Omega has a negative eigenvalue on the group of 4.
+    rng = np.random.default_rng(20)
+    g = np.repeat(np.arange(8), rng.integers(1, 5, size=8))
+    x = rng.normal(size=len(g))
+    y = 1 + x + rng.normal(size=len(g))
+    data = make_dataset({"y": y, "x": x, "g": np.array([f"g{i}" for i in g], dtype=object)})
+    preds = (MatrixComponent("identity"), MatrixComponent("grouping", "g"))
+    return bind(ModelSpec(responses=(response_spec("y ~ x", matrix_pred=preds),)), data)
+
+
+def _huge_gaussian():
+    # Residuals of order 1e160 square past the largest float.
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=30)
+    data = make_dataset({"y": 1e160 * (1.0 + x + rng.normal(size=30)), "x": x})
+    return bind(gaussian_spec("y ~ x"), data)
+
+
+@pytest.mark.parametrize(
+    "case, failure",
+    [(_unequal_groups, "not positive definite"), (_huge_gaussian, None)],
+    ids=["not-positive-definite", "not-finite"],
+)
+def test_moment_start_falls_back_to_the_fixed_start(monkeypatch, case, failure):
+    # Where the moment estimates are not finite, or C is not positive
+    # definite there, the fit starts as it did before they existed and ends
+    # where that start ends: at the same estimates, or in the same error.
+    from covglm import estimator
+    from covglm.errors import CovglmError, NotPositiveDefinite
+
+    bound = case()
+    beta = estimator._initial_beta(bound)
+    means = estimator._mean_side(bound, beta)
+    tau = estimator._moment_tau(bound, means)
+    if failure is None:
+        assert tau is None
+    else:
+        moment = DispersionVector(rho=np.zeros(0), tau=(tau,))
+        with pytest.raises(NotPositiveDefinite, match=failure):
+            estimator._evaluate(bound, beta, moment, means=means)
+
+    def outcome():
+        try:
+            model = fit(bound, None)
+        except CovglmError as exc:
+            return f"{type(exc).__name__}: {exc}"
+        return (
+            model.iterations,
+            model.beta_hat.tolist(),
+            model.lambda_hat.flatten().tolist(),
+            model.joint_inverse.tolist(),
+        )
+
+    result = outcome()
+    _fixed_start(monkeypatch)
+    assert result == outcome()
+
+
+def test_moment_start_correlations_solve_the_pearson_equations():
+    # With the taus at their moment estimates, the start's rho is the root
+    # of the Pearson equations for rho, up to the mean squares of the
+    # whitened residuals: rescaled to mean square one, psi_rho is zero.
+    from covglm import estimator
+
+    data, spec, _, _ = _three_response_problem(
+        ("constant", "tweedie", "poisson_tweedie")
+    )
+    bound = bind(spec, data)
+    state = estimator._start(bound, estimator._initial_beta(bound))
+    e = np.concatenate([e.reshape(3, -1) for e, _ in state.whitened], axis=1)
+    e /= np.sqrt(np.mean(e**2, axis=1, keepdims=True))
+    z = state.joint.sigma_b_inverse @ e
+    rho_r, rho_s = estimator.rho_index(3)
+    psi_rho = np.einsum("pi,pi->p", z[rho_r], z[rho_s]) - e.shape[1] * (
+        state.joint.sigma_b_inverse[rho_r, rho_s]
+    )
+    assert np.all(np.abs(state.disp.rho) > 1e-3)
+    assert np.max(np.abs(psi_rho)) < 1e-12 * e.shape[1]

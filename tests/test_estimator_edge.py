@@ -103,7 +103,9 @@ def test_singular_newton_system_is_a_typed_error():
     x = rng.normal(size=n)
     data = make_dataset({"y": 1.0 + x + rng.normal(size=n), "x": x})
     bound = bind(gaussian_spec("y ~ x"), data)
-    bound = dataclasses.replace(bound, z_codes=((np.arange(n), np.arange(n)),))
+    bound = dataclasses.replace(
+        bound, z_codes=((np.arange(n), np.arange(n)),), z_gram=np.full((2, 2), float(n))
+    )
     with pytest.raises(RankError, match="dispersion Newton system is singular"):
         fit(bound, None)
 

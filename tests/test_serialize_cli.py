@@ -507,7 +507,12 @@ def test_cli_spec_hash_guard(tmp_path, capsys):
 
 
 def test_cli_exit_two_on_non_convergence(tmp_path, capsys):
+    # Two Gaussian responses on one design start at their root; with y2 on
+    # a design of its own, the coefficients move in the first iteration.
     data_path, spec_path = _write_inputs(tmp_path)
+    spec = json.loads(spec_path.read_text())
+    spec["responses"][1]["formula"] = "y2 ~ x"
+    spec_path.write_text(json.dumps(spec))
     code = run(
         [
             "anova",

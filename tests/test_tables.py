@@ -6,7 +6,7 @@ import pytest
 from conftest import factorial_data, gaussian_spec, make_dataset, simulate_gaussian
 from covglm import tables as tables_module
 from covglm.chisq import chisq_sf
-from covglm.errors import PredictorMismatch, SingularHypothesisError
+from covglm.errors import DomainError, PredictorMismatch, SingularHypothesisError
 from covglm.estimator import fit
 from covglm.multcomp import joint_multiple_comparisons, multiple_comparisons
 from covglm.tables import anova, anova_dispersion, manova, manova_dispersion
@@ -373,6 +373,43 @@ def test_nan_information_error_names_the_contrast(factorial_fit):
     assert message.startswith("contrast W1:P1-W2:P3 (response 2): L J L^T is singular")
     assert message.endswith("(stack entry 6)")
     with pytest.raises(SingularHypothesisError, match=r"^contrast W1:P1-W2:P3 \(all responses\): "):
+        joint_multiple_comparisons(broken, ["water", "pot"], data)
+
+
+def _nan_estimate(model):
+    """The model with a NaN at response 2's first water:pot coefficient."""
+    start, _ = model.design[1].span(("water", "pot"))
+    beta = model.beta_hat.copy()
+    beta[model.beta_spans[1].start + start + 1] = np.nan
+    return dataclasses.replace(model, beta_hat=beta)
+
+
+@pytest.mark.parametrize("kind", [1, 2, 3])
+def test_nan_estimate_error_names_the_row(factorial_fit, kind):
+    # A NaN gap over a block that factors reads NaN; the first row that
+    # holds the coefficient is named (type I's rows nest, and type II's
+    # water row holds water:pot).
+    broken = _nan_estimate(factorial_fit)
+    first = {1: "Intercept", 2: "water", 3: "water:pot"}[kind]
+    with pytest.raises(DomainError, match=rf"^term {first} \(response 2\): ") as info:
+        anova(broken, kind)
+    assert "L theta* - c is not finite" in str(info.value)
+    assert info.value.origin == "wald"
+    with pytest.raises(DomainError, match=rf"^term {first} \(all responses\): "):
+        manova(broken, kind)
+
+
+def test_nan_estimate_error_names_the_contrast(factorial_fit):
+    # In L theta*, 0 * NaN would reach every contrast; only those whose
+    # rows use the coefficient (response 2's water:pot) are named.
+    broken = _nan_estimate(factorial_fit)
+    data = factorial_data(seed=0)
+    with pytest.raises(DomainError) as info:
+        multiple_comparisons(broken, [["water", "pot"]] * 3, data)
+    message = str(info.value)
+    assert message.startswith("contrast W1:P1-W2:P3 (response 2): L theta* - c is not finite")
+    assert message.endswith("(stack entry 6)")
+    with pytest.raises(DomainError, match=r"^contrast W1:P1-W2:P3 \(all responses\): "):
         joint_multiple_comparisons(broken, ["water", "pot"], data)
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import PROPERTY_SETTINGS, gaussian_spec, simulate_gaussian, subprocess_env
 from covglm.chisq import chisq_sf
 from covglm.errors import (
+    DomainError,
     RankError,
     SingularHypothesisError,
     UnknownParameterError,
@@ -639,6 +640,47 @@ def test_statistic_past_the_largest_float_reads_inf():
         assert chisq_sf(stats, df).tolist() == [0.0, 0.0]
     stats, df = wald_statistic(theta, j_inv, _selector([0, 1], 4)[None], np.zeros((1, 2)))
     assert stats.tolist() == [np.inf] and chisq_sf(stats, df).tolist() == [0.0]
+
+
+@pytest.mark.parametrize("entry", [(1, 1), (0, 1)], ids=["diagonal", "off-diagonal"])
+def test_infinite_information_in_column_sets_names_the_set(entry):
+    # An inf in J[S, S] factors to a zero whitened entry, which would leave
+    # the parameter out of the statistic; the set that reads it is named.
+    theta = np.array([1.0, 2.0, 3.0])
+    j_inv = np.eye(3)
+    j_inv[entry] = j_inv[entry[::-1]] = np.inf
+    with pytest.raises(SingularHypothesisError, match="stack entry 0") as info:
+        wald_statistic(theta, j_inv, [[0, 1, 2], [1, 2]], None)
+    assert info.value.index == 0
+    with pytest.raises(SingularHypothesisError, match="stack entry 1"):
+        wald_statistic(theta, j_inv, [[2], [0, 1]], None)
+    stats, _ = wald_statistic(theta, j_inv, [[0], [2]], None)
+    assert stats.tolist() == [1.0, 9.0]
+
+
+def test_infinite_information_in_a_constraint_stack_names_the_entry():
+    # In L J L^T, 0 * inf would warn and reach every entry; only the entry
+    # whose rows read J[1, 1] is named, with no RuntimeWarning on the way.
+    theta = np.array([1.0, 2.0, 3.0])
+    j_inv = np.eye(3)
+    j_inv[1, 1] = np.inf
+    stack = np.stack([_selector([0, 2], 3), _selector([1, 2], 3)])
+    with pytest.raises(SingularHypothesisError, match="stack entry 1") as info:
+        wald_statistic(theta, j_inv, stack, np.zeros((2, 2)))
+    assert info.value.index == 1
+    stats, _ = wald_statistic(theta, j_inv, stack[:1], np.zeros((1, 2)))
+    assert stats.tolist() == [10.0]
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_estimate_names_the_entry_that_reads_it(value):
+    theta = np.array([1.0, value, 3.0])
+    stack = np.stack([_selector([0, 2], 3), _selector([1, 2], 3)])
+    for args in ((stack, np.zeros((2, 2))), ([[0, 2], [1, 2]], None)):
+        with pytest.raises(DomainError, match="stack entry 1") as info:
+            wald_statistic(theta, np.eye(3), *args)
+        assert info.value.index == 1 and info.value.origin == "wald"
+        assert "not finite" in str(info.value)
 
 
 def test_result_rows_are_immutable_records():
