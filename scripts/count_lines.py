@@ -2,8 +2,8 @@
 
 Prints two numbers for ``src/covglm``: every line, as ``wc -l`` counts
 them, and the logical lines, which leave out blank lines, comment-only
-lines and the lines of module, class and function docstrings. Standard
-library only.
+lines and the lines of module, class and function docstrings. Then the
+logical lines of each module, one line each. Standard library only.
 
     python3 scripts/count_lines.py [package directory]
 """
@@ -42,9 +42,13 @@ def count(path):
 
 def main(argv):
     package = Path(argv[1]) if len(argv) > 1 else PACKAGE
-    totals = [sum(column) for column in zip(*map(count, sorted(package.glob("*.py"))))]
+    modules = sorted(package.glob("*.py"))
+    counts = list(map(count, modules))
+    totals = [sum(column) for column in zip(*counts)]
     print(f"{totals[0]} lines (wc -l)")
     print(f"{totals[1]} logical lines (no blank, comment or docstring lines)")
+    for module, (_, logical) in zip(modules, counts):
+        print(f"{logical:5d}  {module.name}")
 
 
 if __name__ == "__main__":

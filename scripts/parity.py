@@ -9,7 +9,7 @@ tree's iteration count and the largest difference of beta-hat, lambda-hat
 and ``joint_inverse``, each relative to the largest entry of the parent's.
 The second gives the largest difference of the pass's Wald statistics,
 each relative to max(1, the parent's value), and whether the rendered
-reports are byte-identical.
+reports, the pass's and the fit's ``render_summary``, are byte-identical.
 
 The third table reads the root. The default ``tol`` stops the iteration
 up to about 1e-6 short of the root of the estimating equations, so a
@@ -52,6 +52,7 @@ sys.path.insert(0, sys.argv[1] + "/covbench")
 import pinned  # noqa: F401  (before numpy; puts the tree's src first)
 import workload
 from covglm import FitOptions, fit, save_fit
+from covglm.report import render_summary
 
 
 def arrays(model):
@@ -79,6 +80,7 @@ for name in sys.argv[2].split(","):
             "root": arrays(root),
             "wald": [float(stat) for stat in stats],
             "report": report,
+            "summary": render_summary(model),
         }
 print(json.dumps(out))
 """
@@ -135,7 +137,7 @@ def main(argv=None):
             diff = float(np.max(np.abs(new_wald - old_wald) / np.maximum(1.0, np.abs(old_wald))))
         else:
             diff = float("inf")  # a different number of statistics
-        same = before["report"] == after["report"]
+        same = all(before[key] == after[key] for key in ("report", "summary"))
         print(f"| {case} | {diff:.2g} | {'identical' if same else 'differ'} |")
         agree &= diff <= ANALYSIS_TOLERANCE and same
     print()

@@ -338,10 +338,9 @@ class CovarianceModel:
         stacks = (full[:, rows] for rows in self.clusters.rows)
         return tuple((g[: self.n_responses], g[self.n_responses :]) for g in stacks)
 
-    def _omegas(self, k, disp):
-        """Omega_r of every response: one (R, G, m, m) contraction of stack
-        k's Z_d blocks."""
-        z = self.z_blocks[k]
+    def _omegas(self, z, disp):
+        """Omega_r of every response: one (R, G, m, m) contraction of a
+        stack's Z_d blocks ``z``."""
         weights = np.zeros((self.n_responses, len(z)))
         weights[self.owner, np.arange(len(z))] = np.concatenate(disp.tau)
         return build_omega(weights, z)
@@ -354,8 +353,8 @@ class CovarianceModel:
         # ``_sigma`` rejects.
         with np.errstate(over="ignore", invalid="ignore"):
             sigmas = [
-                _sigma(*terms, self._omegas(k, disp))
-                for k, terms in enumerate(self._row_terms)
+                _sigma(*terms, self._omegas(z, disp))
+                for terms, z in zip(self._row_terms, self.z_blocks)
             ]
         return build_joint_c(sigmas, disp.rho, previous)
 
@@ -408,75 +407,66 @@ class CovarianceModel:
         """
         grad = np.zeros((len(weights[0]), self.n_responses, self.clusters.n_obs))
         k_inv = joint.sigma_b_inverse
-        # What every stack reads of Sigma_b and K. The sums over t != a in
-        # ``_stack_mean_gradient`` are formed from their off-diagonal parts
-        # directly: as differences such as e_a - z_a they would lose the
-        # digits of small correlations.
+        n_rho = len(disp.rho)
+        # What every stack reads of Sigma_b and K. The sums over t != a
+        # below are formed from their off-diagonal parts directly: as
+        # differences such as e_a - z_a they would lose the digits of small
+        # correlations.
         sigma_b_off = joint.sigma_b - np.eye(self.n_responses)
         k_off = k_inv - np.diag(np.diag(k_inv))
         one_minus_k = np.einsum("at,ta->a", sigma_b_off, k_inv)  # 1 - K_aa
-        coupling = k_inv, sigma_b_off, k_off, one_minus_k
-        for k, piece in enumerate(zip(joint.sigma_chol_invs, ms, residuals, weights)):
-            grad[:, :, self.clusters.rows[k]] = self._stack_mean_gradient(
-                k, disp, coupling, *piece
-            )
+        stacks = zip(
+            self.clusters.rows, self._row_terms, self.z_blocks,
+            joint.sigma_chol_invs, ms, residuals, weights,
+        )
+        for rows, (sqrt_vs, _), z_blocks, chol_invs, stack_ms, (e, z), w in stacks:
+            eye = np.eye(z.shape[-1])
+            omegas = self._omegas(z_blocks, disp)
+            zetas = mix_responses(sigma_b_off, z)
+            k_off_e = mix_responses(k_off, e)
+            for a in range(self.n_responses):
+                chol_inv, s = chol_invs[a], sqrt_vs[a]
+                mu, ntrial = self.mus[a][rows], self.ntrials[a]
+                dv = variance_deriv(self.variances[a], mu)
+                if ntrial is not None:
+                    dv = dv / ntrial[rows]
+                slope = dv / (2.0 * s)  # ds/dmu
+                mine = np.flatnonzero(self.owner == a)
+                own, m_own = n_rho + mine, stack_ms[mine]
+                z_a, w_a = z[a], w[:, a]
+                zeta = zetas[a]  # sum over t != a of Sigma_b[a, t] z_t
+                # The cotangent of L_a is L_a^-T Y_i, Y_i = 2 sum over t != a
+                # of Sigma_b[a, t] G^_i[a, t] plus the H terms of d B_i / d L_a:
+                # Y_i / 2 = z_a f_i^T - w_ia zeta^T - (V + V^T) M for tau_ad,
+                # V = Phi(z_a zeta^T - (1 - K_aa) I), with f_i = w_ia except
+                # f_i = P (K_aa e_a - z_a) for tau_ad, K_aa e_a - z_a = -sum
+                # over t != a of K_at e_t. For rho_rs, Y_i / 2 also holds
+                # -X_i[a, a] = -2 K_ar K_as I, which gamma^_i below adds back:
+                # Phi(c I) = c I / 2, so 2 Phi(-X_i[a, a]) + X_i[a, a] = 0 and
+                # neither term is formed.
+                f = w_a.copy()
+                f[own] = -(_phi(m_own) @ k_off_e[a][..., None])[..., 0]
+                y_half = _outer(z_a, f) - _outer(w_a, zeta)
+                v = _phi(_outer(z_a, zeta) - one_minus_k[a] * eye)
+                y_half[own] -= (v + _t(v)) @ m_own
+                # The cotangent of Sigma_a, gamma_i = L_a^-T gamma^_i L_a^-1
+                # with gamma^_i = G^_i[a, a] + Phi(Y_i), where X_i[a, a] is
+                # K_aa M for tau_ad and zero for the taus of other responses.
+                # Only its symmetric part counts, dSigma_a being symmetric, so
+                # -z_a w_ia^T - w_ia z_a^T enters as -2 z_a w_ia^T.
+                gamma = 2.0 * (_phi(y_half) - _outer(z_a, w_a))
+                gamma[own] += k_inv[a, a] * m_own
+                gamma = _t(chol_inv) @ gamma @ chol_inv
+                grad_s = _spread(gamma, omegas[a], s)
+                # <H[a, a] + 2 L_a^-T V L_a^-1, dA> for tau_ad.
+                h_own = _outer(z_a, z_a) - k_inv[a, a] * eye + 2.0 * v
+                h_own = _t(chol_inv) @ h_own @ chol_inv
+                grad_s[own] += _spread(h_own, z_blocks[mine], s)
+                grad_s *= slope
+                if self.variances[a].kind == "poisson_tweedie":
+                    grad_s += np.diagonal(gamma, axis1=-2, axis2=-1)
+                grad[:, a, rows] = grad_s
         return grad
-
-    def _stack_mean_gradient(self, k, disp, coupling, chol_invs, ms, residuals, w):
-        e, z = residuals
-        k_inv, sigma_b_off, k_off, one_minus_k = coupling
-        rho_r, rho_s = rho_index(self.n_responses)
-        n_rho = len(rho_r)
-        eye = np.eye(z.shape[-1])
-        cluster_rows = self.clusters.rows[k]
-        omegas = self._omegas(k, disp)
-        sqrt_vs, _ = self._row_terms[k]
-        zetas = mix_responses(sigma_b_off, z)
-        k_off_e = mix_responses(k_off, e)
-        out = np.empty_like(w)
-        for a in range(self.n_responses):
-            chol_inv, s = chol_invs[a], sqrt_vs[a]
-            mu, ntrial = self.mus[a][cluster_rows], self.ntrials[a]
-            dv = variance_deriv(self.variances[a], mu)
-            if ntrial is not None:
-                dv = dv / ntrial[cluster_rows]
-            slope = dv / (2.0 * s)  # ds/dmu
-            mine = np.flatnonzero(self.owner == a)
-            own, m_own = n_rho + mine, ms[mine]
-            z_a, w_a = z[a], w[:, a]
-            zeta = zetas[a]  # sum over t != a of Sigma_b[a, t] z_t
-            # X_i[a, a]: 2 K_ar K_as I for rho_rs, K_aa M for tau_ad, zero
-            # for the taus of other responses.
-            x_rho = (2.0 * k_inv[a, rho_r] * k_inv[a, rho_s])[:, None, None, None] * eye
-            # The cotangent of L_a is L_a^-T Y_i, Y_i = 2 sum over t != a of
-            # Sigma_b[a, t] G^_i[a, t] plus the H terms of d B_i / d L_a:
-            # Y_i / 2 = z_a f_i^T - w_ia zeta^T - (X_i[a, a] for rho_rs)
-            # - (V + V^T) M for tau_ad, V = Phi(z_a zeta^T - (1 - K_aa) I),
-            # with f_i = w_ia except f_i = P (K_aa e_a - z_a) for tau_ad,
-            # K_aa e_a - z_a = -sum over t != a of K_at e_t.
-            f = w_a.copy()
-            f[own] = -(_phi(m_own) @ k_off_e[a][..., None])[..., 0]
-            y_half = _outer(z_a, f) - _outer(w_a, zeta)
-            y_half[:n_rho] -= x_rho
-            v = _phi(_outer(z_a, zeta) - one_minus_k[a] * eye)
-            y_half[own] -= (v + _t(v)) @ m_own
-            # The cotangent of Sigma_a, gamma_i = L_a^-T gamma^_i L_a^-1 with
-            # gamma^_i = G^_i[a, a] + Phi(Y_i). Only its symmetric part
-            # counts, dSigma_a being symmetric, so -z_a w_ia^T - w_ia z_a^T
-            # enters as -2 z_a w_ia^T.
-            gamma = 2.0 * (_phi(y_half) - _outer(z_a, w_a))
-            gamma[:n_rho] += x_rho
-            gamma[own] += k_inv[a, a] * m_own
-            gamma = _t(chol_inv) @ gamma @ chol_inv
-            grad_s = _spread(gamma, omegas[a], s)
-            # <H[a, a] + 2 L_a^-T V L_a^-1, dA> for tau_ad.
-            h_own = _outer(z_a, z_a) - k_inv[a, a] * eye + 2.0 * v
-            h_own = _t(chol_inv) @ h_own @ chol_inv
-            grad_s[own] += _spread(h_own, self.z_blocks[k][mine], s)
-            out[:, a] = slope * grad_s
-            if self.variances[a].kind == "poisson_tweedie":
-                out[:, a] += np.diagonal(gamma, axis1=-2, axis2=-1)
-        return out
 
 
 def _outer(x, y):

@@ -252,6 +252,10 @@ def _pearson_pieces(state):
       t in {r, s} and 0 otherwise;
     - S for tau_i in response r, tau_j in response s:
       -2 delta_rs tr(P_i P_j) - 2 K_rs (Sigma_b)_rs tr(P_i P_j^T).
+
+    S_lambda is negative definite, so an exactly zero diagonal entry is an
+    underflow: its tau entries scale as 1 / tau^2, below the smallest float
+    for tau past about 1e162. That raises ``DomainError``.
     """
     n_resp = len(state.disp.tau)
     rho_r, rho_s = rho_index(n_resp)
@@ -289,6 +293,12 @@ def _pearson_pieces(state):
         (owner[:, None] == owner) * same
         + (k_inv * state.joint.sigma_b)[owner[:, None], owner] * cross
     )
+    if not np.diagonal(sens).all():
+        raise DomainError(
+            "the dispersion sensitivities underflow to zero; the responses are "
+            "too large in scale for this model's variance",
+            origin="estimator",
+        )
     return np.concatenate([psi_rho, psi_tau - trace_m]), sens
 
 
@@ -518,8 +528,7 @@ class FittedModel:
 
     @cached_property
     def theta_star_labels(self):
-        tau_lengths = [len(t) for t in self.lambda_hat.tau]
-        return tuple(beta_labels(self.design) + tau_labels(tau_lengths))
+        return tuple(self.labels[i] for i in self._star_index)
 
     @cached_property
     def _star_index(self):
@@ -581,14 +590,15 @@ def _moment_tau(bound, means):
 
 def _whitened_correlation(state):
     """rho_rs = e_r . e_s / (|e_r| |e_s|) for the whitened residuals
-    e = B^-1 r of ``state``, which do not depend on rho. Where every e_r
+    e = B^-1 r of ``state`` (``_State.whitened``), which do not depend on
+    rho. Where every e_r
     has mean square one, Sigma_b = (e_r . e_s / N) solves the Pearson
     equations for rho at the state's taus (z = K e, so z_r . z_s = N K_rs);
     the norms keep Sigma_b a correlation matrix."""
     gram = 0.0
     with np.errstate(all="ignore"):
-        for rows, invs in zip(state.rows, state.joint.sigma_chol_invs):
-            e = (invs @ state.resid[:, rows, None]).reshape(len(invs), -1)
+        for e, _ in state.whitened:
+            e = e.reshape(len(e), -1)
             gram = gram + e @ e.T
         scale = np.sqrt(np.diag(gram))
         rho_r, rho_s = rho_index(len(scale))

@@ -19,9 +19,14 @@ def fmt_p(value):
     return f"{value:.4f}"
 
 
-def _aligned(header, cells):
-    width = max(len(header), max((len(c) for c in cells), default=0))
-    return header.rjust(width), [c.rjust(width) for c in cells]
+def _columns(columns, sep=" ", justify=str.rjust):
+    """Lines of ``columns``, (header, cells) pairs, each right aligned at the
+    width of its longest entry; ``justify`` places the headers."""
+    widths = [max(map(len, [header, *cells])) for header, cells in columns]
+    lines = [sep.join(justify(h, w) for (h, _), w in zip(columns, widths)).rstrip()]
+    padded = [[c.rjust(w) for c in cells] for (_, cells), w in zip(columns, widths)]
+    lines.extend(sep.join(cells).rstrip() for cells in zip(*padded))
+    return lines
 
 
 def _rows_block(rows, label_header=None):
@@ -35,11 +40,7 @@ def _rows_block(rows, label_header=None):
         ("Chi", [fmt_stat(r.statistic) for r in rows]),
         ("Pr(>Chi)", [fmt_p(r.p_value) for r in rows]),
     ]
-    aligned = [_aligned(header, cells) for header, cells in columns]
-    lines = [" ".join(header for header, _ in aligned).rstrip()]
-    for cells in zip(*(cells for _, cells in aligned)):
-        lines.append(" ".join(cells).rstrip())
-    return lines
+    return _columns(columns)
 
 
 def render_table(table):
@@ -76,10 +77,16 @@ def render_summary(model):
     errors = model.standard_errors()
     labels = model.labels
     theta = np.concatenate([model.beta_hat, model.lambda_hat.flatten()])
-    headers = ("Parameter", "Estimate", "Std.Error")
 
-    def row(i, *term):
-        return (labels[i], *term, fmt_stat(theta[i]), fmt_stat(errors[i]))
+    def block(indices, terms=None):
+        columns = [("Parameter", [labels[i] for i in indices])]
+        if terms is not None:
+            columns.append(("Term", terms))
+        columns += [
+            ("Estimate", [fmt_stat(theta[i]) for i in indices]),
+            ("Std.Error", [fmt_stat(errors[i]) for i in indices]),
+        ]
+        return _columns(columns, "  ", str.ljust)
 
     lines = ["Model fit summary", ""]
     for design, resp, span in zip(model.design, model.spec.responses, model.beta_spans):
@@ -89,19 +96,16 @@ def render_summary(model):
             f"(power {resp.variance.power:g})"
         )
         lines.append("")
-        terms = enumerate(design.column_labels, start=span.start)
-        rows = [row(j, term) for j, term in terms]
-        lines.extend(_summary_block(("Parameter", "Term", "Estimate", "Std.Error"), rows))
+        lines.extend(block(range(span.start, span.stop), design.column_labels))
         lines.append("")
     n_beta = model.n_beta
     n_rho = model.n_rho
     lines.append("Dispersion:")
-    taus = range(n_beta + n_rho, len(labels))
-    lines.extend(_summary_block(headers, [row(i) for i in taus]))
+    lines.extend(block(range(n_beta + n_rho, len(labels))))
     if n_rho:
         lines.append("")
         lines.append("Between-response correlations:")
-        lines.extend(_summary_block(headers, [row(n_beta + i) for i in range(n_rho)]))
+        lines.extend(block(range(n_beta, n_beta + n_rho)))
     lines.append("")
     status = "yes" if model.converged else "NO"
     lines.append(
@@ -109,16 +113,3 @@ def render_summary(model):
         f"N: {model.n_obs} ({model.n_dropped} rows dropped)"
     )
     return "\n".join(lines) + "\n"
-
-
-def _summary_block(headers, rows):
-    columns = list(zip(*([headers] + [tuple(r) for r in rows])))
-    widths = [max(len(str(c)) for c in col) for col in columns]
-    out = []
-    header_line = "  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()
-    out.append(header_line)
-    for row in rows:
-        out.append(
-            "  ".join(str(c).rjust(w) for c, w in zip(row, widths)).rstrip()
-        )
-    return out

@@ -142,6 +142,14 @@ def _huge_tweedie_response():
     return columns, [_response("y ~ x", "log", "tweedie")]
 
 
+def _underflowing_dispersion_sensitivity():
+    # The first dispersion step takes tau to about 1e198, where the Pearson
+    # sensitivities, of order 1 / tau^2, underflow to zero.
+    rng = np.random.default_rng(18)
+    columns = {"y": 1e100 * rng.uniform(1.0, 2.0, size=SHORT), "x": rng.normal(size=SHORT)}
+    return columns, [_response("y ~ x", "log")]
+
+
 def _huge_tweedie_power():
     # mu**400 overflows for means past about 6.
     rng = np.random.default_rng(10)
@@ -188,6 +196,7 @@ CASES = {
     "huge-log-mean-constant-variance": _huge_constant_variance_log_mean,
     "alternating-huge-response": _alternating_huge_response,
     "huge-tweedie-response": _huge_tweedie_response,
+    "underflowing-dispersion-sensitivity": _underflowing_dispersion_sensitivity,
     "negative-counts": _negative_counts,
     "tweedie-power-400": _huge_tweedie_power,
     "unresolvable-scale": _unresolvable_scale,
@@ -291,6 +300,16 @@ def test_overflowing_fit_systems_fail_in_one_line(case, tmp_path, capsys):
     assert code == 1
     assert err.count("\n") == 1
     assert "non-finite entries" in err
+
+
+def test_underflowing_dispersion_sensitivity_names_the_scale(tmp_path, capsys):
+    # Not the singular-system RankError: the system is zero by underflow.
+    code, err = _summary("underflowing-dispersion-sensitivity", tmp_path, capsys)
+    assert code == 1
+    assert err == (
+        "error [estimator]: the dispersion sensitivities underflow to zero; "
+        "the responses are too large in scale for this model's variance\n"
+    )
 
 
 _LINK_RANGES = {"identity": (-1.0, 10.0), "log": (0.0, 10.0), "logit": (0.0, 1.0)}

@@ -198,23 +198,26 @@ def test_quasi_sensitivity_in_dispersion_matches_finite_differences():
     assert np.linalg.norm(sens_bl - numeric) / np.linalg.norm(numeric) < 1e-6
 
 
-def _three_response_problem(kinds):
+def _three_response_problem(kinds, grouping=None):
     """R=3 data, spec, an off-root point and correlations away from zero.
 
     ``kinds`` picks each response from: ``constant`` (identity link,
     grouping Z), ``tweedie`` (log, power 1.7), ``poisson_tweedie`` (log,
     power 1.5, offset, grouping Z), ``binomialP`` (logit, power 1.3,
     trial counts) and ``wide`` (as ``tweedie``, on ``x + w``: one
-    coefficient more than the others).
+    coefficient more than the others). ``grouping``, the level labels of
+    the 36 rows, defaults to 6 interleaved groups of 6.
     """
     rng = np.random.default_rng(14)
     n = 36
     x = rng.normal(size=n)
     offset = rng.uniform(-0.3, 0.3, size=n)
     trials = rng.integers(3, 12, size=n).astype(float)
+    if grouping is None:
+        grouping = [f"g{i % 6}" for i in range(n)]
     columns = {
         "x": x,
-        "g": np.array([f"g{i % 6}" for i in range(n)], dtype=object),
+        "g": np.array(grouping, dtype=object),
         "off": offset,
         "m": trials,
         "constant": 1.0 + x + rng.normal(size=n),
@@ -272,25 +275,36 @@ def _three_response_problem(kinds):
     return make_dataset(columns), spec, beta, disp
 
 
+# Five interleaved groups of 4 rows, then groups of 6, 5 and 5: three
+# cluster stacks whose rows are scattered through the data.
+UNEQUAL_GROUPS = [f"g{i % 5}" if i < 20 else f"h{i % 3}" for i in range(36)]
+
+
 @pytest.mark.parametrize(
-    "kinds",
+    "kinds, grouping",
     [
-        ("constant", "tweedie", "poisson_tweedie"),
-        ("binomialP", "poisson_tweedie", "constant"),
-        ("constant", "wide", "poisson_tweedie"),
+        (("constant", "tweedie", "poisson_tweedie"), None),
+        (("binomialP", "poisson_tweedie", "constant"), None),
+        (("constant", "wide", "poisson_tweedie"), None),
+        (("constant", "tweedie", "poisson_tweedie"), UNEQUAL_GROUPS),
     ],
     ids=[
         "constant-tweedie-poisson_tweedie",
         "binomialP-poisson_tweedie-constant",
         "constant-wide-poisson_tweedie",
+        "constant-tweedie-poisson_tweedie-unequal-groups",
     ],
 )
-def test_pearson_sensitivity_in_coefficients_matches_finite_differences(kinds):
+def test_pearson_sensitivity_in_coefficients_matches_finite_differences(kinds, grouping):
     # S_lambda_beta = d psi_lambda / d beta, against central differences of
     # the Pearson function at a point away from the root. The mean moves
-    # psi_lambda through the residual, C and every dC/dlambda_i.
-    data, spec, beta, disp = _three_response_problem(kinds)
+    # psi_lambda through the residual, C and every dC/dlambda_i. With
+    # unequal groups, each cluster stack's rows are scattered back into
+    # place in the means' gradient.
+    data, spec, beta, disp = _three_response_problem(kinds, grouping)
     bound = bind(spec, data)
+    if grouping is not None:
+        assert len(bound.clusters.rows) == 3
     sens_lb, _ = cross_blocks(bound, beta, disp)
     numeric = np.empty_like(sens_lb)
     for j in range(len(beta)):
